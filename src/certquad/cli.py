@@ -13,8 +13,9 @@ digits (enough to reproduce each double bit for bit), keys keep insertion
 order, and the only non-reproducible field, wall-clock ``timing_s``, can
 be dropped with ``--no-timing``.
 
-Exit codes: 0 success, 2 validation error (unknown names, bad parameters,
-malformed flags), 3 adaptive run that failed to converge within the panel
+Exit codes: 0 success, 1 failed ``--self-check``, 2 validation error
+(unknown names, bad parameters, malformed flags, arithmetic overflow on
+extreme inputs), 3 adaptive run that failed to converge within the panel
 budget.
 """
 
@@ -28,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .bounds import level3_factor
+from .bounds import bound_level3, level3_factor
 from .engine import (
     DEFAULT_MAX_PANELS,
     apply_rule,
@@ -40,11 +41,11 @@ from .functions import FUNCTION_NAMES, make_function
 from .geometry import L1, LINF, Interval, NormRegime, lp, uniform_partition
 from .rules import PRESET_NAMES, QuadratureRule, preset
 from .seminorms import DEFAULT_RESOLUTION, seminorm
-from .bounds import bound_level3
 
 __all__ = ["RunConfig", "Report", "run", "compare_rules", "main"]
 
 _DEFAULT_ORACLE_RESOLUTION = 65536
+_SCHEMA = 2
 _ORACLE_ENV = "QUAD_ORACLE_RESOLUTION"
 
 
@@ -99,7 +100,6 @@ class RunConfig:
     level: int = 2
     mode: str = "single"
     resolution: int = DEFAULT_RESOLUTION
-    threads: int = 1
     max_panels: int = DEFAULT_MAX_PANELS
     oracle_resolution: int | None = None
     self_check: bool = False
@@ -125,7 +125,7 @@ def _mode_dispatch(config: RunConfig, fn, rule, interval, regime):
             raise ValueError("mode 'single' takes no parameter")
         partition = uniform_partition(interval, 1)
         return integrate_composite(
-            fn, rule, partition, regime, config.level, config.resolution, config.threads
+            fn, rule, partition, regime, config.level, config.resolution
         )
     if mode == "composite":
         try:
@@ -136,7 +136,7 @@ def _mode_dispatch(config: RunConfig, fn, rule, interval, regime):
             raise ValueError(f"composite panel count must be >= 1, got {panels}")
         partition = uniform_partition(interval, panels)
         return integrate_composite(
-            fn, rule, partition, regime, config.level, config.resolution, config.threads
+            fn, rule, partition, regime, config.level, config.resolution
         )
     if mode == "adaptive":
         try:
@@ -176,16 +176,14 @@ def run(config: RunConfig) -> Report:
     actual_error = space.norm(space.subtract(result.approximation, reference))
 
     cert = result.certificate
-    panel_rows = []
-    for panel, panel_cert in result.panels:
-        panel_value = apply_rule(fn, rule, panel)
-        panel_rows.append(
-            [panel.a, panel.b, space.norm(panel_value), panel_cert.bound]
-        )
+    panel_rows = [
+        [panel.a, panel.b, space.norm(value), panel_cert.bound]
+        for (panel, panel_cert), value in zip(result.panels, result.panel_values)
+    ]
 
     elapsed = time.perf_counter() - started
     data: dict[str, Any] = {
-        "schema": 1,
+        "schema": _SCHEMA,
         "config": {
             "function": fn.name,
             "space": space.label,
@@ -195,7 +193,6 @@ def run(config: RunConfig) -> Report:
             "level": cert.level,
             "mode": config.mode,
             "resolution": config.resolution,
-            "threads": config.threads,
             "max_panels": config.max_panels,
             "oracle_resolution": oracle_resolution,
         },
@@ -248,11 +245,11 @@ def compare_rules(
         oracle_resolution = _oracle_resolution_from_env()
     reference = oracle_integral(fn, interval, oracle_resolution)
     unit = Interval(0.0, 1.0)
+    estimate = seminorm(fn, interval, regime, resolution)
 
     rows = []
     for spec in rules:
         rule = parse_rule_spec(spec) if isinstance(spec, str) else spec
-        estimate = seminorm(fn, interval, regime, resolution)
         cert = bound_level3(estimate, rule, interval)
         approx = apply_rule(fn, rule, interval)
         rows.append(
@@ -342,7 +339,7 @@ def _emit_run(report: Report, output: str) -> str:
 
 def _emit_compare(rows: list[dict[str, Any]], output: str) -> str:
     if output == "json":
-        return dumps_json({"schema": 1, "rows": rows})
+        return dumps_json({"schema": _SCHEMA, "rows": rows})
     if output == "csv":
         lines = ["rule,constant,bound,actual_error,certified"]
         for row in rows:
@@ -392,8 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", default="single", help="single, composite:M or adaptive:TOL")
     run_p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
                        help="seminorm quadrature panels / sup sample count")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="panel evaluation threads (composite mode)")
     run_p.add_argument("--max-panels", type=int, default=DEFAULT_MAX_PANELS,
                        help="adaptive panel budget")
     run_p.add_argument("--output", default="table", choices=("json", "csv", "table"))
@@ -433,7 +428,6 @@ def main(argv=None) -> int:
                 level=args.level,
                 mode=args.mode,
                 resolution=args.resolution,
-                threads=args.threads,
                 max_panels=args.max_panels,
                 self_check=args.self_check,
                 include_timing=not args.no_timing,
@@ -456,6 +450,10 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # overflow and the like on extreme inputs: a validation error
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

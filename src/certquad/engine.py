@@ -8,7 +8,6 @@ so two runs with identical inputs produce bit-identical output.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ._simpson import simpson_element
@@ -33,9 +32,10 @@ DEFAULT_MAX_PANELS = 1024
 class QuadratureResult:
     """Outcome of an engine run.
 
-    ``panels`` pairs each panel interval with its certificate;
-    ``certificate`` aggregates them (its segment contributions are the
-    per-panel bounds, summed in panel order).  ``evaluations`` counts calls
+    ``panels`` pairs each panel interval with its certificate, and
+    ``panel_values`` holds the rule's value on each panel in the same
+    order; ``certificate`` aggregates them (its segment contributions are
+    the per-panel bounds, summed in panel order).  ``evaluations`` counts calls
     to ``fn.f`` made for the returned approximation (derivative samples for
     the certificates are not included).  ``converged`` is always True for
     single/composite runs; adaptive runs clear it when the panel budget ran
@@ -45,6 +45,7 @@ class QuadratureResult:
     approximation: Element
     certificate: ErrorCertificate
     panels: tuple[tuple[Interval, ErrorCertificate], ...]
+    panel_values: tuple[Element, ...]
     evaluations: int
     converged: bool = True
 
@@ -69,7 +70,7 @@ def oracle_integral(fn: VectorFunction, interval: Interval, resolution: int) -> 
         raise ValueError(f"oracle resolution must be >= 2, got {resolution}")
     if resolution % 2 != 0:
         raise ValueError(f"oracle resolution must be even, got {resolution}")
-    return simpson_element(fn.space, fn.f, interval.a, interval.b, resolution)
+    return simpson_element(fn.space, fn.f_many, interval.a, interval.b, resolution)
 
 
 def _panel_certificate(
@@ -121,6 +122,7 @@ def _aggregate(
         approximation=approx,
         certificate=certificate,
         panels=tuple((panel, cert) for panel, _, cert in per_panel),
+        panel_values=tuple(value for _, value, _ in per_panel),
         evaluations=rule.n * len(per_panel),
         converged=converged,
     )
@@ -133,28 +135,16 @@ def integrate_composite(
     regime: NormRegime,
     level: int = 2,
     resolution: int = DEFAULT_RESOLUTION,
-    threads: int = 1,
 ) -> QuadratureResult:
-    """Apply the rule on every panel of ``partition`` and sum certificates.
-
-    ``threads > 1`` evaluates panels in a thread pool; the reduction stays
-    in panel order, so the result is identical to the sequential one.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    panels = partition.panels
-
-    def work(panel: Interval) -> tuple[Interval, Element, ErrorCertificate]:
-        value = apply_rule(fn, rule, panel)
-        cert = _panel_certificate(fn, rule, panel, regime, level, resolution)
-        return panel, value, cert
-
-    if threads == 1 or len(panels) == 1:
-        per_panel = [work(panel) for panel in panels]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_panel = list(pool.map(work, panels))
-
+    """Apply the rule on every panel of ``partition`` and sum certificates."""
+    per_panel = [
+        (
+            panel,
+            apply_rule(fn, rule, panel),
+            _panel_certificate(fn, rule, panel, regime, level, resolution),
+        )
+        for panel in partition.panels
+    ]
     return _aggregate(fn, rule, partition.interval, regime, level, per_panel, True)
 
 

@@ -3,7 +3,9 @@
 Every entry carries an analytic derivative and an analytic upper bound for
 ``norm(f'(t))`` on an interval, so certified sup-norm certificates are
 available for all of them.  ``const`` and ``affine`` can be instantiated in
-any registered space; the others are tied to their natural space.
+any registered space; the others are tied to their natural space.  Each
+entry also has a numpy form ``f_many`` that samples a whole array of points
+at once.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ def _const(space: NormedSpace) -> VectorFunction:
     return VectorFunction(
         space=space,
         f=lambda t: value,
+        f_many=lambda ts: np.broadcast_to(value, (len(ts),) + np.shape(value)),
         df=lambda t: space.zero(),
         df_sup=lambda lo, hi: 0.0,
         name="const",
@@ -71,6 +74,7 @@ def _affine(space: NormedSpace) -> VectorFunction:
     return VectorFunction(
         space=space,
         f=lambda t: space.add(base, space.scale(t, slope)),
+        f_many=lambda ts: base + np.multiply.outer(ts, slope),
         df=lambda t: slope,
         df_sup=lambda lo, hi: slope_norm,
         name="affine",
@@ -90,6 +94,7 @@ def _quadratic() -> VectorFunction:
     return VectorFunction(
         space=_SCALAR,
         f=lambda t: t * t,
+        f_many=lambda ts: ts * ts,
         df=lambda t: 2.0 * t,
         df_sup=lambda lo, hi: 2.0 * max(abs(lo), abs(hi)),
         name="quadratic",
@@ -100,6 +105,7 @@ def _exp() -> VectorFunction:
     return VectorFunction(
         space=_SCALAR,
         f=math.exp,
+        f_many=np.exp,
         df=math.exp,
         df_sup=lambda lo, hi: math.exp(hi),
         name="exp",
@@ -111,6 +117,7 @@ def _trig_circle() -> VectorFunction:
     return VectorFunction(
         space=_R2,
         f=lambda t: np.array([math.cos(t), math.sin(t)]),
+        f_many=lambda ts: np.stack([np.cos(ts), np.sin(ts)], axis=-1),
         df=lambda t: np.array([-math.sin(t), math.cos(t)]),
         df_sup=lambda lo, hi: 1.0,
         name="trig_circle",
@@ -127,6 +134,7 @@ def _poly_r3() -> VectorFunction:
     return VectorFunction(
         space=_R3,
         f=lambda t: np.array([t, t * t, t ** 3]),
+        f_many=lambda ts: np.stack([ts, ts * ts, ts ** 3], axis=-1),
         df=lambda t: np.array([1.0, 2.0 * t, 3.0 * t * t]),
         df_sup=sup,
         name="poly_r3",
@@ -139,6 +147,10 @@ def _matrix_path() -> VectorFunction:
         c, s = math.cos(t), math.sin(t)
         return np.array([[c, -s], [s, c]])
 
+    def f_many(ts):
+        c, s = np.cos(ts), np.sin(ts)
+        return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+
     def df(t: float):
         c, s = math.cos(t), math.sin(t)
         return np.array([[-s, -c], [c, -s]])
@@ -146,6 +158,7 @@ def _matrix_path() -> VectorFunction:
     return VectorFunction(
         space=_M22,
         f=f,
+        f_many=f_many,
         df=df,
         df_sup=lambda lo, hi: math.sqrt(2.0),
         name="matrix_path",
@@ -156,6 +169,7 @@ def _abs_kink() -> VectorFunction:
     return VectorFunction(
         space=_SCALAR,
         f=lambda t: abs(t - _KINK),
+        f_many=lambda ts: np.abs(ts - _KINK),
         df=lambda t: 1.0 if t >= _KINK else -1.0,
         df_sup=lambda lo, hi: 1.0,
         name="abs_kink",

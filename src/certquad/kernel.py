@@ -96,7 +96,7 @@ def identity_residual(
     for x, w in zip(kernel.nodes, rule.weights):
         rule_mean = space.add(rule_mean, space.scale(w, fn.f(x)))
     mean_integral = space.scale(
-        1.0 / length, simpson_element(space, fn.f, a, b, oracle_resolution)
+        1.0 / length, simpson_element(space, fn.f_many, a, b, oracle_resolution)
     )
     lhs = space.subtract(rule_mean, mean_integral)
 
@@ -107,13 +107,10 @@ def identity_residual(
         if hi <= lo:
             continue
         panels = max(1, math.ceil(oracle_resolution * (hi - lo) / length))
-        piece = simpson_element(
-            space,
-            lambda t, c=center: space.scale(t - c, fn.df_at(t)),
-            lo,
-            hi,
-            panels,
+        integrand = VectorFunction(
+            space, lambda t, c=center: space.scale(t - c, fn.df_at(t))
         )
+        piece = simpson_element(space, integrand.f_many, lo, hi, panels)
         kernel_side = space.add(kernel_side, piece)
     rhs = space.scale(1.0 / length, kernel_side)
 

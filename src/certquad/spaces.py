@@ -9,7 +9,7 @@ runs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -300,6 +300,11 @@ class VectorFunction:
         Codomain of the function.
     f : callable
         Evaluates ``f(t)`` and returns an element of ``space``.
+    f_many : callable, optional
+        Batched form of ``f``: maps a float array ``ts`` of shape ``(N,)``
+        to an array of shape ``(N, *element_shape)`` whose row ``k`` is
+        ``f(ts[k])`` (shape ``(N,)`` in the scalar space).  When omitted,
+        a fallback calls ``f`` once per sample.
     df : callable, optional
         Analytic derivative ``f'(t)``.  Preferred derivative source.
     df_sup : callable, optional
@@ -321,13 +326,20 @@ class VectorFunction:
     df_sup: Callable[[float, float], float] | None = None
     fd_step: float | None = None
     name: str = ""
+    f_many: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if self.f_many is None:
+            self.f_many = self._f_many_fallback
         if self.fd_step is not None:
             step = float(self.fd_step)
             if not math.isfinite(step) or step <= 0.0:
                 raise ValueError(f"fd_step must be a positive float, got {self.fd_step!r}")
             self.fd_step = step
+
+    def _f_many_fallback(self, ts: np.ndarray) -> np.ndarray:
+        out = np.array([self.f(t) for t in ts.tolist()])
+        return out if out.dtype.kind in "fc" else out.astype(float)
 
     @property
     def has_derivative_source(self) -> bool:

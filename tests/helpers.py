@@ -58,3 +58,26 @@ def riemann_scalar(g, lo: float, hi: float, n: int = 200_000) -> float:
     for k in range(n):
         total += g(lo + (k + 0.5) * h)
     return total * h
+
+
+
+def simpson_points(a: float, b: float, panels: int) -> tuple[list[float], float]:
+    """The ``2*panels + 1`` Simpson sample points ``a + k*h`` (the last is
+    ``b`` itself) and the half-step ``h``."""
+    m = 2 * panels
+    h = (b - a) / m
+    return [a + k * h for k in range(m)] + [b], h
+
+
+def simpson_fold(space, values, h: float):
+    """Composite Simpson from samples at :func:`simpson_points`, added one
+    at a time in the library's pinned order: ``f(a) + f(b)``, then
+    ``4 f(t_k)`` for odd ``k`` ascending, then ``2 f(t_k)`` for even ``k``
+    ascending, with ``h/3`` applied once at the end."""
+    m = len(values) - 1
+    acc = space.add(values[0], values[m])
+    for k in range(1, m, 2):
+        acc = space.add(acc, space.scale(4.0, values[k]))
+    for k in range(2, m, 2):
+        acc = space.add(acc, space.scale(2.0, values[k]))
+    return space.scale(h / 3.0, acc)

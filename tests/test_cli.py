@@ -409,6 +409,20 @@ class TestSubprocess:
         proc = _cli("run", "--function", "exp", "--interval", "1", "0")
         assert proc.returncode == 2
 
+    def test_exp_overflow_exit_2(self):
+        proc = _cli("run", "--function", "exp", "--interval", "0", "800")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: OverflowError")
+        assert "Traceback" not in proc.stderr
+
+    def test_quadratic_huge_interval_exit_2(self):
+        proc = _cli(
+            "run", "--function", "quadratic", "--interval", "0", "1e200", "--level", "3"
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: OverflowError")
+        assert "Traceback" not in proc.stderr
+
     def test_adaptive_budget_exit_3(self):
         proc = _cli(
             "run",
@@ -439,5 +453,5 @@ class TestSubprocess:
         )
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
-        assert data["schema"] == 1
+        assert data["schema"] == 2
         assert len(data["rows"]) == 3
