@@ -14,7 +14,6 @@ from .bounds import (
     closed_form_constant,
     interval_exponent,
     level3_factor,
-    mu_well_placed,
 )
 from .engine import (
     QuadratureResult,
@@ -62,7 +61,6 @@ from .spaces import (
     NormedSpace,
     ScalarSpace,
     VectorFunction,
-    linear_combination,
 )
 
 __version__ = "0.1.0"
@@ -85,7 +83,6 @@ __all__ = [
     "ComplexEuclideanSpace",
     "MatrixSpace",
     "VectorFunction",
-    "linear_combination",
     "QuadratureRule",
     "CumulativeWeights",
     "PRESET_NAMES",
@@ -110,7 +107,6 @@ __all__ = [
     "level3_factor",
     "closed_form_constant",
     "interval_exponent",
-    "mu_well_placed",
     "QuadratureResult",
     "apply_rule",
     "oracle_integral",

@@ -38,7 +38,6 @@ __all__ = [
     "level3_factor",
     "closed_form_constant",
     "interval_exponent",
-    "mu_well_placed",
 ]
 
 # above this conjugate exponent, q-th powers go through logarithms so that
@@ -380,23 +379,3 @@ def closed_form_constant(rule_name: str, regime: NormRegime) -> float:
     except KeyError:
         raise ValueError(f"no closed-form constant for rule {rule_name!r}") from None
 
-
-def mu_well_placed(exponent, lo: float, point: float, hi: float) -> float:
-    """Simplified mu for a comparison point inside its segment.
-
-    Valid only for ``lo <= point <= hi``; agrees with :func:`certquad.geometry.mu`
-    there and exists as an independent cross-check of the general branch
-    logic.  For ``INF`` this is the half-length plus midpoint offset; for
-    finite exponents the two-sided power form.
-    """
-    if not lo <= point <= hi:
-        raise ValueError(
-            f"comparison point {point!r} outside segment [{lo!r}, {hi!r}]"
-        )
-    if exponent is INF or (isinstance(exponent, float) and math.isinf(exponent)):
-        return 0.5 * (hi - lo) + abs(point - 0.5 * (lo + hi))
-    p = float(exponent)
-    if p < 1.0:
-        raise ValueError(f"exponent must be >= 1, got {exponent!r}")
-    r = p + 1.0
-    return ((point - lo) ** r + (hi - point) ** r) / r

@@ -8,6 +8,8 @@ so two runs with identical inputs produce bit-identical output.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from dataclasses import dataclass
 
 from ._simpson import simpson_element
@@ -26,6 +28,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_PANELS = 1024
+_EPS = 2.0**-52  # twice the unit roundoff u
 
 
 @dataclass(eq=False)
@@ -99,7 +102,7 @@ def _aggregate(
     regime: NormRegime,
     level: int,
     per_panel: list[tuple[Interval, Element, ErrorCertificate]],
-    converged: bool,
+    tol: float | None = None,
 ) -> QuadratureResult:
     space = fn.space
     approx = space.zero()
@@ -124,7 +127,7 @@ def _aggregate(
         panels=tuple((panel, cert) for panel, _, cert in per_panel),
         panel_values=tuple(value for _, value, _ in per_panel),
         evaluations=rule.n * len(per_panel),
-        converged=converged,
+        converged=tol is None or total <= tol,
     )
 
 
@@ -145,7 +148,7 @@ def integrate_composite(
         )
         for panel in partition.panels
     ]
-    return _aggregate(fn, rule, partition.interval, regime, level, per_panel, True)
+    return _aggregate(fn, rule, partition.interval, regime, level, per_panel)
 
 
 def integrate_adaptive(
@@ -161,9 +164,22 @@ def integrate_adaptive(
 
     The panel with the largest level-2 bound is split at its midpoint
     (ties break toward the left-most panel).  Stops when the ordered sum of
-    panel bounds is at most ``tol`` or ``max_panels`` is reached; running
-    out of panels returns a partial result with ``converged=False`` rather
-    than raising.  Rule values are evaluated once per final panel.
+    panel bounds (left to right by panel, the sum the returned certificate
+    carries) is at most ``tol`` or ``max_panels`` is reached; running out of
+    panels returns a partial result with ``converged=False`` rather than
+    raising.  Rule values are evaluated once per final panel.
+
+    The stop test costs O(1) per split and decides exactly as the ordered
+    sum would.  A running total of the n panel bounds is updated at each
+    split, and ``slack`` adds one ulp of every update's result, at least
+    twice that update's rounding error.  The ordered float sum of n nonnegative terms
+    lies within gamma_(n-1) of their exact sum (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 4.2), so when
+    ``tol`` falls outside ``[running - slack, running + slack]`` widened by
+    a relative ``2 (n + 2) u`` (u = 2**-53, which also covers the rounding
+    of the test itself) the side it falls on decides.  Only inside that
+    band, or once the total is not finite or a bound is negative, is the
+    ordered sum formed.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -181,17 +197,26 @@ def integrate_adaptive(
         (-first.bound, interval.a, interval.b, first)
     ]
     count = 1
+    running, slack = first.bound, 0.0
+    # a lower bound computed above this is normal, so its rounding is relative
+    floor = max(tol, sys.float_info.min)
 
-    def total_bound() -> float:
-        entries = sorted(heap, key=lambda e: e[1])
+    def above_tol() -> bool:
+        hi = running + slack
+        if math.isfinite(hi):
+            g = (count + 2) * _EPS
+            if (running - slack) * (1.0 - g) > floor:
+                return True
+            if hi * (1.0 + g) <= tol:
+                return False
         total = 0.0
-        for entry in entries:
+        for entry in sorted(heap, key=lambda e: e[1]):
             total += entry[3].bound
-        return total
+        return total > tol
 
-    while total_bound() > tol and count < max_panels:
+    while count < max_panels and above_tol():
         entry = heapq.heappop(heap)
-        _, lo, hi, _cert = entry
+        _, lo, hi, cert = entry
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             # panel too narrow to split; no further refinement possible
@@ -204,11 +229,15 @@ def integrate_adaptive(
         heapq.heappush(heap, (-cert_left.bound, left.a, left.b, cert_left))
         heapq.heappush(heap, (-cert_right.bound, right.a, right.b, cert_right))
         count += 1
+        for term in (cert_left.bound, cert_right.bound, -cert.bound):
+            running += term
+            slack += math.ulp(running)
+        if cert_left.bound < 0.0 or cert_right.bound < 0.0:
+            running = math.nan  # the error bar assumes nonnegative terms
 
     ordered = sorted(heap, key=lambda e: e[1])
     per_panel = []
     for _, lo, hi, cert in ordered:
         panel = Interval(lo, hi)
         per_panel.append((panel, apply_rule(fn, rule, panel), cert))
-    converged = total_bound() <= tol
-    return _aggregate(fn, rule, interval, regime, 2, per_panel, converged)
+    return _aggregate(fn, rule, interval, regime, 2, per_panel, tol)

@@ -53,29 +53,24 @@ class SeminormEstimate:
 
 @dataclass(frozen=True)
 class SeminormProfile:
-    """Per-segment seminorms for a rule plus an independent global value.
+    """Per-segment seminorms for a rule.
 
     ``segments`` holds n+1 estimates aligned with [a, x_1], [x_i, x_{i+1}]
-    for i = 1..n-1, and [x_n, b].  The global estimate is recomputed over
-    the whole interval, never aggregated from the segments.
+    for i = 1..n-1, and [x_n, b], all in one norm regime.
     """
 
     segments: tuple[SeminormEstimate, ...]
-    global_estimate: SeminormEstimate
 
     def __post_init__(self) -> None:
-        regime = self.global_estimate.regime
+        if not self.segments:
+            raise ValueError("a profile needs at least one segment")
         for seg in self.segments:
-            if seg.regime != regime:
+            if seg.regime != self.regime:
                 raise ValueError("profile segments disagree on the norm regime")
 
     @property
     def regime(self) -> NormRegime:
-        return self.global_estimate.regime
-
-
-def _norm_of_derivative(fn: VectorFunction, t: float) -> float:
-    return fn.df_norm_at(t)
+        return self.segments[0].regime
 
 
 def seminorm(
@@ -111,14 +106,14 @@ def seminorm(
         best = 0.0
         for k in range(resolution + 1):
             t = interval.a + k * h if k < resolution else interval.b
-            v = _norm_of_derivative(fn, t)
+            v = fn.df_norm_at(t)
             if v > best:
                 best = v
         return SeminormEstimate(best, regime, interval, certified=False, resolution=resolution)
 
     power = regime.integral_exponent
     integral = simpson_scalar(
-        lambda t: _norm_of_derivative(fn, t) ** power,
+        lambda t: fn.df_norm_at(t) ** power,
         interval.a,
         interval.b,
         resolution,
@@ -136,12 +131,10 @@ def seminorm_profile(
     regime: NormRegime,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> SeminormProfile:
-    """Per-segment estimates for ``rule`` on ``interval`` plus a global one."""
+    """Per-segment estimates for ``rule`` on ``interval``."""
     xs = nodes_abs(rule, interval)
     cuts = (interval.a,) + xs + (interval.b,)
-    segments = tuple(
+    return SeminormProfile(tuple(
         seminorm(fn, Interval(lo, hi), regime, resolution)
         for lo, hi in zip(cuts, cuts[1:])
-    )
-    global_estimate = seminorm(fn, interval, regime, resolution)
-    return SeminormProfile(segments, global_estimate)
+    ))

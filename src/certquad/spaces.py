@@ -23,7 +23,6 @@ __all__ = [
     "ComplexEuclideanSpace",
     "MatrixSpace",
     "VectorFunction",
-    "linear_combination",
 ]
 
 Element = Any
@@ -269,25 +268,6 @@ class MatrixSpace(NormedSpace):
 
     def to_components(self, x):
         return [[float(v) for v in row] for row in x]
-
-
-def linear_combination(space: NormedSpace, terms) -> Element:
-    """Fold ``sum(lam_k * x_k)`` in the given order.
-
-    ``terms`` is an iterable of ``(coefficient, element)`` pairs.  The
-    accumulation is strictly left to right, which makes the result a pure
-    function of the input order (bitwise).  An empty iterable returns the
-    zero element.  Elements that do not belong to ``space`` raise
-    ``ValueError``.
-    """
-    acc = space.zero()
-    for k, (lam, x) in enumerate(terms):
-        if not space.is_element(x):
-            raise ValueError(
-                f"term {k} is not an element of the {space.label} space: {x!r}"
-            )
-        acc = space.add(acc, space.scale(float(lam), x))
-    return acc
 
 
 @dataclass(eq=False)

@@ -23,12 +23,11 @@ from certquad import (
     make_function,
     make_rule,
     mu,
-    mu_well_placed,
     preset,
     seminorm,
     seminorm_profile,
 )
-from helpers import riemann_weighted_df
+from helpers import mu_well_placed, riemann_weighted_df
 
 UNIT = Interval(0.0, 1.0)
 
@@ -460,7 +459,7 @@ class TestHierarchy:
         l1 = bound_level1(fn, rule, UNIT).bound
         prof = seminorm_profile(fn, rule, UNIT, regime)
         l2 = bound_level2(prof, rule, UNIT).bound
-        l3 = bound_level3(prof.global_estimate, rule, UNIT).bound
+        l3 = bound_level3(seminorm(fn, UNIT, regime), rule, UNIT).bound
         assert l1 <= l2 + 1e-12
         assert l2 <= l3 + 1e-12
 
@@ -472,5 +471,5 @@ class TestHierarchy:
         for regime in (L1, lp(2.0), LINF):
             prof = seminorm_profile(fn, rule, iv, regime)
             l2 = bound_level2(prof, rule, iv).bound
-            l3 = bound_level3(prof.global_estimate, rule, iv).bound
+            l3 = bound_level3(seminorm(fn, iv, regime), rule, iv).bound
             assert l1 <= l2 + 1e-12 <= l3 + 2e-12

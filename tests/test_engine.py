@@ -1,23 +1,30 @@
 """Rule application, composite/adaptive drivers, and the reference oracle."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from certquad import (
+    SPACES,
     Interval,
     L1,
     LINF,
+    VectorFunction,
     apply_rule,
     integrate_adaptive,
     integrate_composite,
     lp,
     make_function,
+    make_rule,
     oracle_integral,
     preset,
     uniform_partition,
 )
+from certquad import engine
+
+from helpers import reference_adaptive
 
 UNIT = Interval(0.0, 1.0)
 
@@ -256,3 +263,135 @@ class TestAdaptive:
             assert result.converged
             err = fn.space.norm(fn.space.subtract(result.approximation, ref))
             assert err <= result.certificate.bound + 1e-9
+
+
+def _random_rule(seed: int, n: int):
+    rng = random.Random(seed)
+    nodes = sorted(rng.random() for _ in range(n))
+    raw = [0.2 + rng.random() for _ in range(n)]
+    weights = [w / sum(raw) for w in raw[:-1]]
+    weights.append(1.0 - sum(weights))
+    return make_rule(nodes, weights, name="random")
+
+
+EQUIVALENCE_RULES = {
+    "qt": preset("qt"),
+    "simpson": preset("simpson"),
+    "trapezoid": preset("trapezoid"),
+    "ostrowski_0.3": preset("ostrowski", 0.3),
+    "endpoints_midpoint": preset("endpoints_midpoint", 0.2, 0.45),
+    "three_point": preset("three_point", 0.3, 0.4, 0.1, 0.5, 0.85),
+    "random_2": _random_rule(7, 2),
+    "random_5": _random_rule(11, 5),
+}
+EQUIVALENCE_CASES = [
+    # (function, interval, regime, tolerances, max_panels, resolution)
+    ("exp", (0.0, 2.0), LINF, (1e-1, 1e-2), 4096, 64),
+    ("trig_circle", (-1.0, 2.5), LINF, (1e-2,), 4096, 64),
+    ("matrix_path", (0.0, 1.5), LINF, (3e-3,), 4096, 64),
+    ("poly_r3", (0.0, 1.0), L1, (1e-1, 1e-2), 1024, 16),
+    ("exp", (-0.5, 1.0), lp(2.0), (1e-2,), 1024, 16),
+    # budget exhausted: the tolerance is out of reach
+    ("exp", (2.5, 4.0), LINF, (1e-9,), 64, 64),
+    ("poly_r3", (0.0, 1.0), L1, (1e-9,), 48, 16),
+]
+
+
+class _SortedCounter:
+    """Counts the driver's calls to ``sorted``: one orders the final
+    panels, each further one is a stop test formed from the ordered sum."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        monkeypatch.setattr(engine, "sorted", self, raising=False)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return sorted(*args, **kwargs)
+
+
+def assert_same_run(result, reference):
+    panels, approximation, converged = reference
+    assert [(p.a, p.b) for p, _ in result.panels] == [(p.a, p.b) for p, _ in panels]
+    assert [cert for _, cert in result.panels] == [cert for _, cert in panels]
+    assert np.array_equal(result.approximation, approximation)
+    assert result.converged == converged
+
+
+class TestAdaptiveMatchesReference:
+    """``integrate_adaptive`` decides each stop from a running total with
+    an error bar; the reference forms the ordered sum before every split.
+    Panels, certificates, approximation and ``converged`` must agree
+    exactly."""
+
+    @pytest.mark.parametrize("rule_name", sorted(EQUIVALENCE_RULES))
+    @pytest.mark.parametrize(
+        "case", EQUIVALENCE_CASES, ids=lambda c: f"{c[0]}-{c[2].label}-{c[4]}"
+    )
+    def test_matches_reference(self, case, rule_name, monkeypatch):
+        name, (a, b), regime, tols, max_panels, resolution = case
+        fn = make_function(name)
+        rule = EQUIVALENCE_RULES[rule_name]
+        for tol in tols:
+            counter = _SortedCounter(monkeypatch)
+            result = integrate_adaptive(
+                fn, rule, Interval(a, b), regime, tol, max_panels, resolution
+            )
+            # away from the band around tol the ordered sum is never formed
+            assert counter.calls == 1
+            reference = reference_adaptive(
+                fn, rule, Interval(a, b), regime, tol, max_panels, resolution
+            )
+            assert_same_run(result, reference)
+
+    def test_budget_cases_exhaust_the_budget(self):
+        for name, (a, b), regime, tols, max_panels, resolution in EQUIVALENCE_CASES[-2:]:
+            result = integrate_adaptive(
+                make_function(name), preset("qt"), Interval(a, b), regime,
+                tols[0], max_panels, resolution,
+            )
+            assert not result.converged
+            assert len(result.panels) == max_panels
+
+    @pytest.mark.parametrize(
+        "name, regime, tol0, resolution",
+        [("exp", LINF, 1e-2, 64), ("trig_circle", LINF, 1e-2, 64), ("poly_r3", L1, 1e-2, 16)],
+    )
+    def test_tolerance_on_the_ordered_sum(self, name, regime, tol0, resolution, monkeypatch):
+        # tol equal to a finished run's ordered sum, and one float below it,
+        # put tol inside the error bar: the ordered sum decides
+        fn = make_function(name)
+        rule = preset("qs")
+        iv = Interval(0.0, 1.5)
+        finished = integrate_adaptive(fn, rule, iv, regime, tol0, 4096, resolution)
+        assert finished.converged
+        total = finished.certificate.bound
+        runs = {}
+        for tol in (total, math.nextafter(total, 0.0)):
+            counter = _SortedCounter(monkeypatch)
+            runs[tol] = integrate_adaptive(fn, rule, iv, regime, tol, 4096, resolution)
+            assert counter.calls >= 2
+            reference = reference_adaptive(fn, rule, iv, regime, tol, 4096, resolution)
+            assert_same_run(runs[tol], reference)
+        assert runs[total].converged
+        assert len(runs[total].panels) == len(finished.panels)
+        assert len(runs[math.nextafter(total, 0.0)].panels) > len(finished.panels)
+
+    def test_nonfinite_bounds_fall_back_to_the_ordered_sum(self, monkeypatch):
+        # a valid but huge sup-envelope makes the wide panels' bounds
+        # overflow to inf; the running total is then not finite and every
+        # stop test forms the ordered sum
+        fn = VectorFunction(
+            space=SPACES["scalar"], f=lambda t: t, df=lambda t: 1.0,
+            df_sup=lambda lo, hi: 1e307, name="huge_envelope",
+        )
+        iv = Interval(0.0, 100.0)
+        assert math.isinf(integrate_adaptive(fn, preset("qt"), iv, LINF, 1.0, 1).certificate.bound)
+        for tol in (1.0, math.inf):
+            counter = _SortedCounter(monkeypatch)
+            result = integrate_adaptive(fn, preset("qt"), iv, LINF, tol, 64)
+            reference = reference_adaptive(fn, preset("qt"), iv, LINF, tol, 64, 64)
+            assert_same_run(result, reference)
+            if tol == 1.0:
+                # 63 stop tests plus the final ordering of the panels
+                assert counter.calls == len(result.panels) == 64

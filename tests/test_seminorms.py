@@ -212,7 +212,8 @@ class TestProfile:
         assert values[0] == pytest.approx(1.0 / 16.0, rel=1e-13)
         assert values[1] == pytest.approx(0.5, rel=1e-13)
         assert values[2] == pytest.approx(7.0 / 16.0, rel=1e-13)
-        assert prof.global_estimate.value == pytest.approx(1.0, rel=1e-13)
+        glob = seminorm(make_function("quadratic"), UNIT, L1)
+        assert glob.value == pytest.approx(1.0, rel=1e-13)
         assert prof.regime is L1
 
     def test_segment_intervals_align_with_nodes(self):
@@ -221,12 +222,11 @@ class TestProfile:
         assert spans == [(0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0)]
 
     def test_trapezoid_linf_certified_throughout(self):
-        prof = seminorm_profile(
-            make_function("quadratic"), preset("trapezoid"), UNIT, LINF
-        )
+        fn = make_function("quadratic")
+        prof = seminorm_profile(fn, preset("trapezoid"), UNIT, LINF)
         assert [seg.value for seg in prof.segments] == [0.0, 2.0, 0.0]
         assert all(seg.certified for seg in prof.segments)
-        assert prof.global_estimate.value == 2.0
+        assert seminorm(fn, UNIT, LINF).value == 2.0
 
     def test_global_not_aggregated_from_segments(self):
         # for linf the global sup equals the max segment sup; for L2 the
@@ -234,15 +234,23 @@ class TestProfile:
         fn = make_function("exp")
         prof = seminorm_profile(fn, preset("qt"), UNIT, lp(2.0))
         total = sum(seg.value for seg in prof.segments)
-        assert prof.global_estimate.value < total
+        assert seminorm(fn, UNIT, lp(2.0)).value < total
 
     def test_mixed_regimes_rejected(self):
         fn = make_function("exp")
         a = seminorm(fn, Interval(0.0, 0.5), L1)
         b = seminorm(fn, Interval(0.5, 1.0), lp(2.0))
-        g = seminorm(fn, UNIT, L1)
         with pytest.raises(ValueError, match="regime"):
-            SeminormProfile((a, b), g)
+            SeminormProfile((a, b))
+
+    def test_empty_profile_rejected(self):
+        with pytest.raises(ValueError, match="segment"):
+            SeminormProfile(())
+
+    def test_regime_read_from_segments(self):
+        prof = seminorm_profile(make_function("exp"), preset("qt"), UNIT, lp(2.0))
+        assert prof.regime == lp(2.0)
+        assert all(seg.regime == prof.regime for seg in prof.segments)
 
     def test_estimate_fields(self):
         est = seminorm(make_function("exp"), UNIT, LINF, resolution=512)

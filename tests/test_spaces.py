@@ -14,9 +14,10 @@ from certquad import (
     MaxNormSpace,
     ScalarSpace,
     VectorFunction,
-    linear_combination,
     space_by_label,
 )
+
+from helpers import linear_combination
 
 
 class TestNormExamples:
