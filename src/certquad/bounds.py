@@ -25,9 +25,9 @@ import math
 from dataclasses import dataclass
 
 from ._simpson import simpson_scalar
-from .geometry import INF, Interval, NormRegime, mu
-from .rules import QuadratureRule, cumulative, nodes_abs
-from .seminorms import DEFAULT_RESOLUTION, SeminormEstimate, SeminormProfile
+from .geometry import INF, Interval, NormRegime, _mu, mu
+from .rules import QuadratureRule, _comparison_points, _cut_points, cumulative, nodes_abs
+from .seminorms import DEFAULT_RESOLUTION, SeminormEstimate, SeminormProfile, _estimate
 from .spaces import VectorFunction
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "bound_level1",
     "bound_level2",
     "bound_level3",
+    "level2_certificate",
     "level3_factor",
     "closed_form_constant",
     "interval_exponent",
@@ -66,7 +67,9 @@ class ErrorCertificate:
 
 
 def _check_alignment(estimate_interval: Interval, lo: float, hi: float, what: str) -> None:
-    tol = 1e-12 * (1.0 + abs(lo) + abs(hi))
+    # relative to the segment's length (scaled first, so it cannot overflow)
+    # plus a few ulps: on a tiny panel a far longer segment must not pass
+    tol = (1e-12 * hi - 1e-12 * lo) + 4.0 * math.ulp(max(abs(lo), abs(hi)))
     if abs(estimate_interval.a - lo) > tol or abs(estimate_interval.b - hi) > tol:
         raise ValueError(
             f"{what} interval [{estimate_interval.a}, {estimate_interval.b}] "
@@ -131,15 +134,6 @@ def bound_level1(
     )
 
 
-def _lp_outer_factor(length: float, q: float) -> float:
-    # length ** (1 + 1/q) / (q + 1) ** (1/q)
-    if length <= 0.0:
-        return 0.0
-    if q <= _LOG_SPACE_Q:
-        return length ** (1.0 + 1.0 / q) / (q + 1.0) ** (1.0 / q)
-    return math.exp((1.0 + 1.0 / q) * math.log(length) - math.log(q + 1.0) / q)
-
-
 def _logaddexp(u: float, v: float) -> float:
     if u == -math.inf:
         return v
@@ -171,13 +165,43 @@ def _mu_log(q: float, a: float, c: float, b: float) -> float:
     return _logaddexp(u, v) - log_r
 
 
-def _lp_mid_factor(q: float, lo: float, point: float, hi: float) -> float:
-    # mu(q, lo, point, hi) ** (1/q)
-    if hi <= lo:
-        return 0.0
-    if q <= _LOG_SPACE_Q:
-        return mu(q, lo, point, hi) ** (1.0 / q)
-    return math.exp(_mu_log(q, lo, point, hi) / q)
+def _level2(
+    rule: QuadratureRule, interval: Interval, regime: NormRegime, cuts: list, estimates: list
+) -> ErrorCertificate:
+    """The level-2 arithmetic: one geometry factor per segment of ``cuts``
+    (``[a, x_1, ..., x_n, b]``) times that segment's seminorm, the first
+    item of its ``(value, certified)`` pair in ``estimates``, summed left
+    to right."""
+    ends = (cuts[1] - cuts[0], cuts[-1] - cuts[-2])
+    mids = zip(cuts[1:-2], _comparison_points(rule, interval.a, interval.b), cuts[2:-1])
+    if regime.kind == "l1":
+        outer = ends
+        inner = [_mu(INF, lo, c, hi) for lo, c, hi in mids]
+    elif regime.kind == "linf":
+        outer = [0.5 * d ** 2 for d in ends]
+        inner = [_mu(1.0, lo, c, hi) for lo, c, hi in mids]
+    elif regime.q <= _LOG_SPACE_Q:
+        q = regime.q
+        outer = [d ** (1.0 + 1.0 / q) / (q + 1.0) ** (1.0 / q) if d > 0.0 else 0.0 for d in ends]
+        inner = [_mu(q, lo, c, hi) ** (1.0 / q) if hi > lo else 0.0 for lo, c, hi in mids]
+    else:
+        q = regime.q
+        outer = [math.exp((1.0 + 1.0 / q) * math.log(d) - math.log(q + 1.0) / q)
+                 if d > 0.0 else 0.0 for d in ends]
+        inner = [math.exp(_mu_log(q, lo, c, hi) / q) if hi > lo else 0.0 for lo, c, hi in mids]
+    contribs = tuple(f * v for f, (v, _) in zip((outer[0], *inner, outer[1]), estimates))
+    bound = 0.0
+    for term in contribs:
+        bound += term
+    return ErrorCertificate(
+        bound=bound,
+        level=2,
+        regime=regime,
+        segment_contributions=contribs,
+        certified=all(exact for _, exact in estimates),
+        rule_name=rule.name,
+        interval=interval,
+    )
 
 
 def bound_level2(
@@ -195,55 +219,36 @@ def bound_level2(
       ``mu(q, ...)**(1/q)`` inside.
     - linf: ``len**2 / 2`` outside, ``mu(1, ...)`` inside.
     """
-    regime = profile.regime
-    a, b = interval.a, interval.b
-    xs = nodes_abs(rule, interval)
-    cum = cumulative(rule, interval)
+    cuts = _cut_points(rule, interval.a, interval.b)
     if len(profile.segments) != rule.n + 1:
         raise ValueError(
             f"profile has {len(profile.segments)} segments, rule needs {rule.n + 1}"
         )
-    cuts = (a,) + xs + (b,)
-    for seg, (lo, hi) in zip(profile.segments, zip(cuts, cuts[1:])):
+    for seg, lo, hi in zip(profile.segments, cuts, cuts[1:]):
         _check_alignment(seg.interval, lo, hi, "profile segment")
+    estimates = [(seg.value, seg.certified) for seg in profile.segments]
+    return _level2(rule, interval, profile.regime, cuts, estimates)
 
-    first = profile.segments[0]
-    last = profile.segments[-1]
-    mids = profile.segments[1:-1]
-    contribs: list[float] = []
 
-    if regime.kind == "l1":
-        contribs.append((xs[0] - a) * first.value)
-        for i, seg in enumerate(mids):
-            contribs.append(mu(INF, xs[i], cum.xi[i], xs[i + 1]) * seg.value)
-        contribs.append((b - xs[-1]) * last.value)
-    elif regime.kind == "lp":
-        q = regime.q
-        contribs.append(_lp_outer_factor(xs[0] - a, q) * first.value)
-        for i, seg in enumerate(mids):
-            contribs.append(_lp_mid_factor(q, xs[i], cum.xi[i], xs[i + 1]) * seg.value)
-        contribs.append(_lp_outer_factor(b - xs[-1], q) * last.value)
-    elif regime.kind == "linf":
-        contribs.append(0.5 * (xs[0] - a) ** 2 * first.value)
-        for i, seg in enumerate(mids):
-            contribs.append(mu(1.0, xs[i], cum.xi[i], xs[i + 1]) * seg.value)
-        contribs.append(0.5 * (b - xs[-1]) ** 2 * last.value)
-    else:  # pragma: no cover - NormRegime validates kinds
-        raise ValueError(f"unknown regime kind {regime.kind!r}")
+def level2_certificate(
+    fn: VectorFunction,
+    rule: QuadratureRule,
+    interval: Interval,
+    regime: NormRegime,
+    resolution: int = DEFAULT_RESOLUTION,
+) -> ErrorCertificate:
+    """Level-2 certificate of ``rule`` on ``interval`` in one pass.
 
-    bound = 0.0
-    for c in contribs:
-        bound += c
-    certified = all(seg.certified for seg in profile.segments)
-    return ErrorCertificate(
-        bound=bound,
-        level=2,
-        regime=regime,
-        segment_contributions=tuple(contribs),
-        certified=certified,
-        rule_name=rule.name,
-        interval=interval,
-    )
+    Equal, field for field, to ``bound_level2(seminorm_profile(fn, rule,
+    interval, regime, resolution), rule, interval)``, without building the
+    profile: the cut points are computed once and each segment's seminorm
+    goes straight into the level-2 arithmetic.
+    """
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    cuts = _cut_points(rule, interval.a, interval.b)
+    estimates = [_estimate(fn, lo, hi, regime, resolution) for lo, hi in zip(cuts, cuts[1:])]
+    return _level2(rule, interval, regime, cuts, estimates)
 
 
 def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) -> float:

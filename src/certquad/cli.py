@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .bounds import bound_level3, level3_factor
@@ -42,7 +42,7 @@ from .geometry import L1, LINF, Interval, NormRegime, lp, uniform_partition
 from .rules import PRESET_NAMES, QuadratureRule, preset
 from .seminorms import DEFAULT_RESOLUTION, seminorm
 
-__all__ = ["RunConfig", "Report", "run", "compare_rules", "main"]
+__all__ = ["RunConfig", "run", "compare_rules", "main"]
 
 _DEFAULT_ORACLE_RESOLUTION = 65536
 _SCHEMA = 2
@@ -106,17 +106,6 @@ class RunConfig:
     include_timing: bool = True
 
 
-@dataclass
-class Report:
-    """Result of a run, ready for serialisation."""
-
-    data: dict[str, Any] = field(default_factory=dict)
-    converged: bool = True
-
-    def to_dict(self) -> dict[str, Any]:
-        return self.data
-
-
 def _mode_dispatch(config: RunConfig, fn, rule, interval, regime):
     mode, _, param = config.mode.partition(":")
     mode = mode.strip().lower()
@@ -151,8 +140,8 @@ def _mode_dispatch(config: RunConfig, fn, rule, interval, regime):
     raise ValueError(f"unknown mode {config.mode!r}; expected single, composite:M or adaptive:TOL")
 
 
-def run(config: RunConfig) -> Report:
-    """Execute one run and assemble its report."""
+def run(config: RunConfig) -> dict[str, Any]:
+    """Execute one run and return its report, ready for serialisation."""
     started = time.perf_counter()
     fn = make_function(config.function, config.space)
     rule = parse_rule_spec(config.rule)
@@ -222,7 +211,7 @@ def run(config: RunConfig) -> Report:
             f"self-check failed: actual error {actual_error!r} exceeds "
             f"certified bound {cert.bound!r}"
         )
-    return Report(data=data, converged=result.converged)
+    return data
 
 
 def compare_rules(
@@ -311,27 +300,26 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
-def _emit_run(report: Report, output: str) -> str:
-    data = report.to_dict()
+def _emit_run(report: dict[str, Any], output: str) -> str:
     if output == "json":
-        return dumps_json(data)
+        return dumps_json(report)
     if output == "csv":
         lines = ["panel_a,panel_b,approx_norm,panel_bound"]
-        for row in data["panels"]["rows"]:
+        for row in report["panels"]["rows"]:
             lines.append(",".join(_format_float(float(v)) for v in row))
         return "\n".join(lines)
     if output == "table":
-        cert = data["certificate"]
+        cert = report["certificate"]
         lines = [
-            f"function      {data['config']['function']} in {data['config']['space']}",
-            f"interval      [{data['config']['interval'][0]}, {data['config']['interval'][1]}]",
-            f"rule          {data['config']['rule']}",
+            f"function      {report['config']['function']} in {report['config']['space']}",
+            f"interval      [{report['config']['interval'][0]}, {report['config']['interval'][1]}]",
+            f"rule          {report['config']['rule']}",
             f"regime/level  {cert['regime'] or 'n/a'} / {cert['level']}",
-            f"mode          {data['config']['mode']}",
-            f"approximation {data['approximation']}",
-            f"actual error  {data['actual_error']:.6e}",
+            f"mode          {report['config']['mode']}",
+            f"approximation {report['approximation']}",
+            f"actual error  {report['actual_error']:.6e}",
             f"bound         {cert['bound']:.6e}  certified={cert['certified']}",
-            f"panels        {data['panels']['count']}  converged={data['panels']['converged']}",
+            f"panels        {report['panels']['count']}  converged={report['panels']['converged']}",
         ]
         return "\n".join(lines)
     raise ValueError(f"unknown output mode {output!r}")
@@ -434,7 +422,7 @@ def main(argv=None) -> int:
             )
             report = run(config)
             print(_emit_run(report, args.output))
-            return 0 if report.converged else 3
+            return 0 if report["panels"]["converged"] else 3
         rows = compare_rules(
             args.function,
             Interval(args.interval[0], args.interval[1]),

@@ -13,10 +13,10 @@ import sys
 from dataclasses import dataclass
 
 from ._simpson import simpson_element
-from .bounds import ErrorCertificate, bound_level1, bound_level2, bound_level3
+from .bounds import ErrorCertificate, bound_level1, bound_level3, level2_certificate
 from .geometry import Interval, NormRegime, Partition
 from .rules import QuadratureRule, nodes_abs
-from .seminorms import DEFAULT_RESOLUTION, seminorm, seminorm_profile
+from .seminorms import DEFAULT_RESOLUTION, seminorm
 from .spaces import Element, VectorFunction
 
 __all__ = [
@@ -87,8 +87,7 @@ def _panel_certificate(
     if level == 1:
         return bound_level1(fn, rule, panel, resolution, regime=regime)
     if level == 2:
-        profile = seminorm_profile(fn, rule, panel, regime, resolution)
-        return bound_level2(profile, rule, panel)
+        return level2_certificate(fn, rule, panel, regime, resolution)
     if level == 3:
         estimate = seminorm(fn, panel, regime, resolution)
         return bound_level3(estimate, rule, panel)
@@ -186,11 +185,7 @@ def integrate_adaptive(
     if max_panels < 1:
         raise ValueError(f"max_panels must be >= 1, got {max_panels}")
 
-    def cert_for(panel: Interval) -> ErrorCertificate:
-        profile = seminorm_profile(fn, rule, panel, regime, resolution)
-        return bound_level2(profile, rule, panel)
-
-    first = cert_for(interval)
+    first = level2_certificate(fn, rule, interval, regime, resolution)
     # heap orders by (-bound, left endpoint); left endpoints are unique, so
     # certificates are never compared
     heap: list[tuple[float, float, float, ErrorCertificate]] = [
@@ -224,8 +219,8 @@ def integrate_adaptive(
             break
         left = Interval(lo, mid)
         right = Interval(mid, hi)
-        cert_left = cert_for(left)
-        cert_right = cert_for(right)
+        cert_left = level2_certificate(fn, rule, left, regime, resolution)
+        cert_right = level2_certificate(fn, rule, right, regime, resolution)
         heapq.heappush(heap, (-cert_left.bound, left.a, left.b, cert_left))
         heapq.heappush(heap, (-cert_right.bound, right.a, right.b, cert_right))
         count += 1
@@ -237,7 +232,6 @@ def integrate_adaptive(
 
     ordered = sorted(heap, key=lambda e: e[1])
     per_panel = []
-    for _, lo, hi, cert in ordered:
-        panel = Interval(lo, hi)
-        per_panel.append((panel, apply_rule(fn, rule, panel), cert))
+    for _, _, _, cert in ordered:
+        per_panel.append((cert.interval, apply_rule(fn, rule, cert.interval), cert))
     return _aggregate(fn, rule, interval, regime, 2, per_panel, tol)

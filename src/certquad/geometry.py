@@ -238,6 +238,12 @@ def mu(exponent, a: float, c: float, b: float) -> float:
         raise ValueError("mu arguments must be finite")
     if a > b:
         raise ValueError(f"mu needs a <= b, got a={a!r}, b={b!r}")
+    return _mu(p, a, c, b)
+
+
+def _mu(p, a: float, c: float, b: float) -> float:
+    """:func:`mu` on arguments it has validated: ``p`` is ``INF`` or a
+    float >= 1, and ``a <= b`` and ``c`` are finite floats."""
     if a == b:
         return 0.0
     if p is INF:

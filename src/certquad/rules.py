@@ -67,10 +67,14 @@ class QuadratureRule:
             if not w > 0.0:
                 raise ValueError(f"weights must be strictly positive, got {w!r}")
         total = 0.0
+        P = []
         for w in weights:
             total += w
+            P.append(total)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 (got {total!r})")
+        # the cumulative weights do not depend on the interval: keep them
+        object.__setattr__(self, "_P", tuple(P))
 
     @property
     def n(self) -> int:
@@ -96,11 +100,10 @@ def make_rule(nodes_rel, weights, name: str = "") -> QuadratureRule:
     return QuadratureRule(tuple(nodes_rel), tuple(weights), name)
 
 
-def nodes_abs(rule: QuadratureRule, interval: Interval) -> tuple[float, ...]:
-    """Absolute node positions ``x_i = a + u_i*(b - a)``, clamped into [a, b]."""
-    a, b = interval.a, interval.b
+def _cut_points(rule: QuadratureRule, a: float, b: float) -> list[float]:
+    """``[a, x_1, ..., x_n, b]``: the ends of the rule's n+1 segments."""
     length = b - a
-    out = []
+    out = [a]
     for u in rule.nodes_rel:
         if u == 0.0:
             x = a
@@ -109,25 +112,27 @@ def nodes_abs(rule: QuadratureRule, interval: Interval) -> tuple[float, ...]:
         else:
             x = a + u * length
             # rounding can push a + u*(b-a) past an endpoint by one ulp
-            x = min(max(x, a), b)
+            x = a if x < a else (b if x > b else x)
         out.append(x)
-    return tuple(out)
+    out.append(b)
+    return out
+
+
+def _comparison_points(rule: QuadratureRule, a: float, b: float) -> list[float]:
+    """The n-1 interior comparison points ``xi_i``, clamped into [a, b]."""
+    points = [s * b + (1.0 - s) * a for s in rule._P[:-1]]
+    return [a if x < a else (b if x > b else x) for x in points]
+
+
+def nodes_abs(rule: QuadratureRule, interval: Interval) -> tuple[float, ...]:
+    """Absolute node positions ``x_i = a + u_i*(b - a)``, clamped into [a, b]."""
+    return tuple(_cut_points(rule, interval.a, interval.b)[1:-1])
 
 
 def cumulative(rule: QuadratureRule, interval: Interval) -> CumulativeWeights:
     """Cumulative weights ``P_i`` and comparison points ``xi_i`` on ``interval``."""
-    a, b = interval.a, interval.b
-    P: list[float] = []
-    total = 0.0
-    for w in rule.weights:
-        total += w
-        P.append(total)
-    Pbar = [1.0 - s for s in P]
-    xi = []
-    for s, sbar in zip(P[:-1], Pbar[:-1]):
-        point = s * b + sbar * a
-        xi.append(min(max(point, a), b))
-    return CumulativeWeights(tuple(P), tuple(Pbar), tuple(xi))
+    xi = _comparison_points(rule, interval.a, interval.b)
+    return CumulativeWeights(rule._P, tuple(1.0 - s for s in rule._P), tuple(xi))
 
 
 def corollary_condition_holds(rule: QuadratureRule, interval: Interval) -> bool:
@@ -136,12 +141,9 @@ def corollary_condition_holds(rule: QuadratureRule, interval: Interval) -> bool:
     Under this condition the simplified midpoint-offset constants coincide
     with the general ones; bounds are valid either way.
     """
-    xs = nodes_abs(rule, interval)
-    cum = cumulative(rule, interval)
-    for i, point in enumerate(cum.xi):
-        if not (xs[i] <= point <= xs[i + 1]):
-            return False
-    return True
+    cuts = _cut_points(rule, interval.a, interval.b)
+    xi = _comparison_points(rule, interval.a, interval.b)
+    return all(lo <= point <= hi for lo, point, hi in zip(cuts[1:-2], xi, cuts[2:-1]))
 
 
 def _preset_ostrowski(s_rel: float = 0.5) -> QuadratureRule:

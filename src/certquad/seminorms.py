@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ._simpson import simpson_scalar
 from .geometry import Interval, NormRegime
-from .rules import QuadratureRule, nodes_abs
+from .rules import QuadratureRule, _cut_points
 from .spaces import VectorFunction
 
 __all__ = [
@@ -86,42 +86,8 @@ def seminorm(
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    if interval.is_degenerate:
-        return SeminormEstimate(0.0, regime, interval, certified=True, resolution=resolution)
-
-    if regime.kind == "linf":
-        if fn.df_sup is not None:
-            value = float(fn.df_sup(interval.a, interval.b))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(
-                    f"sup-envelope of {fn.name or '<anonymous>'} returned {value!r}"
-                )
-            return SeminormEstimate(value, regime, interval, certified=True, resolution=resolution)
-        if not fn.has_derivative_source:
-            raise ValueError(
-                f"function {fn.name or '<anonymous>'} has neither a sup-envelope "
-                "nor a derivative source for the linf seminorm"
-            )
-        h = interval.length / resolution
-        best = 0.0
-        for k in range(resolution + 1):
-            t = interval.a + k * h if k < resolution else interval.b
-            v = fn.df_norm_at(t)
-            if v > best:
-                best = v
-        return SeminormEstimate(best, regime, interval, certified=False, resolution=resolution)
-
-    power = regime.integral_exponent
-    integral = simpson_scalar(
-        lambda t: fn.df_norm_at(t) ** power,
-        interval.a,
-        interval.b,
-        resolution,
-    )
-    # tiny negative values can appear for an identically-zero integrand
-    integral = max(integral, 0.0)
-    value = integral if power == 1.0 else integral ** (1.0 / power)
-    return SeminormEstimate(value, regime, interval, certified=False, resolution=resolution)
+    value, certified = _estimate(fn, interval.a, interval.b, regime, resolution)
+    return SeminormEstimate(value, regime, interval, certified, resolution)
 
 
 def seminorm_profile(
@@ -132,9 +98,46 @@ def seminorm_profile(
     resolution: int = DEFAULT_RESOLUTION,
 ) -> SeminormProfile:
     """Per-segment estimates for ``rule`` on ``interval``."""
-    xs = nodes_abs(rule, interval)
-    cuts = (interval.a,) + xs + (interval.b,)
+    cuts = _cut_points(rule, interval.a, interval.b)
     return SeminormProfile(tuple(
         seminorm(fn, Interval(lo, hi), regime, resolution)
         for lo, hi in zip(cuts, cuts[1:])
     ))
+
+
+def _estimate(
+    fn: VectorFunction, lo: float, hi: float, regime: NormRegime, resolution: int
+) -> tuple[float, bool]:
+    """``(value, certified)`` of the seminorm on [lo, hi], for finite
+    ``lo <= hi`` and ``resolution >= 2``."""
+    if lo == hi:
+        return 0.0, True
+
+    if regime.kind == "linf":
+        if fn.df_sup is not None:
+            value = float(fn.df_sup(lo, hi))
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(
+                    f"sup-envelope of {fn.name or '<anonymous>'} returned {value!r}"
+                )
+            return value, True
+        if not fn.has_derivative_source:
+            raise ValueError(
+                f"function {fn.name or '<anonymous>'} has neither a sup-envelope "
+                "nor a derivative source for the linf seminorm"
+            )
+        h = (hi - lo) / resolution
+        best = 0.0
+        for k in range(resolution + 1):
+            t = lo + k * h if k < resolution else hi
+            v = fn.df_norm_at(t)
+            if v > best:
+                best = v
+        return best, False
+
+    power = regime.integral_exponent
+    integral = simpson_scalar(lambda t: fn.df_norm_at(t) ** power, lo, hi, resolution)
+    # tiny negative values can appear for an identically-zero integrand
+    integral = max(integral, 0.0)
+    value = integral if power == 1.0 else integral ** (1.0 / power)
+    return value, False

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own closed forms: mu is checked
 against a dense midpoint Riemann sum, the collapsed kernel against the
 direct sum of elementary kernels, and weighted derivative integrals
-against dense sampling.  The adaptive driver is checked against
-:func:`reference_adaptive`, which forms the ordered sum of panel bounds
-before every split.
+against dense sampling.  The one-pass level-2 certificate is checked
+against :func:`reference_level2`, a frozen copy of the profile-then-bound
+arithmetic, and the adaptive driver against :func:`reference_adaptive`,
+which forms the ordered sum of panel bounds before every split.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import numpy as np
 
 from certquad import (
     INF,
+    ErrorCertificate,
     Interval,
     QuadratureRule,
     apply_rule,
-    bound_level2,
+    mu,
     nodes_abs,
-    seminorm_profile,
 )
+from certquad._simpson import simpson_scalar
 
 
 def riemann_mu(exponent, a: float, c: float, b: float, n: int = 1 << 16) -> float:
@@ -132,6 +134,128 @@ def linear_combination(space, terms):
     return acc
 
 
+def _reference_seminorm(fn, lo, hi, regime, resolution):
+    """``(value, certified)``: the per-segment seminorm estimator, frozen."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if lo == hi:
+        return 0.0, True
+    if regime.kind == "linf":
+        if fn.df_sup is not None:
+            value = float(fn.df_sup(lo, hi))
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(
+                    f"sup-envelope of {fn.name or '<anonymous>'} returned {value!r}"
+                )
+            return value, True
+        if not fn.has_derivative_source:
+            raise ValueError(
+                f"function {fn.name or '<anonymous>'} has neither a sup-envelope "
+                "nor a derivative source for the linf seminorm"
+            )
+        h = (hi - lo) / resolution
+        best = 0.0
+        for k in range(resolution + 1):
+            t = lo + k * h if k < resolution else hi
+            v = fn.df_norm_at(t)
+            if v > best:
+                best = v
+        return best, False
+    power = regime.integral_exponent
+    integral = simpson_scalar(lambda t: fn.df_norm_at(t) ** power, lo, hi, resolution)
+    integral = max(integral, 0.0)
+    return (integral if power == 1.0 else integral ** (1.0 / power)), False
+
+
+def _reference_log_mu(q, a, c, b):
+    # log(mu(q, a, c, b)) through log-sum-exp, for q > 30
+    if a == b:
+        return -math.inf
+    r = q + 1.0
+
+    def add(u, v):
+        if u == -math.inf:
+            return v
+        if v == -math.inf:
+            return u
+        hi, lo = (u, v) if u >= v else (v, u)
+        return hi + math.log1p(math.exp(lo - hi))
+
+    def sub(u, v):
+        return u if v == -math.inf else u + math.log1p(-math.exp(v - u))
+
+    if c < a:
+        return sub(r * math.log(b - c), r * math.log(a - c)) - math.log(r)
+    if c > b:
+        return sub(r * math.log(c - a), r * math.log(c - b)) - math.log(r)
+    u = r * math.log(c - a) if c > a else -math.inf
+    v = r * math.log(b - c) if c < b else -math.inf
+    return add(u, v) - math.log(r)
+
+
+def _reference_lp_factors(q):
+    def outer(length):
+        if length <= 0.0:
+            return 0.0
+        if q <= 30.0:
+            return length ** (1.0 + 1.0 / q) / (q + 1.0) ** (1.0 / q)
+        return math.exp((1.0 + 1.0 / q) * math.log(length) - math.log(q + 1.0) / q)
+
+    def inner(lo, point, hi):
+        if hi <= lo:
+            return 0.0
+        if q <= 30.0:
+            return mu(q, lo, point, hi) ** (1.0 / q)
+        return math.exp(_reference_log_mu(q, lo, point, hi) / q)
+
+    return outer, inner
+
+
+def reference_level2(fn, rule, interval, regime, resolution):
+    """The level-2 certificate as the profile-then-bound path computed it:
+    one seminorm per segment, then the per-regime factors with the
+    validated :func:`certquad.mu`, summed left to right.  Nodes and
+    comparison points are formed here too, from the rule's nodes and
+    weights."""
+    a, b = interval.a, interval.b
+    xs = [a if u == 0.0 else b if u == 1.0 else min(max(a + u * (b - a), a), b)
+          for u in rule.nodes_rel]
+    xi, running = [], 0.0
+    for w in rule.weights[:-1]:
+        running += w
+        xi.append(min(max(running * b + (1.0 - running) * a, a), b))
+    cuts = [a] + xs + [b]
+    estimates = [
+        _reference_seminorm(fn, lo, hi, regime, resolution)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    values = [value for value, _ in estimates]
+    if regime.kind == "l1":
+        outer = lambda length: length  # noqa: E731
+        inner = lambda lo, point, hi: mu(INF, lo, point, hi)  # noqa: E731
+    elif regime.kind == "lp":
+        outer, inner = _reference_lp_factors(regime.q)
+    else:
+        outer = lambda length: 0.5 * length ** 2  # noqa: E731
+        inner = lambda lo, point, hi: mu(1.0, lo, point, hi)  # noqa: E731
+    contribs = [outer(xs[0] - a) * values[0]]
+    for i in range(rule.n - 1):
+        contribs.append(inner(xs[i], xi[i], xs[i + 1]) * values[i + 1])
+    contribs.append(outer(b - xs[-1]) * values[-1])
+    bound = 0.0
+    for c in contribs:
+        bound += c
+    return ErrorCertificate(
+        bound=bound,
+        level=2,
+        regime=regime,
+        segment_contributions=tuple(contribs),
+        certified=all(certified for _, certified in estimates),
+        rule_name=rule.name,
+        interval=interval,
+    )
+
+
 def reference_adaptive(fn, rule, interval, regime, tol, max_panels, resolution):
     """Worst-first bisection that forms the ordered sum of panel bounds
     (left to right by panel) before every split and once more at the end.
@@ -141,8 +265,7 @@ def reference_adaptive(fn, rule, interval, regime, tol, max_panels, resolution):
     """
 
     def cert_for(panel):
-        profile = seminorm_profile(fn, rule, panel, regime, resolution)
-        return bound_level2(profile, rule, panel)
+        return reference_level2(fn, rule, panel, regime, resolution)
 
     def total_bound():
         total = 0.0

@@ -2,6 +2,7 @@
 closed-form constants, scale laws, and the log-space high-exponent path."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -12,6 +13,8 @@ from certquad import (
     Interval,
     L1,
     LINF,
+    SPACES,
+    VectorFunction,
     bound_level1,
     bound_level2,
     bound_level3,
@@ -27,7 +30,8 @@ from certquad import (
     seminorm,
     seminorm_profile,
 )
-from helpers import mu_well_placed, riemann_weighted_df
+from certquad.bounds import level2_certificate
+from helpers import mu_well_placed, reference_level2, riemann_weighted_df
 
 UNIT = Interval(0.0, 1.0)
 
@@ -150,6 +154,102 @@ class TestLevel2:
         prof = seminorm_profile(fn, preset("qt"), Interval(0.0, 2.0), LINF)
         with pytest.raises(ValueError, match="does not match"):
             bound_level2(prof, preset("qt"), UNIT)
+
+    def test_tiny_panel_misaligned_profile(self):
+        # segments 40x too wide, but within 1e-12 of the expected ones
+        fn = make_function("exp")
+        prof = seminorm_profile(fn, preset("qt"), Interval(0.0, 4e-13), LINF)
+        with pytest.raises(ValueError, match="does not match"):
+            bound_level2(prof, preset("qt"), Interval(0.0, 1e-14))
+
+    @pytest.mark.parametrize("a, b", [
+        (-1e150, 1e150),  # huge
+        (1e6, 1e6 + 1e-3),  # shifted
+        (1.0, 1.0 + 2.0**-40),  # shifted and narrow
+        (0.0, 1e-300),  # tiny
+        (1e-14, 3e-14),  # tiny, off zero
+    ])
+    def test_profiles_align_on_extreme_intervals(self, a, b):
+        fn = make_function("trig_circle")
+        iv = Interval(a, b)
+        for rule in (preset("qt"), preset("simpson"), _COINCIDENT):
+            prof = seminorm_profile(fn, rule, iv, LINF)
+            assert bound_level2(prof, rule, iv) == level2_certificate(fn, rule, iv, LINF)
+
+
+def _random_rule(seed: int, nodes) -> object:
+    rng = random.Random(seed)
+    raw = [0.2 + rng.random() for _ in nodes]
+    weights = [w / sum(raw) for w in raw[:-1]]
+    weights.append(1.0 - sum(weights))
+    return make_rule(nodes, weights, name="random")
+
+
+# coincident interior nodes and nodes at both ends
+_COINCIDENT = _random_rule(3, (0.0, 0.2, 0.2, 0.7, 1.0, 1.0))
+LEVEL2_RULES = [
+    preset("qt"),
+    preset("simpson"),
+    preset("trapezoid"),
+    preset("ostrowski"),
+    preset("ostrowski", 0.3),
+    preset("endpoints_midpoint", 0.2, 0.45),
+    preset("three_point", 0.3, 0.4, 0.1, 0.5, 0.85),
+    _COINCIDENT,
+    _random_rule(5, sorted(random.Random(5).random() for _ in range(4))),
+]
+
+
+def _sampled(fn):
+    """``fn`` without its sup-envelope: linf falls back to df samples."""
+    return VectorFunction(space=fn.space, f=fn.f, df=fn.df, name=f"{fn.name}_sampled")
+
+
+def _bits(cert):
+    return (
+        cert.bound.hex(),
+        tuple(c.hex() for c in cert.segment_contributions),
+        cert.certified,
+        cert.level,
+        cert.regime,
+        cert.rule_name,
+        cert.interval,
+    )
+
+
+class TestLevel2MatchesReference:
+    """The one-pass level-2 certificate, and ``bound_level2`` over a
+    profile, equal the frozen profile-then-bound arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("regime", [L1, lp(2.0), lp(1.02), LINF, "linf_sampled"],
+                             ids=["l1", "lp2", "lp1.02", "linf", "linf_sampled"])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1e6, 1e6 + 1.0), (-40.0, 30.0)],
+                             ids=["unit", "shifted", "wide"])
+    def test_matches_reference(self, regime, a, b):
+        iv = Interval(a, b)
+        functions = [make_function(name) for name in ("trig_circle", "poly_r3")]
+        if regime == "linf_sampled":
+            regime = LINF
+            functions = [_sampled(fn) for fn in functions]
+        if regime.kind == "lp":
+            assert (regime.q > 30.0) == (regime.p < 1.05)  # both q branches run
+        for fn in functions:
+            for rule in LEVEL2_RULES:
+                expected = _bits(reference_level2(fn, rule, iv, regime, 8))
+                assert _bits(level2_certificate(fn, rule, iv, regime, 8)) == expected
+                prof = seminorm_profile(fn, rule, iv, regime, 8)
+                assert _bits(bound_level2(prof, rule, iv)) == expected
+
+    def test_certified_only_from_envelopes(self):
+        fn = make_function("trig_circle")
+        assert level2_certificate(fn, preset("qt"), UNIT, LINF).certified
+        assert not level2_certificate(_sampled(fn), preset("qt"), UNIT, LINF, 8).certified
+        assert not level2_certificate(fn, preset("qt"), UNIT, L1, 8).certified
+        # every segment degenerate: exact zeros, certified in any regime
+        point = Interval(0.5, 0.5)
+        for regime in (L1, lp(2.0), LINF):
+            cert = level2_certificate(fn, preset("simpson"), point, regime, 8)
+            assert cert.bound == 0.0 and cert.certified
 
 
 class TestLevel3:

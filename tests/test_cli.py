@@ -74,7 +74,7 @@ class TestSpecParsing:
 
 class TestRunReports:
     def test_exp_qt_linf_level3(self):
-        report = run(
+        data = run(
             RunConfig(
                 function="exp",
                 rule="qt",
@@ -84,7 +84,6 @@ class TestRunReports:
                 include_timing=False,
             )
         )
-        data = report.data
         cert = data["certificate"]
         # certified sup of exp' on [0,1] is e; qt geometry factor is 1/8
         assert cert["bound"] == pytest.approx(math.e / 8.0, rel=1e-14)
@@ -96,7 +95,7 @@ class TestRunReports:
         assert "timing_s" not in data
 
     def test_quadratic_simpson_exact(self):
-        report = run(
+        data = run(
             RunConfig(
                 function="quadratic",
                 rule="simpson",
@@ -106,14 +105,13 @@ class TestRunReports:
                 include_timing=False,
             )
         )
-        data = report.data
         assert data["certificate"]["bound"] == pytest.approx(5.0 / 18.0, rel=1e-14)
         assert data["actual_error"] <= 1e-14
         # approximation is emitted as a component list, scalar included
         assert data["approximation"] == [pytest.approx(1.0 / 3.0, rel=1e-15)]
 
     def test_const_vanishing_derivative(self):
-        report = run(
+        data = run(
             RunConfig(
                 function="const",
                 space="r3",
@@ -125,7 +123,6 @@ class TestRunReports:
                 include_timing=False,
             )
         )
-        data = report.data
         assert data["actual_error"] == 0.0
         assert data["certificate"]["bound"] == 0.0
         assert data["certificate"]["certified"] is False  # l1 seminorm is sampled
@@ -143,18 +140,17 @@ class TestRunReports:
                 include_timing=False,
             )
         )
-        assert report.data["certificate"]["level"] == 2
-        assert report.data["panels"]["converged"] is True
-        assert report.converged
+        assert report["certificate"]["level"] == 2
+        assert report["panels"]["converged"] is True
 
     def test_timing_included_by_default(self):
         report = run(RunConfig(function="exp", oracle_resolution=1024))
-        assert isinstance(report.data["timing_s"], float)
+        assert isinstance(report["timing_s"], float)
 
     def test_env_oracle_resolution(self, monkeypatch):
         monkeypatch.setenv("QUAD_ORACLE_RESOLUTION", "4096")
         report = run(RunConfig(function="exp", include_timing=False))
-        assert report.data["config"]["oracle_resolution"] == 4096
+        assert report["config"]["oracle_resolution"] == 4096
 
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="takes no parameter"):
@@ -180,7 +176,7 @@ class TestRunReports:
                 include_timing=False,
             )
         )
-        assert report.data["certificate"]["certified"] is True
+        assert report["certificate"]["certified"] is True
 
 
 class TestJson:
@@ -194,8 +190,8 @@ class TestJson:
                 include_timing=False,
             )
         )
-        text = dumps_json(report.data)
-        assert json.loads(text) == report.data
+        text = dumps_json(report)
+        assert json.loads(text) == report
 
     def test_float_formatting(self):
         assert dumps_json(0.1) == "0.10000000000000001"

@@ -265,6 +265,42 @@ class TestAdaptive:
             assert err <= result.certificate.bound + 1e-9
 
 
+def _envelope_function(envelope):
+    return VectorFunction(
+        space=SPACES["scalar"], f=lambda t: t, df=lambda t: 1.0,
+        df_sup=envelope, name="line",
+    )
+
+
+class TestReachableChecks:
+    """Input checks the one-pass level-2 path must keep, through both
+    drivers."""
+
+    @staticmethod
+    def drivers(fn, resolution=64):
+        part = uniform_partition(UNIT, 3)
+        yield lambda: integrate_adaptive(fn, preset("qt"), UNIT, LINF, 1e-3, 64, resolution)
+        yield lambda: integrate_composite(fn, preset("qt"), part, LINF, 2, resolution)
+
+    def test_resolution_floor_with_an_envelope(self):
+        # the envelope never reads the resolution, but it is still checked
+        for call in self.drivers(make_function("exp"), resolution=1):
+            with pytest.raises(ValueError, match="resolution must be >= 2"):
+                call()
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_bad_envelope_value(self, value):
+        for call in self.drivers(_envelope_function(lambda lo, hi: value)):
+            with pytest.raises(ValueError, match="sup-envelope of line returned"):
+                call()
+
+    def test_linf_needs_some_source(self):
+        bare = VectorFunction(space=SPACES["scalar"], f=math.sin, name="bare")
+        for call in self.drivers(bare):
+            with pytest.raises(ValueError, match="neither a sup-envelope"):
+                call()
+
+
 def _random_rule(seed: int, n: int):
     rng = random.Random(seed)
     nodes = sorted(rng.random() for _ in range(n))
