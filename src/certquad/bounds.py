@@ -24,10 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._simpson import simpson_scalar
-from .geometry import INF, Interval, NormRegime, _mu, mu
+from .geometry import INF, Interval, NormRegime, _exp, _pow, mu
 from .rules import QuadratureRule, _comparison_points, _cut_points, cumulative, nodes_abs
-from .seminorms import DEFAULT_RESOLUTION, SeminormEstimate, SeminormProfile, _estimate
+from .seminorms import (
+    DEFAULT_RESOLUTION,
+    SeminormEstimate,
+    SeminormProfile,
+    _bad_envelope,
+    _estimate,
+)
 from .spaces import VectorFunction
 
 __all__ = [
@@ -165,43 +173,134 @@ def _mu_log(q: float, a: float, c: float, b: float) -> float:
     return _logaddexp(u, v) - log_r
 
 
-def _level2(
-    rule: QuadratureRule, interval: Interval, regime: NormRegime, cuts: list, estimates: list
-) -> ErrorCertificate:
-    """The level-2 arithmetic: one geometry factor per segment of ``cuts``
-    (``[a, x_1, ..., x_n, b]``) times that segment's seminorm, the first
-    item of its ``(value, certified)`` pair in ``estimates``, summed left
-    to right."""
-    ends = (cuts[1] - cuts[0], cuts[-1] - cuts[-2])
-    mids = zip(cuts[1:-2], _comparison_points(rule, interval.a, interval.b), cuts[2:-1])
-    if regime.kind == "l1":
-        outer = ends
-        inner = [_mu(INF, lo, c, hi) for lo, c, hi in mids]
-    elif regime.kind == "linf":
-        outer = [0.5 * d ** 2 for d in ends]
-        inner = [_mu(1.0, lo, c, hi) for lo, c, hi in mids]
-    elif regime.q <= _LOG_SPACE_Q:
-        q = regime.q
-        outer = [d ** (1.0 + 1.0 / q) / (q + 1.0) ** (1.0 / q) if d > 0.0 else 0.0 for d in ends]
-        inner = [_mu(q, lo, c, hi) ** (1.0 / q) if hi > lo else 0.0 for lo, c, hi in mids]
+def _powers(x: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` element by element through Python floats, overflowing to
+    inf: numpy's ``power`` does not round like libm's ``pow``."""
+    values = x.ravel().tolist()
+    try:
+        out = [v ** y for v in values]
+    except OverflowError:  # rare, so only then a call per element
+        out = [_pow(v, y) for v in values]
+    return np.array(out, dtype=float).reshape(x.shape)
+
+
+def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`certquad.geometry._mu` over arrays, with the same float
+    operations in each branch (``lo - c`` is ``-(c - lo)`` exactly)."""
+    below, above = c < lo, c > hi
+    left, right = c - lo, hi - c
+    if p is INF:
+        inside = 0.5 * (hi - lo) + np.abs(c - 0.5 * (lo + hi))
+        out = np.where(below, right, np.where(above, left, inside))
     else:
-        q = regime.q
-        outer = [math.exp((1.0 + 1.0 / q) * math.log(d) - math.log(q + 1.0) / q)
-                 if d > 0.0 else 0.0 for d in ends]
-        inner = [math.exp(_mu_log(q, lo, c, hi) / q) if hi > lo else 0.0 for lo, c, hi in mids]
-    contribs = tuple(f * v for f, (v, _) in zip((outer[0], *inner, outer[1]), estimates))
-    bound = 0.0
-    for term in contribs:
-        bound += term
-    return ErrorCertificate(
-        bound=bound,
-        level=2,
-        regime=regime,
-        segment_contributions=contribs,
-        certified=all(exact for _, exact in estimates),
-        rule_name=rule.name,
-        interval=interval,
-    )
+        r = p + 1.0
+        left, right = _powers(np.abs(left), r), _powers(np.abs(right), r)
+        out = np.where(below, right - left, np.where(above, left - right, left + right)) / r
+    return np.where(lo == hi, 0.0, out)
+
+
+def _level2(
+    rule: QuadratureRule, regime: NormRegime, cuts: np.ndarray, values: np.ndarray, exact
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level-2 arithmetic for N panels at once.
+
+    Row k of ``cuts`` holds panel k's segment ends ``[a, x_1, ..., x_n,
+    b]`` and row k of ``values`` its n+1 segment seminorms; ``exact`` is
+    an array of their certified flags, or True when all are certified.
+    Returns ``(contributions, bounds, certified)``: one geometry factor per
+    segment times its seminorm, and their sum left to right.  Every
+    operation is the scalar formula's, element by element, so each row is
+    what the formula gives for that panel alone.
+    """
+    with np.errstate(all="ignore"):
+        a, b = cuts[:, 0], cuts[:, -1]
+        lo, hi = cuts[:, 1:-2], cuts[:, 2:-1]
+        c = _comparison_points(rule, a, b)
+        ends = np.concatenate((cuts[:, 1:2] - cuts[:, :1], cuts[:, -1:] - cuts[:, -2:-1]), axis=1)
+        if regime.kind == "l1":
+            outer = ends
+            inner = _mu_arrays(INF, lo, c, hi)
+        elif regime.kind == "linf":
+            outer = 0.5 * _powers(ends, 2.0)
+            inner = _mu_arrays(1.0, lo, c, hi)
+        elif regime.q <= _LOG_SPACE_Q:
+            q = regime.q
+            outer = np.where(
+                ends > 0.0, _powers(ends, 1.0 + 1.0 / q) / (q + 1.0) ** (1.0 / q), 0.0
+            )
+            inner = np.where(hi > lo, _powers(_mu_arrays(q, lo, c, hi), 1.0 / q), 0.0)
+        else:
+            q = regime.q
+            k1, k2 = 1.0 + 1.0 / q, math.log(q + 1.0) / q
+            outer = np.array(
+                [_exp(k1 * math.log(d) - k2) if d > 0.0 else 0.0 for d in ends.ravel().tolist()]
+            ).reshape(ends.shape)
+            inner = np.array(
+                [_exp(_mu_log(q, l, m, h) / q) if h > l else 0.0
+                 for l, m, h in zip(lo.ravel().tolist(), c.ravel().tolist(), hi.ravel().tolist())],
+                dtype=float,
+            ).reshape(lo.shape)
+        contribs = np.concatenate((outer[:, :1], inner, outer[:, 1:]), axis=1) * values
+        bounds = np.zeros(len(cuts))
+        for j in range(contribs.shape[1]):
+            bounds = bounds + contribs[:, j]
+    certified = np.full(len(cuts), True) if exact is True else exact.all(axis=1)
+    return contribs, bounds, certified
+
+
+def _estimates(
+    fn: VectorFunction, regime: NormRegime, cuts: np.ndarray, resolution: int
+) -> tuple[np.ndarray, object]:
+    """``(values, exact)``: the seminorm of every segment of every row of
+    ``cuts``, with the certified flags as an array, or True when every
+    value is certified.  Segments are visited panel by panel, left to
+    right, so a failing segment raises what it raises for its panel alone.
+    """
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    los, his = cuts[:, :-1].ravel().tolist(), cuts[:, 1:].ravel().tolist()
+    shape = (len(cuts), cuts.shape[1] - 1)
+    sup = fn.df_sup
+    if regime.kind == "linf" and sup is not None:
+        values = []
+        append, inf = values.append, math.inf
+        for lo, hi in zip(los, his):
+            if lo == hi:
+                append(0.0)
+                continue
+            value = float(sup(lo, hi))
+            if not 0.0 <= value < inf:
+                raise _bad_envelope(fn, value)
+            append(value)
+        return np.array(values).reshape(shape), True
+    pairs = [_estimate(fn, lo, hi, regime, resolution) for lo, hi in zip(los, his)]
+    values = np.array([value for value, _ in pairs], dtype=float).reshape(shape)
+    return values, np.array([exact for _, exact in pairs], dtype=bool).reshape(shape)
+
+
+def _level2_rows(
+    fn: VectorFunction,
+    rule: QuadratureRule,
+    regime: NormRegime,
+    a,
+    b,
+    resolution: int = DEFAULT_RESOLUTION,
+) -> list[tuple[float, tuple[float, ...], bool]]:
+    """Level-2 certificates of ``rule`` on the panels ``[a[k], b[k]]``, as
+    rows ``(bound, contributions, certified)`` of plain Python values.
+
+    Row k equals the fields of ``level2_certificate(fn, rule,
+    Interval(a[k], b[k]), regime, resolution)`` bit for bit.
+    """
+    cuts = _cut_points(rule, a, b)
+    values, exact = _estimates(fn, regime, cuts, resolution)
+    contribs, bounds, certified = _level2(rule, regime, cuts, values, exact)
+    return list(zip(bounds.tolist(), map(tuple, contribs.tolist()), certified.tolist()))
+
+
+def _certificate(rule, regime, interval, bound, contribs, certified) -> ErrorCertificate:
+    """The level-2 certificate of one kernel row."""
+    return ErrorCertificate(bound, 2, regime, contribs, certified, rule.name, interval)
 
 
 def bound_level2(
@@ -219,15 +318,21 @@ def bound_level2(
       ``mu(q, ...)**(1/q)`` inside.
     - linf: ``len**2 / 2`` outside, ``mu(1, ...)`` inside.
     """
-    cuts = _cut_points(rule, interval.a, interval.b)
+    cuts = _cut_points(rule, [interval.a], [interval.b])
     if len(profile.segments) != rule.n + 1:
         raise ValueError(
             f"profile has {len(profile.segments)} segments, rule needs {rule.n + 1}"
         )
-    for seg, lo, hi in zip(profile.segments, cuts, cuts[1:]):
+    ends = cuts[0].tolist()
+    for seg, lo, hi in zip(profile.segments, ends, ends[1:]):
         _check_alignment(seg.interval, lo, hi, "profile segment")
-    estimates = [(seg.value, seg.certified) for seg in profile.segments]
-    return _level2(rule, interval, profile.regime, cuts, estimates)
+    values = np.array([[seg.value for seg in profile.segments]], dtype=float)
+    exact = np.array([[seg.certified for seg in profile.segments]], dtype=bool)
+    contribs, bounds, certified = _level2(rule, profile.regime, cuts, values, exact)
+    return _certificate(
+        rule, profile.regime, interval, bounds.tolist()[0], tuple(contribs.tolist()[0]),
+        certified.tolist()[0],
+    )
 
 
 def level2_certificate(
@@ -244,11 +349,8 @@ def level2_certificate(
     profile: the cut points are computed once and each segment's seminorm
     goes straight into the level-2 arithmetic.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    cuts = _cut_points(rule, interval.a, interval.b)
-    estimates = [_estimate(fn, lo, hi, regime, resolution) for lo, hi in zip(cuts, cuts[1:])]
-    return _level2(rule, interval, regime, cuts, estimates)
+    row = _level2_rows(fn, rule, regime, [interval.a], [interval.b], resolution)[0]
+    return _certificate(rule, regime, interval, *row)
 
 
 def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) -> float:
@@ -272,20 +374,20 @@ def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) 
         return max(best, b - xs[-1])
 
     if regime.kind == "linf":
-        total = 0.5 * (xs[0] - a) ** 2
+        total = 0.5 * _pow(xs[0] - a, 2.0)
         for i in range(rule.n - 1):
             total += mu(1.0, xs[i], cum.xi[i], xs[i + 1])
-        total += 0.5 * (b - xs[-1]) ** 2
+        total += 0.5 * _pow(b - xs[-1], 2.0)
         return total
 
     if regime.kind == "lp":
         q = regime.q
         r = q + 1.0
         if q <= _LOG_SPACE_Q:
-            total = (xs[0] - a) ** r / r
+            total = _pow(xs[0] - a, r) / r
             for i in range(rule.n - 1):
                 total += mu(q, xs[i], cum.xi[i], xs[i + 1])
-            total += (b - xs[-1]) ** r / r
+            total += _pow(b - xs[-1], r) / r
             return total ** (1.0 / q) if total > 0.0 else 0.0
         logs: list[float] = []
         if xs[0] > a:
@@ -301,7 +403,7 @@ def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) 
         acc = 0.0
         for value in logs:
             acc += math.exp(value - top)
-        return math.exp((top + math.log(acc)) / q)
+        return _exp((top + math.log(acc)) / q)
 
     raise ValueError(f"unknown regime kind {regime.kind!r}")  # pragma: no cover
 

@@ -22,6 +22,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -355,6 +356,7 @@ def _emit_compare(rows: list[dict[str, Any]], output: str) -> str:
     raise ValueError(f"unknown output mode {output!r}")
 
 
+@functools.cache  # parsing leaves the parser as it was, so build it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="certquad",

@@ -12,10 +12,12 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._simpson import simpson_element
-from .bounds import ErrorCertificate, bound_level1, bound_level3, level2_certificate
+from .bounds import ErrorCertificate, _certificate, _level2_rows, bound_level1, bound_level3
 from .geometry import Interval, NormRegime, Partition
-from .rules import QuadratureRule, nodes_abs
+from .rules import QuadratureRule, _cut_points
 from .seminorms import DEFAULT_RESOLUTION, seminorm
 from .spaces import Element, VectorFunction
 
@@ -29,6 +31,10 @@ __all__ = [
 
 DEFAULT_MAX_PANELS = 1024
 _EPS = 2.0**-52  # twice the unit roundoff u
+# panels per kernel call in the adaptive driver, and per chunk of its final
+# rule pass: large enough to spread each call's fixed cost, small enough
+# that the arrays and speculative rows stay a small part of peak memory
+_BATCH = 256
 
 
 @dataclass(eq=False)
@@ -55,11 +61,30 @@ class QuadratureResult:
 
 def apply_rule(fn: VectorFunction, rule: QuadratureRule, interval: Interval) -> Element:
     """``(b - a) * sum(p_i * f(x_i))`` with a fixed-order accumulation."""
+    return _rule_values(fn, rule, [interval.a], [interval.b])[0]
+
+
+def _rule_values(fn: VectorFunction, rule: QuadratureRule, a, b) -> list[Element]:
+    """:func:`apply_rule` on the panels ``[a[k], b[k]]`` at once.
+
+    ``fn.f`` is sampled once per node, panel by panel; the weighted samples
+    are folded in node order with the space's ``add`` and ``scale`` over
+    the stacked samples, then each sum is scaled by its panel's length.
+    Each panel's value is therefore the one its own fold gives.
+    """
     space = fn.space
-    acc = space.zero()
-    for x, w in zip(nodes_abs(rule, interval), rule.weights):
-        acc = space.add(acc, space.scale(w, fn.f(x)))
-    return space.scale(interval.length, acc)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nodes = _cut_points(rule, a, b)[:, 1:-1]
+    samples = np.array([fn.f(x) for x in nodes.ravel().tolist()])
+    samples = samples.reshape(nodes.shape + samples.shape[1:])
+    with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
+        acc = space.zero()
+        for j, w in enumerate(rule.weights):
+            acc = space.add(acc, space.scale(w, samples[:, j]))
+        lengths = (b - a).reshape((-1,) + (1,) * (acc.ndim - 1))
+        values = space.scale(lengths, acc)
+    return values.tolist() if values.ndim == 1 else list(values)
 
 
 def oracle_integral(fn: VectorFunction, interval: Interval, resolution: int) -> Element:
@@ -86,8 +111,6 @@ def _panel_certificate(
 ) -> ErrorCertificate:
     if level == 1:
         return bound_level1(fn, rule, panel, resolution, regime=regime)
-    if level == 2:
-        return level2_certificate(fn, rule, panel, regime, resolution)
     if level == 3:
         estimate = seminorm(fn, panel, regime, resolution)
         return bound_level3(estimate, rule, panel)
@@ -139,15 +162,45 @@ def integrate_composite(
     resolution: int = DEFAULT_RESOLUTION,
 ) -> QuadratureResult:
     """Apply the rule on every panel of ``partition`` and sum certificates."""
-    per_panel = [
-        (
-            panel,
-            apply_rule(fn, rule, panel),
-            _panel_certificate(fn, rule, panel, regime, level, resolution),
-        )
-        for panel in partition.panels
-    ]
+    panels = partition.panels
+    los, his = partition.breakpoints[:-1], partition.breakpoints[1:]
+    values = _rule_values(fn, rule, los, his)
+    if level == 2:
+        rows = _level2_rows(fn, rule, regime, los, his, resolution)
+        certs = [_certificate(rule, regime, panel, *row) for panel, row in zip(panels, rows)]
+    else:
+        certs = [
+            _panel_certificate(fn, rule, panel, regime, level, resolution) for panel in panels
+        ]
+    per_panel = list(zip(panels, values, certs))
     return _aggregate(fn, rule, partition.interval, regime, level, per_panel)
+
+
+def _worst(heap: list, k: int) -> list:
+    """The ``k`` smallest entries of ``heap`` (all of them if it is shorter),
+    found by walking down from its root in O(k log k)."""
+    found: list = []
+    frontier = [(heap[0], 0)] if heap and k > 0 else []
+    while frontier and len(found) < k:
+        entry, i = heapq.heappop(frontier)
+        found.append(entry)
+        for j in (2 * i + 1, 2 * i + 2):
+            if j < len(heap):
+                heapq.heappush(frontier, (heap[j], j))
+    return found
+
+
+def _halves(fn, rule, regime, resolution, parents) -> dict:
+    """Heap entries of both halves of each panel ``(lo, hi)`` in
+    ``parents``, keyed by the panel, from one kernel call."""
+    ends = []
+    for lo, hi in parents:
+        mid = 0.5 * (lo + hi)
+        ends += ((lo, mid), (mid, hi))
+    a, b = zip(*ends)
+    rows = _level2_rows(fn, rule, regime, a, b, resolution)
+    entries = [(-row[0], lo, hi, *row) for (lo, hi), row in zip(ends, rows)]
+    return {panel: entries[2 * k:2 * k + 2] for k, panel in enumerate(parents)}
 
 
 def integrate_adaptive(
@@ -166,7 +219,14 @@ def integrate_adaptive(
     panel bounds (left to right by panel, the sum the returned certificate
     carries) is at most ``tol`` or ``max_panels`` is reached; running out of
     panels returns a partial result with ``converged=False`` rather than
-    raising.  Rule values are evaluated once per final panel.
+    raising.  Rule values are evaluated once per final panel, in chunks.
+
+    Under linf with a sup-envelope, a popped panel whose halves are not yet
+    certified has them certified in one kernel call together with the
+    halves of up to ``_BATCH - 1`` next-worst panels, never more panels
+    than splits are left in the budget.  Each row is what that panel alone
+    gives, and if the call raises, the popped panel is certified alone, so
+    results and errors are those of certifying one panel at a time.
 
     The stop test costs O(1) per split and decides exactly as the ordered
     sum would.  A running total of the n panel bounds is updated at each
@@ -185,16 +245,18 @@ def integrate_adaptive(
     if max_panels < 1:
         raise ValueError(f"max_panels must be >= 1, got {max_panels}")
 
-    first = level2_certificate(fn, rule, interval, regime, resolution)
-    # heap orders by (-bound, left endpoint); left endpoints are unique, so
-    # certificates are never compared
-    heap: list[tuple[float, float, float, ErrorCertificate]] = [
-        (-first.bound, interval.a, interval.b, first)
-    ]
+    # heap entries are (-bound, lo, hi, bound, contributions, certified);
+    # left endpoints are unique, so entries never compare past lo
+    first = _level2_rows(fn, rule, regime, [interval.a], [interval.b], resolution)[0]
+    heap: list[tuple] = [(-first[0], interval.a, interval.b, *first)]
     count = 1
-    running, slack = first.bound, 0.0
+    running, slack = first[0], 0.0
     # a lower bound computed above this is normal, so its rounding is relative
     floor = max(tol, sys.float_info.min)
+    # envelope certificates are cheap, so the children of the next-worst
+    # panels are certified ahead, with the popped panel's, in one batch
+    width = _BATCH if regime.kind == "linf" and fn.df_sup is not None else 1
+    children: dict = {}
 
     def above_tol() -> bool:
         hi = running + slack
@@ -206,32 +268,52 @@ def integrate_adaptive(
                 return False
         total = 0.0
         for entry in sorted(heap, key=lambda e: e[1]):
-            total += entry[3].bound
+            total += entry[3]
         return total > tol
 
     while count < max_panels and above_tol():
         entry = heapq.heappop(heap)
-        _, lo, hi, cert = entry
+        lo, hi, bound = entry[1], entry[2], entry[3]
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             # panel too narrow to split; no further refinement possible
             heapq.heappush(heap, entry)
             break
-        left = Interval(lo, mid)
-        right = Interval(mid, hi)
-        cert_left = level2_certificate(fn, rule, left, regime, resolution)
-        cert_right = level2_certificate(fn, rule, right, regime, resolution)
-        heapq.heappush(heap, (-cert_left.bound, left.a, left.b, cert_left))
-        heapq.heappush(heap, (-cert_right.bound, right.a, right.b, cert_right))
+        pair = children.get((lo, hi))
+        if pair is None:
+            # never more panels than the splits left in the budget
+            ahead = _worst(heap, min(width, max_panels - count) - 1)
+            batch = [(lo, hi)] + [
+                (e[1], e[2]) for e in ahead if e[1] < 0.5 * (e[1] + e[2]) < e[2]
+            ]
+            try:
+                children = _halves(fn, rule, regime, resolution, batch)
+            except Exception:
+                # a speculative panel failed; the popped one raises alone
+                # if it raises at all, as it would without speculation
+                if len(batch) == 1:
+                    raise
+                children = _halves(fn, rule, regime, resolution, batch[:1])
+            pair = children[(lo, hi)]
+        left, right = pair
+        heapq.heappush(heap, left)
+        heapq.heappush(heap, right)
         count += 1
-        for term in (cert_left.bound, cert_right.bound, -cert.bound):
+        for term in (left[3], right[3], -bound):
             running += term
             slack += math.ulp(running)
-        if cert_left.bound < 0.0 or cert_right.bound < 0.0:
+        if left[3] < 0.0 or right[3] < 0.0:
             running = math.nan  # the error bar assumes nonnegative terms
 
-    ordered = sorted(heap, key=lambda e: e[1])
+    # right to left, so each chunk's entries are released as its panels'
+    # public objects are built
+    pending = sorted(heap, key=lambda e: e[1], reverse=True)
+    heap.clear()
     per_panel = []
-    for _, _, _, cert in ordered:
-        per_panel.append((cert.interval, apply_rule(fn, rule, cert.interval), cert))
+    while pending:
+        chunk = [pending.pop() for _ in range(min(_BATCH, len(pending)))]
+        values = _rule_values(fn, rule, [e[1] for e in chunk], [e[2] for e in chunk])
+        for (_, lo, hi, *row), value in zip(chunk, values):
+            panel = Interval(lo, hi)
+            per_panel.append((panel, value, _certificate(rule, regime, panel, *row)))
     return _aggregate(fn, rule, interval, regime, 2, per_panel, tol)

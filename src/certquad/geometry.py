@@ -241,6 +241,23 @@ def mu(exponent, a: float, c: float, b: float) -> float:
     return _mu(p, a, c, b)
 
 
+def _pow(x: float, y: float) -> float:
+    """``x ** y`` for ``x >= 0``, overflowing to inf as a product does
+    instead of raising ``OverflowError``."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def _exp(x: float) -> float:
+    """``math.exp(x)``, overflowing to inf instead of raising."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _mu(p, a: float, c: float, b: float) -> float:
     """:func:`mu` on arguments it has validated: ``p`` is ``INF`` or a
     float >= 1, and ``a <= b`` and ``c`` are finite floats."""
@@ -254,7 +271,7 @@ def _mu(p, a: float, c: float, b: float) -> float:
         return 0.5 * (b - a) + abs(c - 0.5 * (a + b))
     r = p + 1.0
     if c < a:
-        return ((b - c) ** r - (a - c) ** r) / r
+        return (_pow(b - c, r) - _pow(a - c, r)) / r
     if c > b:
-        return ((c - a) ** r - (c - b) ** r) / r
-    return ((c - a) ** r + (b - c) ** r) / r
+        return (_pow(c - a, r) - _pow(c - b, r)) / r
+    return (_pow(c - a, r) + _pow(b - c, r)) / r

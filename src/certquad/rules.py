@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import Interval
 
 __all__ = [
@@ -31,6 +33,12 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -73,8 +81,15 @@ class QuadratureRule:
             P.append(total)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 (got {total!r})")
-        # the cumulative weights do not depend on the interval: keep them
+        # the cumulative weights do not depend on the interval: keep them,
+        # with the arrays the cut and comparison points are formed from:
+        # the nodes strictly inside (0, 1), how many sit at 0 and at 1
+        # (a prefix and a suffix), and P_i and 1 - P_i for i < n
         object.__setattr__(self, "_P", tuple(P))
+        object.__setattr__(self, "_inner", _frozen([u for u in nodes if 0.0 < u < 1.0]))
+        object.__setattr__(self, "_at_ends", (nodes.count(0.0), nodes.count(1.0)))
+        object.__setattr__(self, "_s", _frozen(P[:-1]))
+        object.__setattr__(self, "_sbar", _frozen([1.0 - s for s in P[:-1]]))
 
     @property
     def n(self) -> int:
@@ -100,38 +115,38 @@ def make_rule(nodes_rel, weights, name: str = "") -> QuadratureRule:
     return QuadratureRule(tuple(nodes_rel), tuple(weights), name)
 
 
-def _cut_points(rule: QuadratureRule, a: float, b: float) -> list[float]:
-    """``[a, x_1, ..., x_n, b]``: the ends of the rule's n+1 segments."""
-    length = b - a
-    out = [a]
-    for u in rule.nodes_rel:
-        if u == 0.0:
-            x = a
-        elif u == 1.0:
-            x = b
-        else:
-            x = a + u * length
-            # rounding can push a + u*(b-a) past an endpoint by one ulp
-            x = a if x < a else (b if x > b else x)
-        out.append(x)
-    out.append(b)
-    return out
+def _cut_points(rule: QuadratureRule, a, b) -> np.ndarray:
+    """``[a, x_1, ..., x_n, b]`` along a new last axis: the ends of the
+    rule's n+1 segments, for endpoints ``a <= b`` of any (equal) shape.
+    Nodes at u = 0 and u = 1 are ``a`` and ``b`` exactly."""
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    with np.errstate(all="ignore"):  # b - a may overflow to inf
+        x = a + rule._inner * (b - a)
+    # x >= a, since u * (b - a) >= 0, but rounding can push it past b
+    x = np.where(x > b, b, x)
+    at_a, at_b = rule._at_ends
+    return np.concatenate((a,) * (1 + at_a) + (x,) + (b,) * (1 + at_b), axis=-1)
 
 
-def _comparison_points(rule: QuadratureRule, a: float, b: float) -> list[float]:
-    """The n-1 interior comparison points ``xi_i``, clamped into [a, b]."""
-    points = [s * b + (1.0 - s) * a for s in rule._P[:-1]]
-    return [a if x < a else (b if x > b else x) for x in points]
+def _comparison_points(rule: QuadratureRule, a, b) -> np.ndarray:
+    """The n-1 interior comparison points ``xi_i`` along a new last axis,
+    clamped into [a, b]."""
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    with np.errstate(all="ignore"):
+        x = rule._s * b + rule._sbar * a
+    return np.where(x < a, a, np.where(x > b, b, x))
 
 
 def nodes_abs(rule: QuadratureRule, interval: Interval) -> tuple[float, ...]:
     """Absolute node positions ``x_i = a + u_i*(b - a)``, clamped into [a, b]."""
-    return tuple(_cut_points(rule, interval.a, interval.b)[1:-1])
+    return tuple(_cut_points(rule, interval.a, interval.b)[1:-1].tolist())
 
 
 def cumulative(rule: QuadratureRule, interval: Interval) -> CumulativeWeights:
     """Cumulative weights ``P_i`` and comparison points ``xi_i`` on ``interval``."""
-    xi = _comparison_points(rule, interval.a, interval.b)
+    xi = _comparison_points(rule, interval.a, interval.b).tolist()
     return CumulativeWeights(rule._P, tuple(1.0 - s for s in rule._P), tuple(xi))
 
 
@@ -143,7 +158,7 @@ def corollary_condition_holds(rule: QuadratureRule, interval: Interval) -> bool:
     """
     cuts = _cut_points(rule, interval.a, interval.b)
     xi = _comparison_points(rule, interval.a, interval.b)
-    return all(lo <= point <= hi for lo, point, hi in zip(cuts[1:-2], xi, cuts[2:-1]))
+    return bool(np.all((cuts[1:-2] <= xi) & (xi <= cuts[2:-1])))
 
 
 def _preset_ostrowski(s_rel: float = 0.5) -> QuadratureRule:

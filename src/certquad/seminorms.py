@@ -98,11 +98,15 @@ def seminorm_profile(
     resolution: int = DEFAULT_RESOLUTION,
 ) -> SeminormProfile:
     """Per-segment estimates for ``rule`` on ``interval``."""
-    cuts = _cut_points(rule, interval.a, interval.b)
+    cuts = _cut_points(rule, interval.a, interval.b).tolist()
     return SeminormProfile(tuple(
         seminorm(fn, Interval(lo, hi), regime, resolution)
         for lo, hi in zip(cuts, cuts[1:])
     ))
+
+
+def _bad_envelope(fn: VectorFunction, value: float) -> ValueError:
+    return ValueError(f"sup-envelope of {fn.name or '<anonymous>'} returned {value!r}")
 
 
 def _estimate(
@@ -117,9 +121,7 @@ def _estimate(
         if fn.df_sup is not None:
             value = float(fn.df_sup(lo, hi))
             if not math.isfinite(value) or value < 0.0:
-                raise ValueError(
-                    f"sup-envelope of {fn.name or '<anonymous>'} returned {value!r}"
-                )
+                raise _bad_envelope(fn, value)
             return value, True
         if not fn.has_derivative_source:
             raise ValueError(

@@ -5,7 +5,8 @@ against a dense midpoint Riemann sum, the collapsed kernel against the
 direct sum of elementary kernels, and weighted derivative integrals
 against dense sampling.  The one-pass level-2 certificate is checked
 against :func:`reference_level2`, a frozen copy of the profile-then-bound
-arithmetic, and the adaptive driver against :func:`reference_adaptive`,
+arithmetic, the batched rule pass against :func:`reference_rule_value`, a
+per-panel fold, and the adaptive driver against :func:`reference_adaptive`,
 which forms the ordered sum of panel bounds before every split.
 """
 
@@ -21,7 +22,6 @@ from certquad import (
     ErrorCertificate,
     Interval,
     QuadratureRule,
-    apply_rule,
     mu,
     nodes_abs,
 )
@@ -211,6 +211,25 @@ def _reference_lp_factors(q):
     return outer, inner
 
 
+def reference_nodes(rule, interval):
+    """Absolute nodes ``a + u*(b - a)``, exact at u = 0 and 1 and clamped
+    into [a, b]."""
+    a, b = interval.a, interval.b
+    return [a if u == 0.0 else b if u == 1.0 else min(max(a + u * (b - a), a), b)
+            for u in rule.nodes_rel]
+
+
+def reference_rule_value(fn, rule, interval):
+    """The rule on one panel as a per-panel fold: ``fn.f`` at each node,
+    ``acc = add(acc, scale(w, f(x)))`` in node order from the space's zero,
+    then ``scale(b - a, acc)``."""
+    space = fn.space
+    acc = space.zero()
+    for x, w in zip(reference_nodes(rule, interval), rule.weights):
+        acc = space.add(acc, space.scale(w, fn.f(x)))
+    return space.scale(interval.b - interval.a, acc)
+
+
 def reference_level2(fn, rule, interval, regime, resolution):
     """The level-2 certificate as the profile-then-bound path computed it:
     one seminorm per segment, then the per-regime factors with the
@@ -218,8 +237,7 @@ def reference_level2(fn, rule, interval, regime, resolution):
     comparison points are formed here too, from the rule's nodes and
     weights."""
     a, b = interval.a, interval.b
-    xs = [a if u == 0.0 else b if u == 1.0 else min(max(a + u * (b - a), a), b)
-          for u in rule.nodes_rel]
+    xs = reference_nodes(rule, interval)
     xi, running = [], 0.0
     for w in rule.weights[:-1]:
         running += w
@@ -288,5 +306,5 @@ def reference_adaptive(fn, rule, interval, regime, tol, max_panels, resolution):
     panels = [(Interval(lo, hi), cert) for _, lo, hi, cert in sorted(heap, key=lambda e: e[1])]
     approx = fn.space.zero()
     for panel, _ in panels:
-        approx = fn.space.add(approx, apply_rule(fn, rule, panel))
+        approx = fn.space.add(approx, reference_rule_value(fn, rule, panel))
     return panels, approx, total_bound() <= tol

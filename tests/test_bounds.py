@@ -10,16 +10,19 @@ import pytest
 
 from certquad import (
     INF,
+    ErrorCertificate,
     Interval,
     L1,
     LINF,
     SPACES,
+    Partition,
     VectorFunction,
     bound_level1,
     bound_level2,
     bound_level3,
     closed_form_constant,
     conjugate_exponent,
+    integrate_composite,
     interval_exponent,
     level3_factor,
     lp,
@@ -30,7 +33,7 @@ from certquad import (
     seminorm,
     seminorm_profile,
 )
-from certquad.bounds import level2_certificate
+from certquad.bounds import _level2_rows, level2_certificate
 from helpers import mu_well_placed, reference_level2, riemann_weighted_df
 
 UNIT = Interval(0.0, 1.0)
@@ -252,6 +255,63 @@ class TestLevel2MatchesReference:
             assert cert.bound == 0.0 and cert.certified
 
 
+# panels for one kernel call: degenerate, tiny, off zero, shifted to 1e6,
+# shifted and narrow, wide, and the unit interval
+MIXED_PANELS = [
+    (0.5, 0.5), (0.0, 1e-300), (1e-14, 3e-14), (1e6, 1e6 + 1.0),
+    (1.0, 1.0 + 2.0**-40), (-40.0, 30.0), (0.0, 1.0), (-1e6, -1e6),
+]
+
+
+class TestLevel2Batched:
+    """The array kernel on many panels at once equals the frozen scalar
+    arithmetic row by row, bit for bit."""
+
+    @pytest.mark.parametrize("regime", [L1, lp(2.0), lp(1.02), LINF, "linf_sampled"],
+                             ids=["l1", "lp2", "lp1.02", "linf", "linf_sampled"])
+    def test_rows_match_reference(self, regime):
+        functions = [make_function(name) for name in ("trig_circle", "poly_r3")]
+        if regime == "linf_sampled":
+            regime = LINF
+            functions = [_sampled(fn) for fn in functions]
+        a, b = zip(*MIXED_PANELS)
+        for fn in functions:
+            for rule in LEVEL2_RULES:
+                rows = _level2_rows(fn, rule, regime, a, b, 8)
+                for row, panel in zip(rows, MIXED_PANELS):
+                    iv = Interval(*panel)
+                    cert = ErrorCertificate(row[0], 2, regime, *row[1:], rule.name, iv)
+                    assert _bits(cert) == _bits(reference_level2(fn, rule, iv, regime, 8))
+
+    @pytest.mark.parametrize("regime", [L1, lp(1.02), LINF], ids=["l1", "lp1.02", "linf"])
+    def test_composite_panels_match_reference(self, regime):
+        # the composite driver certifies all of its panels in one call
+        points = sorted({x for panel in MIXED_PANELS[:-1] for x in panel})
+        part = Partition(Interval(points[0], points[-1]), tuple(points))
+        fn = make_function("trig_circle")
+        for rule in (preset("qt"), _COINCIDENT):
+            result = integrate_composite(fn, rule, part, regime, 2, 8)
+            for panel, cert in result.panels:
+                assert _bits(cert) == _bits(reference_level2(fn, rule, panel, regime, 8))
+
+    def test_degenerate_segment_far_from_its_comparison_point(self):
+        # a degenerate segment contributes 0 even where its factor's
+        # squares overflow and their difference would be nan
+        rule = make_rule((0.0, 0.5, 0.5, 1.0), (0.1, 0.1, 0.4, 0.4))
+        iv = Interval(-1e300, 1e300)
+        fn = make_function("trig_circle")
+        row = _level2_rows(fn, rule, LINF, [iv.a], [iv.b])[0]
+        cert = ErrorCertificate(row[0], 2, LINF, *row[1:], rule.name, iv)
+        assert cert.segment_contributions[2] == 0.0
+        assert _bits(cert) == _bits(reference_level2(fn, rule, iv, LINF, 8))
+
+    def test_certified_per_row(self):
+        # a degenerate panel's exact zeros stay certified beside a sampled row
+        fn = make_function("trig_circle")
+        rows = _level2_rows(fn, preset("qt"), L1, [0.5, 0.0], [0.5, 1.0], 8)
+        assert [certified for _, _, certified in rows] == [True, False]
+
+
 class TestLevel3:
     def test_linf_values(self):
         fn = make_function("quadratic")
@@ -279,6 +339,11 @@ class TestLevel3:
 
 
 class TestLevel3Factor:
+    @pytest.mark.parametrize("regime", [LINF, lp(2.0), lp(1.01)], ids=["linf", "lp2", "lp1.01"])
+    def test_overflow_gives_inf(self, regime):
+        # squares, (q+1)-th powers and the log-space exp all overflow to inf
+        assert level3_factor(preset("qt"), Interval(0.0, 1e307), regime) == math.inf
+
     def test_l1_factors(self):
         assert level3_factor(preset("trapezoid"), UNIT, L1) == 0.5
         assert level3_factor(preset("qt"), UNIT, L1) == 0.25

@@ -412,11 +412,24 @@ class TestSubprocess:
         assert "Traceback" not in proc.stderr
 
     def test_quadratic_huge_interval_exit_2(self):
+        # the level-3 factor overflows to inf; the oracle's samples do too
         proc = _cli(
             "run", "--function", "quadratic", "--interval", "0", "1e200", "--level", "3"
         )
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: OverflowError")
+        assert proc.stderr.startswith("error: nonfinite sample")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("mode", ["composite:8", "adaptive:1e300"])
+    def test_infinite_bound_exit_2(self, mode):
+        # level-2 factors overflow to inf and the report refuses to print it
+        proc = _cli(
+            "run", "--function", "trig_circle", "--rule", "qt",
+            "--interval", " -1e155", "1e155", "--mode", mode, "--max-panels", "2",
+            "--output", "json",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.endswith("error: nonfinite value in report\n")
         assert "Traceback" not in proc.stderr
 
     def test_adaptive_budget_exit_3(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from certquad import (
+    FUNCTION_NAMES,
     SPACES,
     Interval,
     L1,
@@ -24,7 +25,7 @@ from certquad import (
 )
 from certquad import engine
 
-from helpers import reference_adaptive
+from helpers import reference_adaptive, reference_rule_value
 
 UNIT = Interval(0.0, 1.0)
 
@@ -431,3 +432,138 @@ class TestAdaptiveMatchesReference:
             if tol == 1.0:
                 # 63 stop tests plus the final ordering of the panels
                 assert counter.calls == len(result.panels) == 64
+
+
+def _same_bits(value, expected) -> bool:
+    if isinstance(expected, np.ndarray):
+        return (isinstance(value, np.ndarray) and value.dtype == expected.dtype
+                and value.shape == expected.shape and value.tobytes() == expected.tobytes())
+    return type(value) is type(expected) and value.hex() == expected.hex()
+
+
+# degenerate, tiny, off zero, unit, shifted and narrow, wide, shifted to 1e6
+RULE_PANELS = [
+    (0.5, 0.5), (0.0, 1e-300), (1e-14, 3e-14), (0.0, 1.0),
+    (1.0, 1.0 + 2.0**-40), (-40.0, 30.0), (1e6, 1e6 + 1.0),
+]
+
+
+def _space_functions(label):
+    names = [name for name in FUNCTION_NAMES if name not in ("const", "affine")]
+    return [make_function("const", label), make_function("affine", label)] + [
+        make_function(name) for name in names if make_function(name).space.label == label
+    ]
+
+
+class TestRulePassMatchesFold:
+    """The batched rule pass equals the per-panel fold bit for bit, value
+    type included, in every space."""
+
+    @pytest.mark.parametrize("label", sorted(SPACES))
+    def test_batched_values(self, label):
+        for fn in _space_functions(label):
+            # exp overflows at 1e6
+            panels = RULE_PANELS[:-1] if fn.name == "exp" else RULE_PANELS
+            a, b = zip(*panels)
+            for rule in EQUIVALENCE_RULES.values():
+                values = engine._rule_values(fn, rule, a, b)
+                assert len(values) == len(panels)
+                for value, panel in zip(values, panels):
+                    expected = reference_rule_value(fn, rule, Interval(*panel))
+                    assert _same_bits(value, expected)
+                    assert _same_bits(apply_rule(fn, rule, Interval(*panel)), expected)
+
+    @pytest.mark.parametrize("label", sorted(SPACES))
+    def test_composite_panel_values(self, label):
+        part = uniform_partition(Interval(-1.0, 2.0), 7)
+        for fn in _space_functions(label):
+            result = integrate_composite(fn, preset("simpson"), part, LINF, 3)
+            for (panel, _), value in zip(result.panels, result.panel_values):
+                assert _same_bits(value, reference_rule_value(fn, preset("simpson"), panel))
+
+
+def _with_envelope(fn, envelope, name=None):
+    return VectorFunction(space=fn.space, f=fn.f, df=fn.df, df_sup=envelope,
+                          name=name or fn.name)
+
+
+class TestSpeculation:
+    """Envelope certificates of the next-worst panels' children are computed
+    ahead; a failure there must not surface, and one on the popped panel
+    must surface as it does without speculation."""
+
+    @pytest.mark.parametrize("failure", ["nan", "raise"])
+    def test_failures_off_the_split_path_change_nothing(self, failure):
+        base = make_function("exp")
+        rule, iv, tol = preset("qt"), Interval(0.0, 2.0), 1e-3
+        seen = set()
+
+        def recording(lo, hi):
+            seen.add((lo, hi))
+            return base.df_sup(lo, hi)
+
+        reference = reference_adaptive(
+            _with_envelope(base, recording), rule, iv, LINF, tol, 4096, 64
+        )
+        off_path = []
+
+        def envelope(lo, hi):
+            if (lo, hi) in seen:
+                return base.df_sup(lo, hi)
+            off_path.append((lo, hi))
+            if failure == "nan":
+                return math.nan
+            raise ZeroDivisionError("off the split path")
+
+        result = integrate_adaptive(_with_envelope(base, envelope), rule, iv, LINF, tol, 4096, 64)
+        assert off_path  # the driver did certify panels it never split
+        assert_same_run(result, reference)
+
+    def test_failure_on_the_popped_panel_raises_as_without_speculation(self):
+        base = make_function("exp")
+
+        def envelope(lo, hi):
+            # below a width, a negative value that names the segment
+            return -1.0 - lo if hi - lo < 2e-3 else base.df_sup(lo, hi)
+
+        fn = _with_envelope(base, envelope, "shallow")
+        args = (fn, preset("qt"), Interval(0.0, 2.0), LINF, 1e-8, 4096, 64)
+        with pytest.raises(ValueError, match="sup-envelope of shallow returned") as ref:
+            reference_adaptive(*args)
+        with pytest.raises(ValueError, match="sup-envelope of shallow returned") as got:
+            integrate_adaptive(*args)
+        assert str(got.value) == str(ref.value)
+
+    def test_budget_bounds_the_batch(self):
+        # exp on [0, 2] splits its panels in batches of 1, 2 and 4 parents;
+        # with max_panels 8 only one split is left for the fourth batch,
+        # so it certifies the popped panel's halves alone
+        calls = []
+        base = make_function("exp")
+
+        def envelope(lo, hi):
+            calls.append((lo, hi))
+            return base.df_sup(lo, hi)
+
+        fn = _with_envelope(base, envelope)
+        result = integrate_adaptive(fn, preset("qt"), Interval(0.0, 2.0), LINF, 1e-9, 8, 64)
+        assert len(result.panels) == 8
+        assert len(calls) == 3 * (1 + 2 * (1 + 2 + 4 + 1))
+
+
+class TestOverflow:
+    """Geometry factors of very wide panels overflow to inf, as products
+    do, instead of raising ``OverflowError``."""
+
+    def test_both_drivers_on_a_huge_interval(self):
+        fn = make_function("trig_circle")
+        iv = Interval(-1e155, 1e155)
+        composite = integrate_composite(fn, preset("qt"), uniform_partition(iv, 8), LINF)
+        assert math.isinf(composite.certificate.bound)
+        assert all(math.isfinite(c) for c in composite.certificate.segment_contributions)
+        whole = integrate_composite(fn, preset("qt"), uniform_partition(iv, 1), LINF)
+        assert whole.certificate.segment_contributions[0] == math.inf
+        adaptive = integrate_adaptive(fn, preset("qt"), iv, LINF, 1e308, 64)
+        first = adaptive.panels[0][1]
+        assert adaptive.converged and adaptive.certificate.bound <= 1e308
+        assert math.isfinite(first.bound) and len(adaptive.panels) > 8

@@ -259,6 +259,12 @@ class TestMu:
             rhs = L ** (p + 1.0) * mu(p, 0.0, s, 1.0)
             assert lhs == pytest.approx(rhs, rel=1e-11)
 
+    def test_overflow_gives_inf(self):
+        # (c - a) ** 2 overflows past 1.3e154; the result is inf, not an error
+        assert mu(1.0, -1e200, 0.0, 1e200) == math.inf
+        assert mu(3.0, 0.0, -1.0, 1e100) == math.inf  # outside branch
+        assert math.isfinite(mu(1.0, -1e150, 0.0, 1e150))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             mu(0.5, 0.0, 0.5, 1.0)  # exponent below 1
