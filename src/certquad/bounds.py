@@ -196,6 +196,9 @@ def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:
         r = p + 1.0
         left, right = _powers(np.abs(left), r), _powers(np.abs(right), r)
         out = np.where(below, right - left, np.where(above, left - right, left + right)) / r
+        # outside the segment both powers can overflow: the gap is inf, as
+        # in geometry._pow_gap, not inf - inf
+        out = np.where(np.isnan(out), math.inf, out)
     return np.where(lo == hi, 0.0, out)
 
 
@@ -240,11 +243,17 @@ def _level2(
                  for l, m, h in zip(lo.ravel().tolist(), c.ravel().tolist(), hi.ravel().tolist())],
                 dtype=float,
             ).reshape(lo.shape)
-        contribs = np.concatenate((outer[:, :1], inner, outer[:, 1:]), axis=1) * values
+        factors = np.concatenate((outer[:, :1], inner, outer[:, 1:]), axis=1)
+        # a segment with seminorm 0 contributes 0 even where its factor
+        # overflowed (inf * 0 is nan); a finite factor >= 0 times +-0 gives
+        # that same zero
+        contribs = np.where(values == 0.0, values, factors * values)
         bounds = np.zeros(len(cuts))
         for j in range(contribs.shape[1]):
             bounds = bounds + contribs[:, j]
-    certified = np.full(len(cuts), True) if exact is True else exact.all(axis=1)
+    certified = bounds == bounds  # a nan bound certifies nothing
+    if exact is not True:
+        certified &= exact.all(axis=1)
     return contribs, bounds, certified
 
 
@@ -415,12 +424,15 @@ def bound_level3(
     _check_alignment(global_estimate.interval, interval.a, interval.b, "global seminorm")
     regime = global_estimate.regime
     factor = level3_factor(rule, interval, regime)
+    value = global_estimate.value
+    # a seminorm 0 bounds the error by 0 even where the factor overflowed
+    bound = value if value == 0.0 else factor * value
     return ErrorCertificate(
-        bound=factor * global_estimate.value,
+        bound=bound,
         level=3,
         regime=regime,
         segment_contributions=(),
-        certified=global_estimate.certified,
+        certified=global_estimate.certified and bound == bound,
         rule_name=rule.name,
         interval=interval,
     )

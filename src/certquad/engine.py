@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simpson import simpson_element
-from .bounds import ErrorCertificate, _certificate, _level2_rows, bound_level1, bound_level3
+from .bounds import (
+    ErrorCertificate,
+    _certificate,
+    _level2_rows,
+    bound_level1,
+    bound_level3,
+    level2_certificate,
+)
 from .geometry import Interval, NormRegime, Partition
 from .rules import QuadratureRule, _cut_points
 from .seminorms import DEFAULT_RESOLUTION, seminorm
@@ -109,6 +116,8 @@ def _panel_certificate(
     level: int,
     resolution: int,
 ) -> ErrorCertificate:
+    if level == 2:
+        return level2_certificate(fn, rule, panel, regime, resolution)
     if level == 1:
         return bound_level1(fn, rule, panel, resolution, regime=regime)
     if level == 3:
@@ -164,14 +173,24 @@ def integrate_composite(
     """Apply the rule on every panel of ``partition`` and sum certificates."""
     panels = partition.panels
     los, his = partition.breakpoints[:-1], partition.breakpoints[1:]
-    values = _rule_values(fn, rule, los, his)
-    if level == 2:
-        rows = _level2_rows(fn, rule, regime, los, his, resolution)
-        certs = [_certificate(rule, regime, panel, *row) for panel, row in zip(panels, rows)]
-    else:
-        certs = [
-            _panel_certificate(fn, rule, panel, regime, level, resolution) for panel in panels
-        ]
+    try:
+        values = _rule_values(fn, rule, los, his)
+        if level == 2:
+            rows = _level2_rows(fn, rule, regime, los, his, resolution)
+            certs = [_certificate(rule, regime, panel, *row) for panel, row in zip(panels, rows)]
+        else:
+            certs = [
+                _panel_certificate(fn, rule, panel, regime, level, resolution)
+                for panel in panels
+            ]
+    except Exception:
+        # all rule values come before any certificate here: redo the work
+        # panel by panel, so that the error raised is the first one met
+        # when each panel's value and then its certificate are computed
+        for panel in panels:
+            apply_rule(fn, rule, panel)
+            _panel_certificate(fn, rule, panel, regime, level, resolution)
+        raise
     per_panel = list(zip(panels, values, certs))
     return _aggregate(fn, rule, partition.interval, regime, level, per_panel)
 

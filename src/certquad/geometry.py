@@ -271,7 +271,17 @@ def _mu(p, a: float, c: float, b: float) -> float:
         return 0.5 * (b - a) + abs(c - 0.5 * (a + b))
     r = p + 1.0
     if c < a:
-        return (_pow(b - c, r) - _pow(a - c, r)) / r
+        return _pow_gap(b - c, a - c, r)
     if c > b:
-        return (_pow(c - a, r) - _pow(c - b, r)) / r
+        return _pow_gap(c - a, c - b, r)
     return (_pow(c - a, r) + _pow(b - c, r)) / r
+
+
+def _pow_gap(x: float, y: float, r: float) -> float:
+    """``(x**r - y**r) / r`` for ``x >= y >= 0``.  Once ``x**r`` overflows
+    the difference would be ``inf - inf``, nan; the gap is huge there, and
+    inf bounds it."""
+    big = _pow(x, r)
+    if big == math.inf:
+        return math.inf
+    return (big - _pow(y, r)) / r

@@ -1,6 +1,7 @@
 """Certificate levels 1-3: frozen values, brute-force cross-checks,
 closed-form constants, scale laws, and the log-space high-exponent path."""
 
+import dataclasses
 import math
 import random
 
@@ -16,6 +17,7 @@ from certquad import (
     LINF,
     SPACES,
     Partition,
+    SeminormProfile,
     VectorFunction,
     bound_level1,
     bound_level2,
@@ -304,6 +306,19 @@ class TestLevel2Batched:
         cert = ErrorCertificate(row[0], 2, LINF, *row[1:], rule.name, iv)
         assert cert.segment_contributions[2] == 0.0
         assert _bits(cert) == _bits(reference_level2(fn, rule, iv, LINF, 8))
+
+    def test_nan_bound_is_not_certified(self):
+        # a profile is built by the caller: a "certified" nan seminorm must
+        # not yield a certified bound
+        rule = preset("qt")
+        prof = seminorm_profile(make_function("exp"), rule, UNIT, LINF)
+        segments = list(prof.segments)
+        segments[1] = dataclasses.replace(segments[1], value=math.nan)
+        cert = bound_level2(SeminormProfile(tuple(segments)), rule, UNIT)
+        assert math.isnan(cert.bound) and not cert.certified
+        est = dataclasses.replace(seminorm(make_function("exp"), UNIT, LINF), value=math.nan)
+        cert = bound_level3(est, rule, UNIT)
+        assert math.isnan(cert.bound) and not cert.certified
 
     def test_certified_per_row(self):
         # a degenerate panel's exact zeros stay certified beside a sampled row

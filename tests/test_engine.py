@@ -14,8 +14,10 @@ from certquad import (
     LINF,
     VectorFunction,
     apply_rule,
+    corollary_condition_holds,
     integrate_adaptive,
     integrate_composite,
+    level3_factor,
     lp,
     make_function,
     make_rule,
@@ -567,3 +569,67 @@ class TestOverflow:
         first = adaptive.panels[0][1]
         assert adaptive.converged and adaptive.certificate.bound <= 1e308
         assert math.isfinite(first.bound) and len(adaptive.panels) > 8
+
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [((0.1, 0.2, 0.9), (0.6, 0.2, 0.2)), ((0.5, 0.6, 0.9), (0.2, 0.2, 0.6))],
+        ids=["above", "below"],
+    )
+    def test_comparison_point_outside_its_segment(self, nodes, weights):
+        # xi_1 lies past x_2 ("above") or before x_1 ("below"): both powers
+        # of mu's gap overflow, and the gap must be inf, not inf - inf
+        rule = make_rule(nodes, weights, "outside")
+        iv = Interval(-1e155, 1e155)
+        assert not corollary_condition_holds(rule, iv)
+        fn = make_function("trig_circle")
+        for regime in (LINF, lp(2.0)):
+            assert level3_factor(rule, iv, regime) == math.inf
+        for level in (2, 3):
+            whole = integrate_composite(fn, rule, uniform_partition(iv, 1), LINF, level)
+            assert whole.certificate.bound == math.inf and whole.certificate.certified
+        whole = integrate_composite(fn, rule, uniform_partition(iv, 1), LINF)
+        assert whole.certificate.segment_contributions == (math.inf,)
+        assert whole.panels[0][1].segment_contributions[1] == math.inf
+        adaptive = integrate_adaptive(fn, rule, iv, LINF, 1e308, 64)
+        assert math.isfinite(adaptive.certificate.bound) and adaptive.certificate.certified
+        assert len(adaptive.panels) == 64
+
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_zero_seminorm_under_an_overflowing_factor(self, level):
+        # inf * 0 is nan; a term with seminorm 0 contributes 0 instead
+        iv = Interval(-1e155, 1e155)
+        result = integrate_composite(
+            make_function("const"), preset("qt"), uniform_partition(iv, 2), LINF, level
+        )
+        assert result.certificate.bound == 0.0 and result.certificate.certified
+
+
+class TestCompositeErrorOrder:
+    """``integrate_composite`` raises the error met first when each panel's
+    rule value and then its certificate are computed in turn, although it
+    computes all rule values before any certificate."""
+
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize(
+        "f_panel, sup_panel, first",
+        [(2, 0, "envelope"), (0, 2, "f"), (1, 1, "f"), (None, 1, "envelope"), (3, None, "f")],
+    )
+    def test_first_failure_in_panel_order(self, level, f_panel, sup_panel, first):
+        base = make_function("exp")
+
+        def f(x):
+            if f_panel is not None and f_panel <= x < f_panel + 1:
+                raise ArithmeticError(f"f failed on panel {f_panel}")
+            return base.f(x)
+
+        def envelope(lo, hi):
+            if sup_panel is not None and sup_panel <= lo and hi <= sup_panel + 1:
+                raise LookupError(f"envelope failed on panel {sup_panel}")
+            return base.df_sup(lo, hi)
+
+        fn = VectorFunction(space=base.space, f=f, df=base.df, df_sup=envelope, name="failing")
+        error = ArithmeticError if first == "f" else LookupError
+        panel = f_panel if first == "f" else sup_panel
+        with pytest.raises(error, match=f"^{first} failed on panel {panel}$"):
+            integrate_composite(fn, preset("qt"), uniform_partition(Interval(0.0, 4.0), 4),
+                                LINF, level, 16)
