@@ -139,16 +139,19 @@ def _aggregate(
     approx = space.zero()
     total = 0.0
     contribs: list[float] = []
-    for _, value, cert in per_panel:
-        approx = space.add(approx, value)
-        total += cert.bound
-        contribs.append(cert.bound)
+    with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
+        for _, value, cert in per_panel:
+            approx = space.add(approx, value)
+            total += cert.bound
+            contribs.append(cert.bound)
     certificate = ErrorCertificate(
         bound=total,
         level=level,
         regime=regime,
         segment_contributions=tuple(contribs),
-        certified=all(cert.certified for _, _, cert in per_panel),
+        # a bound says nothing about an approximation that is not finite
+        certified=all(cert.certified for _, _, cert in per_panel)
+        and bool(np.isfinite(approx).all()),
         rule_name=rule.name,
         interval=interval,
     )

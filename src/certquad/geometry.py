@@ -120,13 +120,18 @@ def uniform_partition(interval: Interval, panels: int) -> Partition:
     """Split ``interval`` into ``panels`` equal panels.
 
     The last breakpoint is set to ``interval.b`` exactly rather than
-    accumulated, so the partition always validates.
+    accumulated, so the partition always validates.  When ``b - a``
+    overflows, inner breakpoint k of m is ``(a/m)(m - k) + (b/m) k``
+    instead, whose terms stay finite.
     """
     if panels < 1:
         raise ValueError(f"panel count must be >= 1, got {panels}")
     a, b = interval.a, interval.b
     h = (b - a) / panels
-    pts = [a + k * h for k in range(panels)]
+    if math.isfinite(h):
+        pts = [a + k * h for k in range(panels)]
+    else:
+        pts = [a] + [(a / panels) * (panels - k) + (b / panels) * k for k in range(1, panels)]
     pts.append(b)
     return Partition(interval, tuple(pts))
 

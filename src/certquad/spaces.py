@@ -29,17 +29,16 @@ Element = Any
 
 
 class NormedSpace:
-    """Base class for the concrete spaces below.
+    """Base class for the two concrete spaces below.
 
-    Subclasses define ``zero``, ``norm``, membership, and flat real
+    Subclasses define ``label`` (the name used in reports and on the
+    command line), ``zero``, ``norm``, membership, and flat real
     coordinates (used for building sample elements and for report output).
     ``add``/``scale`` default to the numeric operators, which cover floats
     and numpy arrays alike.
     """
 
-    @property
-    def label(self) -> str:
-        raise NotImplementedError
+    label: str
 
     @property
     def flat_dim(self) -> int:
@@ -112,162 +111,71 @@ class ScalarSpace(NormedSpace):
 
 
 @dataclass(frozen=True)
-class EuclideanSpace(NormedSpace):
-    """R^dim with the Euclidean norm."""
+class ArraySpace(NormedSpace):
+    """Numpy arrays of one shape: R^n, C^n or real matrices.
 
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @property
-    def label(self) -> str:
-        return f"r{self.dim}"
-
-    @property
-    def flat_dim(self) -> int:
-        return self.dim
-
-    def zero(self):
-        return np.zeros(self.dim)
-
-    def norm(self, x) -> float:
-        return float(np.linalg.norm(x))
-
-    def is_element(self, x) -> bool:
-        return (
-            isinstance(x, np.ndarray)
-            and x.shape == (self.dim,)
-            and x.dtype.kind == "f"
-        )
-
-    def from_flat(self, coords):
-        return np.asarray(coords, dtype=float).copy()
-
-    def to_components(self, x):
-        return [float(v) for v in x]
-
-
-@dataclass(frozen=True)
-class MaxNormSpace(NormedSpace):
-    """R^dim with the max (sup) norm."""
-
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @property
-    def label(self) -> str:
-        return f"r{self.dim}max"
-
-    @property
-    def flat_dim(self) -> int:
-        return self.dim
-
-    def zero(self):
-        return np.zeros(self.dim)
-
-    def norm(self, x) -> float:
-        return float(np.max(np.abs(x)))
-
-    def is_element(self, x) -> bool:
-        return (
-            isinstance(x, np.ndarray)
-            and x.shape == (self.dim,)
-            and x.dtype.kind == "f"
-        )
-
-    def from_flat(self, coords):
-        return np.asarray(coords, dtype=float).copy()
-
-    def to_components(self, x):
-        return [float(v) for v in x]
-
-
-@dataclass(frozen=True)
-class ComplexEuclideanSpace(NormedSpace):
-    """C^dim with the Euclidean norm of the moduli.
-
-    Flat coordinates interleave real and imaginary parts, so ``flat_dim``
-    is ``2 * dim``.
+    ``kind`` is the dtype kind of the entries, ``"f"`` (real) or ``"c"``
+    (complex).  The norm is the Euclidean norm of the entries (Frobenius
+    for matrices), or their largest modulus when ``sup`` is set.  Flat
+    coordinates run over the entries in C order, a complex entry giving
+    its real then its imaginary part.  Built by the constructors below.
     """
 
-    dim: int
+    label: str
+    shape: tuple[int, ...]
+    kind: str = "f"
+    sup: bool = False
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-    @property
-    def label(self) -> str:
-        return f"c{self.dim}"
+        if min(self.shape) < 1:
+            raise ValueError(f"dimensions must be >= 1, got {self.shape}")
 
     @property
     def flat_dim(self) -> int:
-        return 2 * self.dim
+        return math.prod(self.shape) * (2 if self.kind == "c" else 1)
 
     def zero(self):
-        return np.zeros(self.dim, dtype=complex)
+        return np.zeros(self.shape, dtype=complex if self.kind == "c" else float)
 
     def norm(self, x) -> float:
+        if self.sup:
+            return float(np.max(np.abs(x)))
         return float(np.linalg.norm(x))
 
     def is_element(self, x) -> bool:
-        return (
-            isinstance(x, np.ndarray)
-            and x.shape == (self.dim,)
-            and x.dtype.kind == "c"
-        )
+        return (isinstance(x, np.ndarray) and x.shape == self.shape
+                and x.dtype.kind == self.kind)
 
     def from_flat(self, coords):
         c = np.asarray(coords, dtype=float)
-        return c[0::2] + 1j * c[1::2]
+        if self.kind == "c":
+            return (c[0::2] + 1j * c[1::2]).reshape(self.shape)
+        return c.reshape(self.shape).copy()
 
     def to_components(self, x):
-        return [[float(v.real), float(v.imag)] for v in x]
+        if self.kind == "c":
+            x = np.stack([x.real, x.imag], axis=-1)
+        return x.astype(float).tolist()
 
 
-@dataclass(frozen=True)
-class MatrixSpace(NormedSpace):
+def EuclideanSpace(dim: int) -> ArraySpace:
+    """R^dim with the Euclidean norm."""
+    return ArraySpace(f"r{dim}", (dim,))
+
+
+def MaxNormSpace(dim: int) -> ArraySpace:
+    """R^dim with the max (sup) norm."""
+    return ArraySpace(f"r{dim}max", (dim,), sup=True)
+
+
+def ComplexEuclideanSpace(dim: int) -> ArraySpace:
+    """C^dim with the Euclidean norm of the moduli."""
+    return ArraySpace(f"c{dim}", (dim,), kind="c")
+
+
+def MatrixSpace(rows: int, cols: int) -> ArraySpace:
     """Real rows x cols matrices with the Frobenius norm."""
-
-    rows: int
-    cols: int
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be >= 1")
-
-    @property
-    def label(self) -> str:
-        return f"m{self.rows}{self.cols}"
-
-    @property
-    def flat_dim(self) -> int:
-        return self.rows * self.cols
-
-    def zero(self):
-        return np.zeros((self.rows, self.cols))
-
-    def norm(self, x) -> float:
-        # np.linalg.norm on a 2-D array is the Frobenius norm
-        return float(np.linalg.norm(x))
-
-    def is_element(self, x) -> bool:
-        return (
-            isinstance(x, np.ndarray)
-            and x.shape == (self.rows, self.cols)
-            and x.dtype.kind == "f"
-        )
-
-    def from_flat(self, coords):
-        return np.asarray(coords, dtype=float).reshape(self.rows, self.cols).copy()
-
-    def to_components(self, x):
-        return [[float(v) for v in row] for row in x]
+    return ArraySpace(f"m{rows}{cols}", (rows, cols))
 
 
 @dataclass(eq=False)

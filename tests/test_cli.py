@@ -287,6 +287,19 @@ class TestMainInProcess:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["single", "composite:3"])
+    @pytest.mark.parametrize(
+        "function, cause",
+        [("exp", "OverflowError: math range error"),
+         ("const", "nonfinite Simpson sum over [-1e+308, 1e+308]")],
+    )
+    def test_overflowing_interval_length(self, capsys, function, cause, mode):
+        # b - a overflows; the partition must not be the one blamed
+        rc = main(["run", "--function", function, "--interval", " -1e308", "1e308",
+                   "--mode", mode, "--no-timing"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cause}\n"
+
     def test_invalid_env_resolution(self, capsys, monkeypatch):
         monkeypatch.setenv("QUAD_ORACLE_RESOLUTION", "many")
         rc = main(["run", "--function", "exp", "--output", "json"])

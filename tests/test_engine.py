@@ -604,6 +604,24 @@ class TestOverflow:
         assert result.certificate.bound == 0.0 and result.certificate.certified
 
 
+    def test_infinite_approximation_is_not_certified(self):
+        # const is (1, -1.5, 2): on each panel of length 1e308 the last
+        # component overflows, the first two only in the sum of the panels
+        # (which must not warn); a bound of 0 says nothing about inf
+        iv = Interval(-1e308, 1e308)
+        fn = make_function("const", "r3")
+        composite = integrate_composite(
+            fn, preset("qt"), engine.Partition(iv, (-1e308, 0.0, 1e308)), LINF
+        )
+        assert np.isfinite(composite.panel_values[0][:2]).all()
+        assert np.isinf(composite.approximation).all()
+        assert composite.certificate.bound == 0.0
+        assert not composite.certificate.certified
+        adaptive = integrate_adaptive(fn, preset("qt"), iv, LINF, 1.0, 4)
+        assert np.isinf(adaptive.approximation).all()
+        assert adaptive.converged and not adaptive.certificate.certified
+
+
 class TestCompositeErrorOrder:
     """``integrate_composite`` raises the error met first when each panel's
     rule value and then its certificate are computed in turn, although it

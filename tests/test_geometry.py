@@ -1,6 +1,7 @@
 """Intervals, partitions, norm regimes, and the mu weighted-distance integral."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,29 @@ class TestPartition:
         part = uniform_partition(Interval(0.1, 0.7), 7)
         assert part.breakpoints[-1] == 0.7
         assert part.breakpoints[0] == 0.1
+
+    @pytest.mark.parametrize(
+        "a, b, m", [(0.0, 1.0, 4), (0.1, 0.7, 7), (-0.0, 3.0, 5), (-1e307, 1e307, 3)]
+    )
+    def test_uniform_finite_length_is_a_plus_k_h(self, a, b, m):
+        # the overflow path below must leave these bits alone; -0.0 + 0 * h
+        # is +0.0, so a partition of [-0.0, b] starts at +0.0
+        h = (b - a) / m
+        pts = uniform_partition(Interval(a, b), m).breakpoints
+        assert [p.hex() for p in pts] == [(a + k * h).hex() for k in range(m)] + [b.hex()]
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (-1.7e308, 1.7e308)])
+    def test_uniform_when_length_overflows(self, a, b, m):
+        # b - a is inf, so the step (b - a)/m is too and a + 0 * h is nan
+        part = uniform_partition(Interval(a, b), m)
+        pts = part.breakpoints
+        assert part.panel_count == m and pts[0] == a and pts[-1] == b
+        assert all(math.isfinite(p) for p in pts)
+        assert all(lo < hi for lo, hi in zip(pts, pts[1:]))
+        for k, p in enumerate(pts):
+            exact = Fraction(a) + (Fraction(b) - Fraction(a)) * k / m
+            assert abs(Fraction(p) - exact) <= 4 * Fraction(math.ulp(1e308))
 
     def test_uniform_rejects_zero_panels(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,54 @@ class TestNormExamples:
         with pytest.raises(ValueError):
             MatrixSpace(0, 2)
 
+    def test_equality_follows_the_norm(self):
+        assert EuclideanSpace(3) == SPACES["r3"]
+        assert hash(EuclideanSpace(3)) == hash(SPACES["r3"])
+        assert EuclideanSpace(3) != MaxNormSpace(3)
+        assert ComplexEuclideanSpace(2) != EuclideanSpace(2)
+        assert MatrixSpace(2, 2) == SPACES["m22"]
+
+
+# the fixed element of each space is ``from_flat`` of the leading
+# coordinates of these; its norms were recorded from the per-shape classes
+# the one array space replaced, and must not move by a bit
+CONTRACT_COORDS = ((0.1, -0.7, 1.0 / 3.0, 2.9), (1.1, 2.2, -3.3, 4.4))
+
+
+@pytest.mark.parametrize(
+    "label, components, zero_shape, zero_dtype, norm_hex",
+    [
+        ("scalar", [0.1], (), "float", ("0x1.999999999999ap-4", "0x1.199999999999ap+0")),
+        ("r2", [0.1, -0.7], (2,), "float64",
+         ("0x1.6a09e667f3bccp-1", "0x1.3ad69f7f3f386p+1")),
+        ("r3", [0.1, -0.7, 1.0 / 3.0], (3,), "float64",
+         ("0x1.903fb21c5c8dep-1", "0x1.0769a565fbc68p+2")),
+        ("r3max", [0.1, -0.7, 1.0 / 3.0], (3,), "float64",
+         ("0x1.6666666666666p-1", "0x1.a666666666666p+1")),
+        ("c2", [[0.1, -0.7], [1.0 / 3.0, 2.9]], (2,), "complex128",
+         ("0x1.80733a2f35483p+1", "0x1.8198c00d5b61ep+2")),
+        ("m22", [[0.1, -0.7], [1.0 / 3.0, 2.9]], (2, 2), "float64",
+         ("0x1.80733a2f35484p+1", "0x1.8198c00d5b61ep+2")),
+    ],
+)
+def test_space_contract(label, components, zero_shape, zero_dtype, norm_hex):
+    """Nesting of ``to_components``, the zero element, and norm bits."""
+    space = SPACES[label]
+    first = space.from_flat(CONTRACT_COORDS[0][: space.flat_dim])
+    out = space.to_components(first)
+    assert out == components
+    assert all(type(v) is float for part in out
+               for v in (part if isinstance(part, list) else [part]))
+    zero = space.zero()
+    if zero_dtype == "float":
+        assert type(zero) is float and zero == 0.0
+    else:
+        assert zero.shape == zero_shape and zero.dtype == np.dtype(zero_dtype)
+        assert space.is_element(zero) and not np.any(zero)
+    for coords, expected in zip(CONTRACT_COORDS, norm_hex):
+        x = space.from_flat(coords[: space.flat_dim])
+        assert space.norm(x).hex() == expected
+
 
 class TestNormAxioms:
     """Seeded property sweep over every registered space."""
