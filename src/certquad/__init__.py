@@ -13,6 +13,7 @@ from .bounds import (
     bound_level3,
     closed_form_constant,
     interval_exponent,
+    level2_certificate,
     level3_factor,
 )
 from .engine import (
@@ -104,6 +105,7 @@ __all__ = [
     "bound_level1",
     "bound_level2",
     "bound_level3",
+    "level2_certificate",
     "level3_factor",
     "closed_form_constant",
     "interval_exponent",

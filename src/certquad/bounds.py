@@ -27,15 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simpson import simpson_scalar
-from .geometry import INF, Interval, NormRegime, _exp, _pow, mu
-from .rules import QuadratureRule, _comparison_points, _cut_points, cumulative, nodes_abs
-from .seminorms import (
-    DEFAULT_RESOLUTION,
-    SeminormEstimate,
-    SeminormProfile,
-    _bad_envelope,
-    _estimate,
-)
+from .geometry import INF, Interval, NormRegime, _exp, _mu_arrays, _mu_log, _pow, _powers, mu
+from .rules import QuadratureRule, _comparison_points, _cut_points, _pieces
+from .seminorms import DEFAULT_RESOLUTION, SeminormEstimate, SeminormProfile, segment_seminorms
 from .spaces import VectorFunction
 
 __all__ = [
@@ -102,9 +96,6 @@ def bound_level1(
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    a, b = interval.a, interval.b
-    xs = nodes_abs(rule, interval)
-    cum = cumulative(rule, interval)
 
     def piece(lo: float, hi: float, center: float) -> float:
         # integral of |t - center| * norm(f'(t)); callers split segments at
@@ -117,16 +108,11 @@ def bound_level1(
         )
 
     contribs: list[float] = []
-    contribs.append(piece(a, xs[0], a))
-    for i in range(rule.n - 1):
-        lo, hi = xs[i], xs[i + 1]
-        point = cum.xi[i]
-        if lo < point < hi:
-            value = piece(lo, point, point) + piece(point, hi, point)
+    for lo, hi, center in _pieces(rule, interval):
+        if lo < center < hi:
+            contribs.append(piece(lo, center, center) + piece(center, hi, center))
         else:
-            value = piece(lo, hi, point)
-        contribs.append(value)
-    contribs.append(piece(xs[-1], b, b))
+            contribs.append(piece(lo, hi, center))
 
     bound = 0.0
     for c in contribs:
@@ -140,66 +126,6 @@ def bound_level1(
         rule_name=rule.name,
         interval=interval,
     )
-
-
-def _logaddexp(u: float, v: float) -> float:
-    if u == -math.inf:
-        return v
-    if v == -math.inf:
-        return u
-    hi, lo = (u, v) if u >= v else (v, u)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def _logsubexp(u: float, v: float) -> float:
-    # log(exp(u) - exp(v)) for u > v
-    if v == -math.inf:
-        return u
-    return u + math.log1p(-math.exp(v - u))
-
-
-def _mu_log(q: float, a: float, c: float, b: float) -> float:
-    """log(mu(q, a, c, b)) computed without forming q-th powers."""
-    if a == b:
-        return -math.inf
-    r = q + 1.0
-    log_r = math.log(r)
-    if c < a:
-        return _logsubexp(r * math.log(b - c), r * math.log(a - c)) - log_r
-    if c > b:
-        return _logsubexp(r * math.log(c - a), r * math.log(c - b)) - log_r
-    u = r * math.log(c - a) if c > a else -math.inf
-    v = r * math.log(b - c) if c < b else -math.inf
-    return _logaddexp(u, v) - log_r
-
-
-def _powers(x: np.ndarray, y: float) -> np.ndarray:
-    """``x ** y`` element by element through Python floats, overflowing to
-    inf: numpy's ``power`` does not round like libm's ``pow``."""
-    values = x.ravel().tolist()
-    try:
-        out = [v ** y for v in values]
-    except OverflowError:  # rare, so only then a call per element
-        out = [_pow(v, y) for v in values]
-    return np.array(out, dtype=float).reshape(x.shape)
-
-
-def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """:func:`certquad.geometry._mu` over arrays, with the same float
-    operations in each branch (``lo - c`` is ``-(c - lo)`` exactly)."""
-    below, above = c < lo, c > hi
-    left, right = c - lo, hi - c
-    if p is INF:
-        inside = 0.5 * (hi - lo) + np.abs(c - 0.5 * (lo + hi))
-        out = np.where(below, right, np.where(above, left, inside))
-    else:
-        r = p + 1.0
-        left, right = _powers(np.abs(left), r), _powers(np.abs(right), r)
-        out = np.where(below, right - left, np.where(above, left - right, left + right)) / r
-        # outside the segment both powers can overflow: the gap is inf, as
-        # in geometry._pow_gap, not inf - inf
-        out = np.where(np.isnan(out), math.inf, out)
-    return np.where(lo == hi, 0.0, out)
 
 
 def _level2(
@@ -257,36 +183,6 @@ def _level2(
     return contribs, bounds, certified
 
 
-def _estimates(
-    fn: VectorFunction, regime: NormRegime, cuts: np.ndarray, resolution: int
-) -> tuple[np.ndarray, object]:
-    """``(values, exact)``: the seminorm of every segment of every row of
-    ``cuts``, with the certified flags as an array, or True when every
-    value is certified.  Segments are visited panel by panel, left to
-    right, so a failing segment raises what it raises for its panel alone.
-    """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    los, his = cuts[:, :-1].ravel().tolist(), cuts[:, 1:].ravel().tolist()
-    shape = (len(cuts), cuts.shape[1] - 1)
-    sup = fn.df_sup
-    if regime.kind == "linf" and sup is not None:
-        values = []
-        append, inf = values.append, math.inf
-        for lo, hi in zip(los, his):
-            if lo == hi:
-                append(0.0)
-                continue
-            value = float(sup(lo, hi))
-            if not 0.0 <= value < inf:
-                raise _bad_envelope(fn, value)
-            append(value)
-        return np.array(values).reshape(shape), True
-    pairs = [_estimate(fn, lo, hi, regime, resolution) for lo, hi in zip(los, his)]
-    values = np.array([value for value, _ in pairs], dtype=float).reshape(shape)
-    return values, np.array([exact for _, exact in pairs], dtype=bool).reshape(shape)
-
-
 def _level2_rows(
     fn: VectorFunction,
     rule: QuadratureRule,
@@ -302,7 +198,12 @@ def _level2_rows(
     Interval(a[k], b[k]), regime, resolution)`` bit for bit.
     """
     cuts = _cut_points(rule, a, b)
-    values, exact = _estimates(fn, regime, cuts, resolution)
+    los, his = cuts[:, :-1].ravel().tolist(), cuts[:, 1:].ravel().tolist()
+    values, exact = segment_seminorms(fn, regime, los, his, resolution)
+    shape = (len(cuts), rule.n + 1)
+    values = np.array(values, dtype=float).reshape(shape)
+    if exact is not True:
+        exact = np.array(exact, dtype=bool).reshape(shape)
     contribs, bounds, certified = _level2(rule, regime, cuts, values, exact)
     return list(zip(bounds.tolist(), map(tuple, contribs.tolist()), certified.tolist()))
 
@@ -370,42 +271,18 @@ def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) 
     path): a max of segment reaches for l1, a single collapsed bracket for
     lp (q-th powers through logarithms once q > 30) and linf.
     """
-    a, b = interval.a, interval.b
-    xs = nodes_abs(rule, interval)
-    cum = cumulative(rule, interval)
-
+    pieces = _pieces(rule, interval)
+    (a, x_1, _), *inner, (x_n, b, _) = pieces
+    first, last = x_1 - a, b - x_n
     if regime.kind == "l1":
-        best = xs[0] - a
-        for i in range(rule.n - 1):
-            v = mu(INF, xs[i], cum.xi[i], xs[i + 1])
-            if v > best:
-                best = v
-        return max(best, b - xs[-1])
-
-    if regime.kind == "linf":
-        total = 0.5 * _pow(xs[0] - a, 2.0)
-        for i in range(rule.n - 1):
-            total += mu(1.0, xs[i], cum.xi[i], xs[i + 1])
-        total += 0.5 * _pow(b - xs[-1], 2.0)
-        return total
-
-    if regime.kind == "lp":
-        q = regime.q
-        r = q + 1.0
-        if q <= _LOG_SPACE_Q:
-            total = _pow(xs[0] - a, r) / r
-            for i in range(rule.n - 1):
-                total += mu(q, xs[i], cum.xi[i], xs[i + 1])
-            total += _pow(b - xs[-1], r) / r
-            return total ** (1.0 / q) if total > 0.0 else 0.0
-        logs: list[float] = []
-        if xs[0] > a:
-            logs.append(r * math.log(xs[0] - a) - math.log(r))
-        for i in range(rule.n - 1):
-            if xs[i + 1] > xs[i]:
-                logs.append(_mu_log(q, xs[i], cum.xi[i], xs[i + 1]))
-        if b > xs[-1]:
-            logs.append(r * math.log(b - xs[-1]) - math.log(r))
+        return max([first, *(mu(INF, lo, c, hi) for lo, hi, c in inner), last])
+    # linf pairs with mu(1), and its outer terms d**2 / 2 are those of q = 1
+    q = 1.0 if regime.kind == "linf" else regime.q
+    r = q + 1.0
+    if q > _LOG_SPACE_Q:
+        # at an outer piece, centred on its end, _mu_log is exactly
+        # r * log(length) - log(r)
+        logs = [_mu_log(q, lo, c, hi) for lo, hi, c in pieces if hi > lo]
         if not logs:
             return 0.0
         top = max(logs)
@@ -413,8 +290,13 @@ def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) 
         for value in logs:
             acc += math.exp(value - top)
         return _exp((top + math.log(acc)) / q)
-
-    raise ValueError(f"unknown regime kind {regime.kind!r}")  # pragma: no cover
+    total = _pow(first, r) / r
+    for lo, hi, c in inner:
+        total += mu(q, lo, c, hi)
+    total += _pow(last, r) / r
+    if regime.kind == "linf":
+        return total
+    return total ** (1.0 / q) if total > 0.0 else 0.0
 
 
 def bound_level3(

@@ -113,10 +113,7 @@ def _mode_dispatch(config: RunConfig, fn, rule, interval, regime):
     if mode == "single":
         if param:
             raise ValueError("mode 'single' takes no parameter")
-        partition = uniform_partition(interval, 1)
-        return integrate_composite(
-            fn, rule, partition, regime, config.level, config.resolution
-        )
+        mode, param = "composite", "1"
     if mode == "composite":
         try:
             panels = int(param)
@@ -229,6 +226,8 @@ def compare_rules(
     The ``constant`` column is the level-3 geometry factor on the unit
     interval, i.e. the coefficient a closed-form table would list.
     """
+    if not rules:
+        raise ValueError("no rules to compare")
     fn = make_function(function_name, space)
     space_obj = fn.space
     if oracle_resolution is None:

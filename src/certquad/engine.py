@@ -83,9 +83,9 @@ def _rule_values(fn: VectorFunction, rule: QuadratureRule, a, b) -> list[Element
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     nodes = _cut_points(rule, a, b)[:, 1:-1]
-    samples = np.array([fn.f(x) for x in nodes.ravel().tolist()])
-    samples = samples.reshape(nodes.shape + samples.shape[1:])
     with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
+        samples = np.array([fn.f(x) for x in nodes.ravel().tolist()])
+        samples = samples.reshape(nodes.shape + samples.shape[1:])
         acc = space.zero()
         for j, w in enumerate(rule.weights):
             acc = space.add(acc, space.scale(w, samples[:, j]))

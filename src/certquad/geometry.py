@@ -5,12 +5,19 @@ package: for an exponent s in [1, inf] it measures the distance function
 |t - c| over an interval [a, b], integrated for finite s and maximised for
 s = inf. All values come from closed forms; nothing here integrates
 numerically.
+
+Every form of ``mu`` lives here: :func:`mu`, the unchecked ``_mu``, its
+array form ``_mu_arrays`` (the same float operations, for the level-2
+kernel) and its logarithm ``_mu_log`` (for q > 30).  Powers go through
+Python floats and overflow to inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "INF",
@@ -290,3 +297,63 @@ def _pow_gap(x: float, y: float, r: float) -> float:
     if big == math.inf:
         return math.inf
     return (big - _pow(y, r)) / r
+
+
+def _logaddexp(u: float, v: float) -> float:
+    if u == -math.inf:
+        return v
+    if v == -math.inf:
+        return u
+    hi, lo = (u, v) if u >= v else (v, u)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _logsubexp(u: float, v: float) -> float:
+    # log(exp(u) - exp(v)) for u > v
+    if v == -math.inf:
+        return u
+    return u + math.log1p(-math.exp(v - u))
+
+
+def _mu_log(q: float, a: float, c: float, b: float) -> float:
+    """log(mu(q, a, c, b)) computed without forming q-th powers."""
+    if a == b:
+        return -math.inf
+    r = q + 1.0
+    log_r = math.log(r)
+    if c < a:
+        return _logsubexp(r * math.log(b - c), r * math.log(a - c)) - log_r
+    if c > b:
+        return _logsubexp(r * math.log(c - a), r * math.log(c - b)) - log_r
+    u = r * math.log(c - a) if c > a else -math.inf
+    v = r * math.log(b - c) if c < b else -math.inf
+    return _logaddexp(u, v) - log_r
+
+
+def _powers(x: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` element by element through Python floats, overflowing to
+    inf: numpy's ``power`` does not round like libm's ``pow``."""
+    values = x.ravel().tolist()
+    try:
+        out = [v ** y for v in values]
+    except OverflowError:  # rare, so only then a call per element
+        out = [_pow(v, y) for v in values]
+    return np.array(out, dtype=float).reshape(x.shape)
+
+
+def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`_mu` over arrays, with the same float
+    operations in each branch (``lo - c`` is ``-(c - lo)`` exactly)."""
+    below, above = c < lo, c > hi
+    left, right = c - lo, hi - c
+    if p is INF:
+        inside = 0.5 * (hi - lo) + np.abs(c - 0.5 * (lo + hi))
+        out = np.where(below, right, np.where(above, left, inside))
+    else:
+        r = p + 1.0
+        left, right = _powers(np.abs(left), r), _powers(np.abs(right), r)
+        out = np.where(below, right - left, np.where(above, left - right, left + right)) / r
+        # outside the segment both powers can overflow: the gap is inf, as
+        # in _pow_gap, not inf - inf
+        out = np.where(np.isnan(out), math.inf, out)
+    return np.where(lo == hi, 0.0, out)

@@ -23,9 +23,11 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._simpson import simpson_element
 from .geometry import Interval
-from .rules import CumulativeWeights, QuadratureRule, cumulative, nodes_abs
+from .rules import CumulativeWeights, QuadratureRule, _pieces, cumulative, nodes_abs
 from .spaces import VectorFunction
 
 __all__ = ["PeanoKernel", "peano_kernel", "kernel_value", "identity_residual"]
@@ -64,11 +66,6 @@ def kernel_value(kernel: PeanoKernel, t: float) -> float:
     return t - kernel.cum.xi[k - 1]
 
 
-def _piece_centers(kernel: PeanoKernel) -> tuple[float, ...]:
-    # S(t) = t - center on each piece between consecutive cuts
-    return (kernel.interval.a,) + kernel.cum.xi + (kernel.interval.b,)
-
-
 def identity_residual(
     fn: VectorFunction,
     rule: QuadratureRule,
@@ -88,29 +85,29 @@ def identity_residual(
     if interval.is_degenerate:
         raise ValueError("identity residual needs a nondegenerate interval")
     space = fn.space
-    kernel = peano_kernel(rule, interval)
+    pieces = _pieces(rule, interval)
     a, b = interval.a, interval.b
     length = b - a
 
     rule_mean = space.zero()
-    for x, w in zip(kernel.nodes, rule.weights):
+    for (x, _, _), w in zip(pieces[1:], rule.weights):
         rule_mean = space.add(rule_mean, space.scale(w, fn.f(x)))
     mean_integral = space.scale(
         1.0 / length, simpson_element(space, fn.f_many, a, b, oracle_resolution)
     )
     lhs = space.subtract(rule_mean, mean_integral)
 
-    cuts = (a,) + kernel.nodes + (b,)
-    centers = _piece_centers(kernel)
     kernel_side = space.zero()
-    for lo, hi, center in zip(cuts, cuts[1:], centers):
+    for lo, hi, center in pieces:
         if hi <= lo:
             continue
         panels = max(1, math.ceil(oracle_resolution * (hi - lo) / length))
-        integrand = VectorFunction(
-            space, lambda t, c=center: space.scale(t - c, fn.df_at(t))
-        )
-        piece = simpson_element(space, integrand.f_many, lo, hi, panels)
+
+        def integrand(ts, c=center):
+            # S(t) f'(t) one point at a time: there is no batched derivative
+            return np.array([space.scale(t - c, fn.df_at(t)) for t in ts.tolist()])
+
+        piece = simpson_element(space, integrand, lo, hi, panels)
         kernel_side = space.add(kernel_side, piece)
     rhs = space.scale(1.0 / length, kernel_side)
 

@@ -13,6 +13,10 @@ analytic sup-envelope when it has one (certified), otherwise from the
 maximum over ``resolution + 1`` equispaced samples (not certified; the
 sample grids are nested under doubling, so estimates grow monotonically
 with resolution).
+
+One estimator, :func:`segment_seminorms`, serves the segments of many
+panels at once; the level-2 kernel calls it, and :func:`seminorm` for one
+interval.  Only it calls and checks the sup-envelope.
 """
 
 from __future__ import annotations
@@ -84,10 +88,8 @@ def seminorm(
     See the module docstring for the estimator used per regime.  Degenerate
     intervals yield 0 for every regime (certified; the exact value).
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    value, certified = _estimate(fn, interval.a, interval.b, regime, resolution)
-    return SeminormEstimate(value, regime, interval, certified, resolution)
+    values, exact = segment_seminorms(fn, regime, [interval.a], [interval.b], resolution)
+    return SeminormEstimate(values[0], regime, interval, exact is True or exact[0], resolution)
 
 
 def seminorm_profile(
@@ -109,20 +111,43 @@ def _bad_envelope(fn: VectorFunction, value: float) -> ValueError:
     return ValueError(f"sup-envelope of {fn.name or '<anonymous>'} returned {value!r}")
 
 
+def segment_seminorms(
+    fn: VectorFunction, regime: NormRegime, los: list, his: list, resolution: int
+) -> tuple[list[float], object]:
+    """``(values, exact)``: the seminorm on each segment ``[los[k],
+    his[k]]`` (Python floats), with the certified flags as a list, or True
+    when every value is certified.  Segments are visited in order, so a
+    failing segment raises what it raises when met alone.
+    """
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    sup = fn.df_sup
+    if regime.kind == "linf" and sup is not None:
+        values = []
+        append, inf = values.append, math.inf
+        for lo, hi in zip(los, his):
+            if lo == hi:
+                append(0.0)
+                continue
+            value = float(sup(lo, hi))
+            if not 0.0 <= value < inf:
+                raise _bad_envelope(fn, value)
+            append(value)
+        return values, True
+    pairs = [_estimate(fn, lo, hi, regime, resolution) for lo, hi in zip(los, his)]
+    return [value for value, _ in pairs], [exact for _, exact in pairs]
+
+
 def _estimate(
     fn: VectorFunction, lo: float, hi: float, regime: NormRegime, resolution: int
 ) -> tuple[float, bool]:
-    """``(value, certified)`` of the seminorm on [lo, hi], for finite
-    ``lo <= hi`` and ``resolution >= 2``."""
+    """``(value, certified)`` of the seminorm on [lo, hi] from derivative
+    samples, for finite ``lo <= hi``, ``resolution >= 2`` and no
+    sup-envelope under linf."""
     if lo == hi:
         return 0.0, True
 
     if regime.kind == "linf":
-        if fn.df_sup is not None:
-            value = float(fn.df_sup(lo, hi))
-            if not math.isfinite(value) or value < 0.0:
-                raise _bad_envelope(fn, value)
-            return value, True
         if not fn.has_derivative_source:
             raise ValueError(
                 f"function {fn.name or '<anonymous>'} has neither a sup-envelope "

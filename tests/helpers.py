@@ -22,10 +22,19 @@ from certquad import (
     ErrorCertificate,
     Interval,
     QuadratureRule,
+    make_rule,
     mu,
     nodes_abs,
 )
 from certquad._simpson import simpson_scalar
+
+# rules whose Peano-kernel pieces are degenerate (coincident nodes), sit
+# at both ends of the interval, or are centred outside their segment
+PIECE_RULES = {
+    "coincident": make_rule((0.3, 0.3, 0.7), (0.2, 0.3, 0.5)),
+    "ends": make_rule((0.0, 0.0, 0.5, 1.0, 1.0), (0.1, 0.15, 0.5, 0.15, 0.1)),
+    "outside": make_rule((0.1, 0.2, 0.9), (0.6, 0.2, 0.2)),
+}
 
 
 def riemann_mu(exponent, a: float, c: float, b: float, n: int = 1 << 16) -> float:

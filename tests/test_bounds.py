@@ -35,8 +35,10 @@ from certquad import (
     seminorm,
     seminorm_profile,
 )
+import certquad
+from certquad import bounds
 from certquad.bounds import _level2_rows, level2_certificate
-from helpers import mu_well_placed, reference_level2, riemann_weighted_df
+from helpers import PIECE_RULES, mu_well_placed, reference_level2, riemann_weighted_df
 
 UNIT = Interval(0.0, 1.0)
 
@@ -351,6 +353,57 @@ class TestLevel3:
     def test_no_segment_contributions(self):
         est = seminorm(make_function("exp"), UNIT, LINF)
         assert bound_level3(est, preset("qt"), UNIT).segment_contributions == ()
+
+
+class TestPiecesPinned:
+    """Level 1 and the level-3 factor on rules with unusual kernel pieces,
+    against bits recorded before the pieces had one implementation."""
+
+    INTERVALS = {"ordinary": Interval(-0.5, 1.25), "degenerate": Interval(0.5, 0.5)}
+
+    @pytest.mark.parametrize("rule_name, contributions", [
+        ("coincident", ("0x1.31acb99c3f6e4p-3", "0x0.0p+0", "0x1.79197fc1f780ep-3",
+                        "0x1.c84f9cd929cd0p-2")),
+        ("ends", ("0x0.0p+0", "0x0.0p+0", "0x1.e083ce3657c80p-3", "0x1.2b8cfce0ac7fep-1",
+                  "0x0.0p+0", "0x0.0p+0")),
+        ("outside", ("0x1.503ec6422884dp-6", "0x1.3ef86c90ea3dap-3", "0x1.7d82bac7f336bp-1",
+                     "0x1.1fa7294bc789bp-4")),
+    ])
+    @pytest.mark.parametrize("interval", ["ordinary", "degenerate"])
+    def test_level1(self, rule_name, contributions, interval):
+        rule = PIECE_RULES[rule_name]
+        cert = bound_level1(make_function("poly_r3"), rule, self.INTERVALS[interval], 16)
+        if interval == "degenerate":
+            contributions = ("0x0.0p+0",) * (rule.n + 1)
+        assert tuple(c.hex() for c in cert.segment_contributions) == contributions
+        total = 0.0
+        for c in contributions:
+            total += float.fromhex(c)
+        assert cert.bound == total
+
+    @pytest.mark.parametrize("rule_name, factors", [
+        ("coincident", ("0x1.0cccccccccccep-1", "0x1.97ae147ae147bp-2",
+                        "0x1.6a1d34ed0a503p-2", "0x1.00e48e693ccf3p-1")),
+        ("ends", ("0x1.c000000000000p-2", "0x1.8800000000000p-2",
+                  "0x1.562a68298a39bp-2", "0x1.ae535bafbf98ap-2")),
+        ("outside", ("0x1.0ccccccccccccp+0", "0x1.7851eb851eb86p-1",
+                     "0x1.6a1d34ed0a503p-1", "0x1.00e48e6998693p+0")),
+    ])
+    @pytest.mark.parametrize("interval", ["ordinary", "degenerate"])
+    def test_level3_factor(self, rule_name, factors, interval):
+        # lp:1.01 has q = 101, so it takes the log-space branch
+        if interval == "degenerate":
+            factors = ("0x0.0p+0",) * 4
+        got = tuple(
+            level3_factor(PIECE_RULES[rule_name], self.INTERVALS[interval], regime).hex()
+            for regime in (L1, LINF, lp(2.0), lp(1.01))
+        )
+        assert got == factors
+
+
+def test_level2_certificate_is_exported():
+    assert certquad.level2_certificate is bounds.level2_certificate
+    assert "level2_certificate" in certquad.__all__
 
 
 class TestLevel3Factor:

@@ -300,6 +300,24 @@ class TestMainInProcess:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {cause}\n"
 
+    @pytest.mark.parametrize("mode", ["single", "composite:3", "adaptive:1e-3"])
+    def test_overflowing_sample(self, capsys, mode):
+        # affine's samples overflow at the ends; the rule pass must not let
+        # numpy's overflow warning escape before the oracle reports them
+        rc = main(["run", "--function", "affine", "--interval", " -1e308", "1e308",
+                   "--mode", mode, "--no-timing"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: nonfinite sample at t=-1e+308\n"
+
+    def test_compare_needs_a_rule(self, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the oracle ran for an empty comparison")
+
+        monkeypatch.setattr(cli, "oracle_integral", boom)
+        rc = main(["compare", "--function", "exp", "--rules", ",", "--output", "json"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: no rules to compare\n")
+
     def test_invalid_env_resolution(self, capsys, monkeypatch):
         monkeypatch.setenv("QUAD_ORACLE_RESOLUTION", "many")
         rc = main(["run", "--function", "exp", "--output", "json"])

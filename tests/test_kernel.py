@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from certquad import (
+    SPACES,
     Interval,
+    VectorFunction,
     identity_residual,
     kernel_value,
     make_function,
@@ -14,7 +16,7 @@ from certquad import (
     peano_kernel,
     preset,
 )
-from helpers import kernel_direct_sum, riemann_scalar
+from helpers import PIECE_RULES, kernel_direct_sum, riemann_scalar
 
 UNIT = Interval(0.0, 1.0)
 
@@ -151,3 +153,26 @@ class TestIdentityResidual:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             identity_residual(make_function("exp"), preset("qt"), UNIT, 1)
+
+    @pytest.mark.parametrize("space, residuals", [
+        ("scalar", ("0x1.0000000000000p-55", "0x1.0000000000000p-55", "0x0.0p+0")),
+        ("r3", ("0x1.966b9984726fap-54", "0x1.0000000000000p-55", "0x1.94c583ada5b53p-53")),
+        ("c2", ("0x1.96700e015d1b3p-25", "0x1.bf66620f88d48p-25", "0x1.9aa12273600d0p-25")),
+    ])
+    def test_pinned_bits(self, space, residuals):
+        # bits recorded before the kernel read its pieces from the rules
+        # module; the c2 integrand must stay complex
+        fns = {
+            "scalar": make_function("quadratic"),
+            "r3": make_function("poly_r3"),
+            "c2": VectorFunction(
+                SPACES["c2"],
+                f=lambda t: np.array([t * t + 1j * t, (1 - 2j) * t * t * t * t]),
+                df=lambda t: np.array([2 * t + 1j, (4 - 8j) * t * t * t]),
+            ),
+        }
+        got = tuple(
+            identity_residual(fns[space], rule, Interval(-0.5, 1.25), 64).hex()
+            for rule in PIECE_RULES.values()
+        )
+        assert got == residuals

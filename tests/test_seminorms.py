@@ -13,12 +13,14 @@ from certquad import (
     SeminormEstimate,
     SeminormProfile,
     VectorFunction,
+    bound_level2,
     lp,
     make_function,
     preset,
     seminorm,
     seminorm_profile,
 )
+from certquad.bounds import level2_certificate
 
 UNIT = Interval(0.0, 1.0)
 
@@ -127,6 +129,29 @@ class TestSampledSup:
         )
         est = seminorm(fn, UNIT, LINF)
         assert est.value == 10.0 and est.certified
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, -1.0, math.inf])
+    def test_seminorm_and_level2_share_the_envelope_check(self, value):
+        fn = VectorFunction(
+            space=SPACES["scalar"], f=lambda t: t, df=lambda t: 1.0,
+            df_sup=lambda lo, hi: value, name="line",
+        )
+        rule = preset("qt")
+
+        def outcome(call):
+            try:
+                return call()
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        single = outcome(lambda: seminorm(fn, UNIT, LINF).value)
+        kernel = outcome(lambda: level2_certificate(fn, rule, UNIT, LINF))
+        if isinstance(single, str):
+            assert single == kernel == f"ValueError: sup-envelope of line returned {value!r}"
+        else:
+            assert single == value
+            profile = seminorm_profile(fn, rule, UNIT, LINF)
+            assert kernel == bound_level2(profile, rule, UNIT)
 
     def test_fd_sampling_without_analytic_derivative(self):
         scalar = SPACES["scalar"]
