@@ -190,9 +190,9 @@ def _level2_rows(
     a,
     b,
     resolution: int = DEFAULT_RESOLUTION,
-) -> list[tuple[float, tuple[float, ...], bool]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Level-2 certificates of ``rule`` on the panels ``[a[k], b[k]]``, as
-    rows ``(bound, contributions, certified)`` of plain Python values.
+    the arrays ``(contributions, bounds, certified)`` of :func:`_level2`.
 
     Row k equals the fields of ``level2_certificate(fn, rule,
     Interval(a[k], b[k]), regime, resolution)`` bit for bit.
@@ -204,13 +204,16 @@ def _level2_rows(
     values = np.array(values, dtype=float).reshape(shape)
     if exact is not True:
         exact = np.array(exact, dtype=bool).reshape(shape)
-    contribs, bounds, certified = _level2(rule, regime, cuts, values, exact)
-    return list(zip(bounds.tolist(), map(tuple, contribs.tolist()), certified.tolist()))
+    return _level2(rule, regime, cuts, values, exact)
 
 
-def _certificate(rule, regime, interval, bound, contribs, certified) -> ErrorCertificate:
-    """The level-2 certificate of one kernel row."""
-    return ErrorCertificate(bound, 2, regime, contribs, certified, rule.name, interval)
+def _certificate(rule, regime, interval, rows, k: int) -> ErrorCertificate:
+    """The level-2 certificate of row ``k`` of the kernel's arrays ``rows``."""
+    contribs, bounds, certified = rows
+    return ErrorCertificate(
+        bounds.item(k), 2, regime, tuple(contribs[k].tolist()), certified.item(k),
+        rule.name, interval,
+    )
 
 
 def bound_level2(
@@ -238,11 +241,8 @@ def bound_level2(
         _check_alignment(seg.interval, lo, hi, "profile segment")
     values = np.array([[seg.value for seg in profile.segments]], dtype=float)
     exact = np.array([[seg.certified for seg in profile.segments]], dtype=bool)
-    contribs, bounds, certified = _level2(rule, profile.regime, cuts, values, exact)
-    return _certificate(
-        rule, profile.regime, interval, bounds.tolist()[0], tuple(contribs.tolist()[0]),
-        certified.tolist()[0],
-    )
+    rows = _level2(rule, profile.regime, cuts, values, exact)
+    return _certificate(rule, profile.regime, interval, rows, 0)
 
 
 def level2_certificate(
@@ -259,8 +259,8 @@ def level2_certificate(
     profile: the cut points are computed once and each segment's seminorm
     goes straight into the level-2 arithmetic.
     """
-    row = _level2_rows(fn, rule, regime, [interval.a], [interval.b], resolution)[0]
-    return _certificate(rule, regime, interval, *row)
+    rows = _level2_rows(fn, rule, regime, [interval.a], [interval.b], resolution)
+    return _certificate(rule, regime, interval, rows, 0)
 
 
 def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,16 +52,18 @@ class QuadratureResult:
     ``panels`` pairs each panel interval with its certificate, and
     ``panel_values`` holds the rule's value on each panel in the same
     order; ``certificate`` aggregates them (its segment contributions are
-    the per-panel bounds, summed in panel order).  ``evaluations`` counts calls
-    to ``fn.f`` made for the returned approximation (derivative samples for
-    the certificates are not included).  ``converged`` is always True for
-    single/composite runs; adaptive runs clear it when the panel budget ran
-    out before the requested tolerance was met.
+    the per-panel bounds, summed in panel order).  ``panels`` is read-only;
+    an adaptive run builds each pair on access, so each read gives new,
+    equal objects.  ``evaluations`` counts calls to ``fn.f`` made for the
+    returned approximation (derivative samples for the certificates are
+    not included).  ``converged`` is always True for single/composite runs;
+    adaptive runs clear it when the panel budget ran out before the
+    requested tolerance was met.
     """
 
     approximation: Element
     certificate: ErrorCertificate
-    panels: tuple[tuple[Interval, ErrorCertificate], ...]
+    panels: Sequence[tuple[Interval, ErrorCertificate]]
     panel_values: tuple[Element, ...]
     evaluations: int
     converged: bool = True
@@ -68,11 +71,16 @@ class QuadratureResult:
 
 def apply_rule(fn: VectorFunction, rule: QuadratureRule, interval: Interval) -> Element:
     """``(b - a) * sum(p_i * f(x_i))`` with a fixed-order accumulation."""
-    return _rule_values(fn, rule, [interval.a], [interval.b])[0]
+    return _elements(_rule_values(fn, rule, [interval.a], [interval.b]))[0]
 
 
-def _rule_values(fn: VectorFunction, rule: QuadratureRule, a, b) -> list[Element]:
-    """:func:`apply_rule` on the panels ``[a[k], b[k]]`` at once.
+def _elements(stacked: np.ndarray) -> list[Element]:
+    """The rows of a stack of elements: Python floats in the scalar space."""
+    return stacked.tolist() if stacked.ndim == 1 else list(stacked)
+
+
+def _rule_values(fn: VectorFunction, rule: QuadratureRule, a, b) -> np.ndarray:
+    """:func:`apply_rule` on the panels ``[a[k], b[k]]`` at once, stacked.
 
     ``fn.f`` is sampled once per node, panel by panel; the weighted samples
     are folded in node order with the space's ``add`` and ``scale`` over
@@ -90,8 +98,7 @@ def _rule_values(fn: VectorFunction, rule: QuadratureRule, a, b) -> list[Element
         for j, w in enumerate(rule.weights):
             acc = space.add(acc, space.scale(w, samples[:, j]))
         lengths = (b - a).reshape((-1,) + (1,) * (acc.ndim - 1))
-        values = space.scale(lengths, acc)
-    return values.tolist() if values.ndim == 1 else list(values)
+        return space.scale(lengths, acc)
 
 
 def oracle_integral(fn: VectorFunction, interval: Interval, resolution: int) -> Element:
@@ -126,41 +133,48 @@ def _panel_certificate(
     raise ValueError(f"certificate level must be 1, 2 or 3, got {level}")
 
 
-def _aggregate(
-    fn: VectorFunction,
-    rule: QuadratureRule,
-    interval: Interval,
-    regime: NormRegime,
-    level: int,
-    per_panel: list[tuple[Interval, Element, ErrorCertificate]],
-    tol: float | None = None,
-) -> QuadratureResult:
-    space = fn.space
-    approx = space.zero()
-    total = 0.0
-    contribs: list[float] = []
+class _PanelTable(Sequence):
+    """An adaptive run's final panels as columns (ends and kernel rows); each
+    read builds its ``(Interval, ErrorCertificate)`` anew, slices as tuples."""
+
+    def __init__(self, rule, regime, lo, hi, rows) -> None:
+        self._rule, self._regime, self._lo, self._hi, self._rows = rule, regime, lo, hi, rows
+
+    def __len__(self) -> int:
+        return len(self._lo)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        panel = Interval(self._lo.item(k), self._hi.item(k))
+        return panel, _certificate(self._rule, self._regime, panel, self._rows, k)
+
+
+def _aggregate(fn, rule, interval, regime, level, panels, values, bounds, certified, tol=None):
+    """The result over ``panels``, with their stacked rule ``values``,
+    their ``bounds`` and whether all are ``certified``.  Values and bounds
+    are each summed strictly left to right from a zero row, as a running
+    ``+=`` would sum them."""
     with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
-        for _, value, cert in per_panel:
-            approx = space.add(approx, value)
-            total += cert.bound
-            contribs.append(cert.bound)
+        approx = np.add.accumulate(np.concatenate(([fn.space.zero()], values)))[-1:].copy()
+        total = np.add.accumulate(np.concatenate(([0.0], bounds)))[-1].item()
+    approx = _elements(approx)[0]
     certificate = ErrorCertificate(
         bound=total,
         level=level,
         regime=regime,
-        segment_contributions=tuple(contribs),
+        segment_contributions=tuple(bounds),
         # a bound says nothing about an approximation that is not finite
-        certified=all(cert.certified for _, _, cert in per_panel)
-        and bool(np.isfinite(approx).all()),
+        certified=bool(certified and np.isfinite(approx).all()),
         rule_name=rule.name,
         interval=interval,
     )
     return QuadratureResult(
         approximation=approx,
         certificate=certificate,
-        panels=tuple((panel, cert) for panel, _, cert in per_panel),
-        panel_values=tuple(value for _, value, _ in per_panel),
-        evaluations=rule.n * len(per_panel),
+        panels=panels,
+        panel_values=tuple(_elements(values)),
+        evaluations=rule.n * len(panels),
         converged=tol is None or total <= tol,
     )
 
@@ -180,7 +194,7 @@ def integrate_composite(
         values = _rule_values(fn, rule, los, his)
         if level == 2:
             rows = _level2_rows(fn, rule, regime, los, his, resolution)
-            certs = [_certificate(rule, regime, panel, *row) for panel, row in zip(panels, rows)]
+            certs = [_certificate(rule, regime, panel, rows, k) for k, panel in enumerate(panels)]
         else:
             certs = [
                 _panel_certificate(fn, rule, panel, regime, level, resolution)
@@ -194,35 +208,46 @@ def integrate_composite(
             apply_rule(fn, rule, panel)
             _panel_certificate(fn, rule, panel, regime, level, resolution)
         raise
-    per_panel = list(zip(panels, values, certs))
-    return _aggregate(fn, rule, partition.interval, regime, level, per_panel)
+    return _aggregate(fn, rule, partition.interval, regime, level, tuple(zip(panels, certs)),
+                      values, [c.bound for c in certs], all(c.certified for c in certs))
 
 
 def _worst(heap: list, k: int) -> list:
     """The ``k`` smallest entries of ``heap`` (all of them if it is shorter),
-    found by walking down from its root in O(k log k)."""
+    walking down from its root in O(k log k) by their first two fields."""
     found: list = []
-    frontier = [(heap[0], 0)] if heap and k > 0 else []
+    n, pop, push = len(heap), heapq.heappop, heapq.heappush
+    frontier = [(heap[0][0], heap[0][1], 0)] if heap and k > 0 else []
     while frontier and len(found) < k:
-        entry, i = heapq.heappop(frontier)
-        found.append(entry)
-        for j in (2 * i + 1, 2 * i + 2):
-            if j < len(heap):
-                heapq.heappush(frontier, (heap[j], j))
+        i = pop(frontier)[2]
+        found.append(heap[i])
+        if (j := 2 * i + 1) < n:
+            push(frontier, ((e := heap[j])[0], e[1], j))
+            if (j := j + 1) < n:
+                push(frontier, ((e := heap[j])[0], e[1], j))
     return found
 
 
-def _halves(fn, rule, regime, resolution, parents) -> dict:
+def _entries(fn, rule, regime, resolution, ends: list, store: list) -> list:
+    """Heap entries of the panels ``ends`` from one kernel call, whose
+    ``(rows made so far, contributions, certified)`` goes onto ``store``."""
+    a, b = zip(*ends)
+    contribs, bounds, certified = _level2_rows(fn, rule, regime, a, b, resolution)
+    first = store[-1][0] if store else 0
+    store.append((first + len(bounds), contribs, certified))
+    rows = range(first, first + len(bounds))
+    return list(zip((-bounds).tolist(), a, b, bounds.tolist(), rows))
+
+
+def _halves(fn, rule, regime, resolution, parents, store: list) -> dict:
     """Heap entries of both halves of each panel ``(lo, hi)`` in
     ``parents``, keyed by the panel, from one kernel call."""
     ends = []
     for lo, hi in parents:
         mid = 0.5 * (lo + hi)
         ends += ((lo, mid), (mid, hi))
-    a, b = zip(*ends)
-    rows = _level2_rows(fn, rule, regime, a, b, resolution)
-    entries = [(-row[0], lo, hi, *row) for (lo, hi), row in zip(ends, rows)]
-    return {panel: entries[2 * k:2 * k + 2] for k, panel in enumerate(parents)}
+    entries = _entries(fn, rule, regime, resolution, ends, store)
+    return dict(zip(parents, zip(entries[::2], entries[1::2])))
 
 
 def integrate_adaptive(
@@ -241,13 +266,18 @@ def integrate_adaptive(
     panel bounds (left to right by panel, the sum the returned certificate
     carries) is at most ``tol`` or ``max_panels`` is reached; running out of
     panels returns a partial result with ``converged=False`` rather than
-    raising.  Rule values are evaluated once per final panel, in chunks.
+    raising.
 
-    Under linf with a sup-envelope, a popped panel whose halves are not yet
-    certified has them certified in one kernel call together with the
+    Contributions and certified flags stay in the kernel calls' arrays; a
+    heap entry holds a panel's bound, ends and row.  The final panels become
+    columns in panel order, rule values are evaluated once per final panel
+    in chunks, and ``panels`` builds its objects from the columns when read.
+
+    Under linf with a sup-envelope, the worst panel, if its halves are not yet
+    certified, has them certified in one kernel call together with the
     halves of up to ``_BATCH - 1`` next-worst panels, never more panels
     than splits are left in the budget.  Each row is what that panel alone
-    gives, and if the call raises, the popped panel is certified alone, so
+    gives, and if the call raises, the worst panel is certified alone, so
     results and errors are those of certifying one panel at a time.
 
     The stop test costs O(1) per split and decides exactly as the ordered
@@ -267,16 +297,16 @@ def integrate_adaptive(
     if max_panels < 1:
         raise ValueError(f"max_panels must be >= 1, got {max_panels}")
 
-    # heap entries are (-bound, lo, hi, bound, contributions, certified);
-    # left endpoints are unique, so entries never compare past lo
-    first = _level2_rows(fn, rule, regime, [interval.a], [interval.b], resolution)[0]
-    heap: list[tuple] = [(-first[0], interval.a, interval.b, *first)]
+    # heap entries are (-bound, lo, hi, bound, row), row numbering the kernel
+    # rows in store; left endpoints are unique, so entries never compare past lo
+    store: list = []
+    heap = _entries(fn, rule, regime, resolution, [(interval.a, interval.b)], store)
     count = 1
-    running, slack = first[0], 0.0
+    running, slack = heap[0][3], 0.0
     # a lower bound computed above this is normal, so its rounding is relative
     floor = max(tol, sys.float_info.min)
     # envelope certificates are cheap, so the children of the next-worst
-    # panels are certified ahead, with the popped panel's, in one batch
+    # panels are certified ahead, with the worst panel's, in one batch
     width = _BATCH if regime.kind == "linf" and fn.df_sup is not None else 1
     children: dict = {}
 
@@ -294,31 +324,30 @@ def integrate_adaptive(
         return total > tol
 
     while count < max_panels and above_tol():
-        entry = heapq.heappop(heap)
-        lo, hi, bound = entry[1], entry[2], entry[3]
+        # the worst panel is replaced by its halves; only the order of the
+        # entries matters, never where the heap keeps them
+        _, lo, hi, bound, _ = heap[0]
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            # panel too narrow to split; no further refinement possible
-            heapq.heappush(heap, entry)
-            break
+            break  # panel too narrow to split; no further refinement possible
         pair = children.get((lo, hi))
         if pair is None:
             # never more panels than the splits left in the budget
-            ahead = _worst(heap, min(width, max_panels - count) - 1)
+            ahead = _worst(heap, min(width, max_panels - count))[1:]
             batch = [(lo, hi)] + [
                 (e[1], e[2]) for e in ahead if e[1] < 0.5 * (e[1] + e[2]) < e[2]
             ]
             try:
-                children = _halves(fn, rule, regime, resolution, batch)
+                children = _halves(fn, rule, regime, resolution, batch, store)
             except Exception:
-                # a speculative panel failed; the popped one raises alone
+                # a speculative panel failed; the worst one raises alone
                 # if it raises at all, as it would without speculation
                 if len(batch) == 1:
                     raise
-                children = _halves(fn, rule, regime, resolution, batch[:1])
+                children = _halves(fn, rule, regime, resolution, batch[:1], store)
             pair = children[(lo, hi)]
         left, right = pair
-        heapq.heappush(heap, left)
+        heapq.heapreplace(heap, left)
         heapq.heappush(heap, right)
         count += 1
         for term in (left[3], right[3], -bound):
@@ -327,15 +356,14 @@ def integrate_adaptive(
         if left[3] < 0.0 or right[3] < 0.0:
             running = math.nan  # the error bar assumes nonnegative terms
 
-    # right to left, so each chunk's entries are released as its panels'
-    # public objects are built
-    pending = sorted(heap, key=lambda e: e[1], reverse=True)
+    # the final panels as columns, in panel order; rule values in chunks
+    lo, hi, bounds, rows = list(zip(*sorted(heap, key=lambda e: e[1])))[1:]
     heap.clear()
-    per_panel = []
-    while pending:
-        chunk = [pending.pop() for _ in range(min(_BATCH, len(pending)))]
-        values = _rule_values(fn, rule, [e[1] for e in chunk], [e[2] for e in chunk])
-        for (_, lo, hi, *row), value in zip(chunk, values):
-            panel = Interval(lo, hi)
-            per_panel.append((panel, value, _certificate(rule, regime, panel, *row)))
-    return _aggregate(fn, rule, interval, regime, 2, per_panel, tol)
+    lo, hi, rows = np.array(lo), np.array(hi), np.array(rows)
+    contribs, certified = (np.concatenate(column)[rows] for column in list(zip(*store))[1:])
+    values = np.concatenate([
+        _rule_values(fn, rule, lo[k:k + _BATCH], hi[k:k + _BATCH])
+        for k in range(0, len(lo), _BATCH)
+    ])
+    table = _PanelTable(rule, regime, lo, hi, (contribs, np.array(bounds), certified))
+    return _aggregate(fn, rule, interval, regime, 2, table, values, bounds, certified.all(), tol)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from ._simpson import simpson_scalar
-from .geometry import Interval, NormRegime
+from .geometry import LINF, Interval, NormRegime
 from .rules import QuadratureRule, _cut_points
 from .spaces import VectorFunction
 
@@ -123,16 +123,20 @@ def segment_seminorms(
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     sup = fn.df_sup
     if regime.kind == "linf" and sup is not None:
+        try:
+            values = [float(sup(lo, hi)) if lo != hi else 0.0 for lo, hi in zip(los, his)]
+            # a nan or inf value makes the sum nan or inf
+            if 0.0 <= min(values) and sum(values) < math.inf:
+                return values, True
+        except Exception:
+            pass
+        # walk the segments one by one, so the error raised is the first met
         values = []
-        append, inf = values.append, math.inf
         for lo, hi in zip(los, his):
-            if lo == hi:
-                append(0.0)
-                continue
-            value = float(sup(lo, hi))
-            if not 0.0 <= value < inf:
+            value = float(sup(lo, hi)) if lo != hi else 0.0
+            if not 0.0 <= value < math.inf:
                 raise _bad_envelope(fn, value)
-            append(value)
+            values.append(value)
         return values, True
     pairs = [_estimate(fn, lo, hi, regime, resolution) for lo, hi in zip(los, his)]
     return [value for value, _ in pairs], [exact for _, exact in pairs]
@@ -162,9 +166,16 @@ def _estimate(
                 best = v
         return best, False
 
-    power = regime.integral_exponent
-    integral = simpson_scalar(lambda t: fn.df_norm_at(t) ** power, lo, hi, resolution)
+    power, scale = regime.integral_exponent, 1.0
+    try:
+        integral = simpson_scalar(lambda t: fn.df_norm_at(t) ** power, lo, hi, resolution)
+    except OverflowError:
+        # a power past the float range: scale each sample by 2**-e, e the
+        # exponent of the largest on Simpson's grid, and undo after the root
+        top = _estimate(fn, lo, hi, LINF, 2 * resolution)[0]
+        scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+        integral = simpson_scalar(lambda t: (fn.df_norm_at(t) / scale) ** power, lo, hi, resolution)
     # tiny negative values can appear for an identically-zero integrand
     integral = max(integral, 0.0)
     value = integral if power == 1.0 else integral ** (1.0 / power)
-    return value, False
+    return value * scale, False

@@ -21,6 +21,7 @@ from certquad import (
     INF,
     ErrorCertificate,
     Interval,
+    QuadratureResult,
     QuadratureRule,
     make_rule,
     mu,
@@ -287,8 +288,9 @@ def reference_adaptive(fn, rule, interval, regime, tol, max_panels, resolution):
     """Worst-first bisection that forms the ordered sum of panel bounds
     (left to right by panel) before every split and once more at the end.
 
-    Returns ``(panels, approximation, converged)`` where ``panels`` pairs
-    each final panel, left to right, with its level-2 certificate.
+    Returns a :class:`certquad.QuadratureResult` whose ``panels`` pair each
+    final panel, left to right, with its level-2 certificate; values,
+    approximation and the aggregate certificate are per-panel folds.
     """
 
     def cert_for(panel):
@@ -313,7 +315,16 @@ def reference_adaptive(fn, rule, interval, regime, tol, max_panels, resolution):
             cert = cert_for(panel)
             heapq.heappush(heap, (-cert.bound, panel.a, panel.b, cert))
     panels = [(Interval(lo, hi), cert) for _, lo, hi, cert in sorted(heap, key=lambda e: e[1])]
+    values = [reference_rule_value(fn, rule, panel) for panel, _ in panels]
     approx = fn.space.zero()
-    for panel, _ in panels:
-        approx = fn.space.add(approx, reference_rule_value(fn, rule, panel))
-    return panels, approx, total_bound() <= tol
+    for value in values:
+        approx = fn.space.add(approx, value)
+    total = total_bound()
+    certificate = ErrorCertificate(
+        total, 2, regime, tuple(cert.bound for _, cert in panels),
+        all(cert.certified for _, cert in panels) and bool(np.isfinite(approx).all()),
+        rule.name, interval,
+    )
+    return QuadratureResult(
+        approx, certificate, tuple(panels), tuple(values), rule.n * len(panels), total <= tol
+    )

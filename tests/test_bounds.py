@@ -267,6 +267,13 @@ MIXED_PANELS = [
 ]
 
 
+def _row_tuples(rows):
+    """The kernel's arrays as rows ``(bound, contributions, certified)`` of
+    plain Python values."""
+    contribs, bounds, certified = rows
+    return list(zip(bounds.tolist(), map(tuple, contribs.tolist()), certified.tolist()))
+
+
 class TestLevel2Batched:
     """The array kernel on many panels at once equals the frozen scalar
     arithmetic row by row, bit for bit."""
@@ -281,7 +288,7 @@ class TestLevel2Batched:
         a, b = zip(*MIXED_PANELS)
         for fn in functions:
             for rule in LEVEL2_RULES:
-                rows = _level2_rows(fn, rule, regime, a, b, 8)
+                rows = _row_tuples(_level2_rows(fn, rule, regime, a, b, 8))
                 for row, panel in zip(rows, MIXED_PANELS):
                     iv = Interval(*panel)
                     cert = ErrorCertificate(row[0], 2, regime, *row[1:], rule.name, iv)
@@ -304,7 +311,7 @@ class TestLevel2Batched:
         rule = make_rule((0.0, 0.5, 0.5, 1.0), (0.1, 0.1, 0.4, 0.4))
         iv = Interval(-1e300, 1e300)
         fn = make_function("trig_circle")
-        row = _level2_rows(fn, rule, LINF, [iv.a], [iv.b])[0]
+        row = _row_tuples(_level2_rows(fn, rule, LINF, [iv.a], [iv.b]))[0]
         cert = ErrorCertificate(row[0], 2, LINF, *row[1:], rule.name, iv)
         assert cert.segment_contributions[2] == 0.0
         assert _bits(cert) == _bits(reference_level2(fn, rule, iv, LINF, 8))
@@ -325,7 +332,7 @@ class TestLevel2Batched:
     def test_certified_per_row(self):
         # a degenerate panel's exact zeros stay certified beside a sampled row
         fn = make_function("trig_circle")
-        rows = _level2_rows(fn, preset("qt"), L1, [0.5, 0.0], [0.5, 1.0], 8)
+        rows = _row_tuples(_level2_rows(fn, preset("qt"), L1, [0.5, 0.0], [0.5, 1.0], 8))
         assert [certified for _, _, certified in rows] == [True, False]
 
 

@@ -309,6 +309,15 @@ class TestMainInProcess:
         assert rc == 2
         assert capsys.readouterr().err == "error: nonfinite sample at t=-1e+308\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--level", "3"], ["--mode", "composite:4"]],
+                             ids=["level2", "level3", "composite"])
+    def test_lp_seminorm_past_the_power_range(self, capsys, extra):
+        # exp(t)**2 overflows on [355, 356]; the L2 seminorm does not
+        rc = main(["run", "--function", "exp", "--interval", "355", "356",
+                   "--regime", "lp:2", "--no-timing", *extra])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_compare_needs_a_rule(self, capsys, monkeypatch):
         def boom(*args):
             raise AssertionError("the oracle ran for an empty comparison")

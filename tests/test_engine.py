@@ -1,5 +1,7 @@
 """Rule application, composite/adaptive drivers, and the reference oracle."""
 
+import dataclasses
+import heapq
 import math
 import random
 
@@ -350,11 +352,24 @@ class _SortedCounter:
 
 
 def assert_same_run(result, reference):
-    panels, approximation, converged = reference
+    panels = reference.panels
     assert [(p.a, p.b) for p, _ in result.panels] == [(p.a, p.b) for p, _ in panels]
     assert [cert for _, cert in result.panels] == [cert for _, cert in panels]
-    assert np.array_equal(result.approximation, approximation)
-    assert result.converged == converged
+    assert len(result.panel_values) == len(reference.panel_values)
+    for value, expected in zip(result.panel_values, reference.panel_values):
+        assert _same_bits(value, expected)
+    assert _same_bits(result.approximation, reference.approximation)
+    for field in dataclasses.fields(result.certificate):
+        got = getattr(result.certificate, field.name)
+        want = getattr(reference.certificate, field.name)
+        if field.name == "bound":
+            assert got.hex() == want.hex()
+        elif field.name == "segment_contributions":
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        else:
+            assert type(got) is type(want) and got == want, field.name
+    assert result.evaluations == reference.evaluations
+    assert result.converged == reference.converged
 
 
 class TestAdaptiveMatchesReference:
@@ -382,6 +397,17 @@ class TestAdaptiveMatchesReference:
                 fn, rule, Interval(a, b), regime, tol, max_panels, resolution
             )
             assert_same_run(result, reference)
+
+    @pytest.mark.parametrize("tol, max_panels", [(1e-2, 4096), (1e-9, 64)],
+                             ids=["converges", "budget"])
+    def test_matches_reference_in_c2(self, tol, max_panels):
+        # a constant slope: the panel bounds tie at every depth
+        fn = make_function("affine", "c2")
+        for rule in (preset("qt"), EQUIVALENCE_RULES["random_5"]):
+            iv = Interval(-1.0, 2.0)
+            result = integrate_adaptive(fn, rule, iv, LINF, tol, max_panels, 64)
+            assert result.converged == (max_panels == 4096)
+            assert_same_run(result, reference_adaptive(fn, rule, iv, LINF, tol, max_panels, 64))
 
     def test_budget_cases_exhaust_the_budget(self):
         for name, (a, b), regime, tols, max_panels, resolution in EQUIVALENCE_CASES[-2:]:
@@ -436,6 +462,51 @@ class TestAdaptiveMatchesReference:
                 assert counter.calls == len(result.panels) == 64
 
 
+class TestPanelSequence:
+    """An adaptive run's ``panels`` is a read-only sequence that builds its
+    ``(Interval, ErrorCertificate)`` pairs on access."""
+
+    def setup_method(self):
+        self.result = integrate_adaptive(
+            make_function("exp"), preset("qt"), UNIT, LINF, tol=1e-4, max_panels=64
+        )
+        self.panels = self.result.panels
+
+    def test_length_and_indices(self):
+        pairs = tuple(self.panels)
+        assert len(self.panels) == len(pairs) == len(self.result.panel_values) > 4
+        assert self.panels[-1] == pairs[-1] and self.panels[-1][0].b == 1.0
+        assert self.panels[0][0].a == 0.0
+        assert self.panels[1:5] == pairs[1:5] and isinstance(self.panels[1:5], tuple)
+        assert self.panels[::-3] == pairs[::-3]
+        assert list(self.panels) == list(pairs)
+        assert self.panels[3] == self.panels[3]
+
+    def test_out_of_range(self):
+        for k in (len(self.panels), -len(self.panels) - 1):
+            with pytest.raises(IndexError):
+                self.panels[k]
+
+    def test_read_only(self):
+        with pytest.raises(TypeError):
+            self.panels[0] = self.panels[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_worst_matches_sorted(seed):
+    # few distinct bounds, so many entries tie on the bound and the left
+    # end decides; every heap size around the walk's k is covered
+    rng = random.Random(seed)
+    size = rng.randrange(1, 300)
+    heap = []
+    for row, lo in enumerate(rng.sample(range(10_000), size)):
+        bound = rng.choice((0.0, 0.5, 1.0, 2.0, 1e300))
+        heap.append((-bound, lo / 7.0, lo / 7.0 + 1.0, bound, row))
+    heapq.heapify(heap)
+    for k in (0, 1, 2, size // 2, size - 1, size, size + 5):
+        assert engine._worst(heap, k) == sorted(heap)[:k]
+
+
 def _same_bits(value, expected) -> bool:
     if isinstance(expected, np.ndarray):
         return (isinstance(value, np.ndarray) and value.dtype == expected.dtype
@@ -468,7 +539,7 @@ class TestRulePassMatchesFold:
             panels = RULE_PANELS[:-1] if fn.name == "exp" else RULE_PANELS
             a, b = zip(*panels)
             for rule in EQUIVALENCE_RULES.values():
-                values = engine._rule_values(fn, rule, a, b)
+                values = engine._elements(engine._rule_values(fn, rule, a, b))
                 assert len(values) == len(panels)
                 for value, panel in zip(values, panels):
                     expected = reference_rule_value(fn, rule, Interval(*panel))

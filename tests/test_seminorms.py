@@ -2,7 +2,10 @@
 sampled-sup monotonicity, and per-segment profiles."""
 
 import math
+import re
 
+import mpmath
+import numpy as np
 import pytest
 
 from certquad import (
@@ -21,6 +24,7 @@ from certquad import (
     seminorm_profile,
 )
 from certquad.bounds import level2_certificate
+from certquad.seminorms import segment_seminorms
 
 UNIT = Interval(0.0, 1.0)
 
@@ -153,6 +157,48 @@ class TestSampledSup:
             profile = seminorm_profile(fn, rule, UNIT, LINF)
             assert kernel == bound_level2(profile, rule, UNIT)
 
+    @pytest.mark.parametrize("first, error", [
+        (math.nan, "ValueError: sup-envelope of order returned nan"),
+        (1.0, "ZeroDivisionError: second segment"),
+    ])
+    def test_first_failing_segment_raises(self, first, error):
+        # the envelope is checked segment by segment, left to right: a bad
+        # value on the first segment wins over an exception on the second
+        def envelope(lo, hi):
+            if lo == 0.0:
+                return first
+            raise ZeroDivisionError("second segment")
+
+        fn = VectorFunction(space=SPACES["scalar"], f=lambda t: t, df=lambda t: 1.0,
+                            df_sup=envelope, name="order")
+        calls = [
+            lambda: segment_seminorms(fn, LINF, [0.0, 0.5], [0.5, 1.0], 8),
+            lambda: level2_certificate(fn, preset("qt"), UNIT, LINF),
+        ]
+        for call in calls:
+            with pytest.raises(Exception) as info:
+                call()
+            assert f"{type(info.value).__name__}: {info.value}" == error
+
+    @pytest.mark.parametrize("value", [np.float32(2.5), 3, True, np.array(2.0), "0.25",
+                                       np.array([2.0]), None, [1.0], 1 + 0j, 10**400],
+                             ids=repr)
+    def test_envelope_values_read_as_float_reads_them(self, value):
+        # each envelope value becomes what float() makes of it, or raises
+        # what float() raises
+        fn = VectorFunction(space=SPACES["scalar"], f=lambda t: t, df=lambda t: 1.0,
+                            df_sup=lambda lo, hi: value, name="typed")
+        try:
+            expected = float(value)
+        except (TypeError, OverflowError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                segment_seminorms(fn, LINF, [0.0, 0.5], [0.5, 1.0], 8)
+            return
+        values, exact = segment_seminorms(fn, LINF, [0.0, 0.5], [0.5, 1.0], 8)
+        assert exact is True
+        assert [type(v) for v in values] == [float, float]
+        assert values == [expected, expected]
+
     def test_fd_sampling_without_analytic_derivative(self):
         scalar = SPACES["scalar"]
         fn = VectorFunction(space=scalar, f=math.sin, fd_step=1e-6)
@@ -216,6 +262,13 @@ class TestIntegralBehaviour:
         )
         est = seminorm(fn, iv, LINF)
         assert est.value == 1.0 and est.certified
+
+    def test_lp_value_past_the_power_range(self):
+        # exp(t)**2 overflows on [355, 356], the L2 seminorm of exp does not
+        est = seminorm(make_function("exp"), Interval(355.0, 356.0), lp(2.0))
+        exact = mpmath.sqrt((mpmath.exp(712) - mpmath.exp(710)) / 2)
+        assert abs(est.value - exact) <= 1e-9 * exact
+        assert not est.certified
 
     def test_resolution_convergence(self):
         # poly_r3 has a smooth, non-constant integrand; coarse estimates
