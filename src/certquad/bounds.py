@@ -207,13 +207,14 @@ def _level2_rows(
     return _level2(rule, regime, cuts, values, exact)
 
 
-def _certificate(rule, regime, interval, rows, k: int) -> ErrorCertificate:
-    """The level-2 certificate of row ``k`` of the kernel's arrays ``rows``."""
-    contribs, bounds, certified = rows
-    return ErrorCertificate(
-        bounds.item(k), 2, regime, tuple(contribs[k].tolist()), certified.item(k),
-        rule.name, interval,
-    )
+def _certificates(rule, regime, intervals, rows) -> list[ErrorCertificate]:
+    """The level-2 certificates of the kernel's arrays ``rows``, row k on
+    ``intervals[k]``."""
+    contribs, bounds, certified = (column.tolist() for column in rows)
+    return [
+        ErrorCertificate(bound, 2, regime, tuple(terms), ok, rule.name, interval)
+        for interval, bound, terms, ok in zip(intervals, bounds, contribs, certified)
+    ]
 
 
 def bound_level2(
@@ -242,7 +243,7 @@ def bound_level2(
     values = np.array([[seg.value for seg in profile.segments]], dtype=float)
     exact = np.array([[seg.certified for seg in profile.segments]], dtype=bool)
     rows = _level2(rule, profile.regime, cuts, values, exact)
-    return _certificate(rule, profile.regime, interval, rows, 0)
+    return _certificates(rule, profile.regime, [interval], rows)[0]
 
 
 def level2_certificate(
@@ -260,7 +261,7 @@ def level2_certificate(
     goes straight into the level-2 arithmetic.
     """
     rows = _level2_rows(fn, rule, regime, [interval.a], [interval.b], resolution)
-    return _certificate(rule, regime, interval, rows, 0)
+    return _certificates(rule, regime, [interval], rows)[0]
 
 
 def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) -> float:

@@ -12,13 +12,14 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._simpson import simpson_element
 from .bounds import (
     ErrorCertificate,
-    _certificate,
+    _certificates,
     _level2_rows,
     bound_level1,
     bound_level3,
@@ -52,13 +53,13 @@ class QuadratureResult:
     ``panels`` pairs each panel interval with its certificate, and
     ``panel_values`` holds the rule's value on each panel in the same
     order; ``certificate`` aggregates them (its segment contributions are
-    the per-panel bounds, summed in panel order).  ``panels`` is read-only;
-    an adaptive run builds each pair on access, so each read gives new,
-    equal objects.  ``evaluations`` counts calls to ``fn.f`` made for the
-    returned approximation (derivative samples for the certificates are
-    not included).  ``converged`` is always True for single/composite runs;
-    adaptive runs clear it when the panel budget ran out before the
-    requested tolerance was met.
+    the per-panel bounds, summed in panel order).  ``panels`` is read-only
+    and compares equal to its tuple; an adaptive run builds all its pairs
+    on the first read that needs them.  ``evaluations`` counts calls to
+    ``fn.f`` made for the returned approximation (derivative samples for
+    the certificates are not included).  ``converged`` is always True for
+    single/composite runs; adaptive runs clear it when the panel budget ran
+    out before the requested tolerance was met.
     """
 
     approximation: Element
@@ -134,27 +135,33 @@ def _panel_certificate(
 
 
 class _PanelTable(Sequence):
-    """An adaptive run's final panels as columns (ends and kernel rows); each
-    read builds its ``(Interval, ErrorCertificate)`` anew, slices as tuples."""
+    """An adaptive run's final panels as columns (ends, kernel rows): a caller
+    that reads no pair never builds one; the first read builds them all."""
 
     def __init__(self, rule, regime, lo, hi, rows) -> None:
         self._rule, self._regime, self._lo, self._hi, self._rows = rule, regime, lo, hi, rows
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[Interval, ErrorCertificate], ...]:
+        panels = [Interval(a, b) for a, b in zip(self._lo.tolist(), self._hi.tolist())]
+        return tuple(zip(panels, _certificates(self._rule, self._regime, panels, self._rows)))
 
     def __len__(self) -> int:
         return len(self._lo)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        panel = Interval(self._lo.item(k), self._hi.item(k))
-        return panel, _certificate(self._rule, self._regime, panel, self._rows, k)
+        return self._pairs[k]
+
+    def __eq__(self, other):
+        return self._pairs == other if isinstance(other, (tuple, _PanelTable)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._pairs)
 
 
 def _aggregate(fn, rule, interval, regime, level, panels, values, bounds, certified, tol=None):
-    """The result over ``panels``, with their stacked rule ``values``,
-    their ``bounds`` and whether all are ``certified``.  Values and bounds
-    are each summed strictly left to right from a zero row, as a running
-    ``+=`` would sum them."""
+    """The result over ``panels``, their stacked rule ``values``, ``bounds``
+    and whether all are ``certified``; sums run left to right from zero."""
     with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
         approx = np.add.accumulate(np.concatenate(([fn.space.zero()], values)))[-1:].copy()
         total = np.add.accumulate(np.concatenate(([0.0], bounds)))[-1].item()
@@ -194,7 +201,7 @@ def integrate_composite(
         values = _rule_values(fn, rule, los, his)
         if level == 2:
             rows = _level2_rows(fn, rule, regime, los, his, resolution)
-            certs = [_certificate(rule, regime, panel, rows, k) for k, panel in enumerate(panels)]
+            certs = _certificates(rule, regime, panels, rows)
         else:
             certs = [
                 _panel_certificate(fn, rule, panel, regime, level, resolution)
@@ -266,12 +273,9 @@ def integrate_adaptive(
     panel bounds (left to right by panel, the sum the returned certificate
     carries) is at most ``tol`` or ``max_panels`` is reached; running out of
     panels returns a partial result with ``converged=False`` rather than
-    raising.
-
-    Contributions and certified flags stay in the kernel calls' arrays; a
-    heap entry holds a panel's bound, ends and row.  The final panels become
-    columns in panel order, rule values are evaluated once per final panel
-    in chunks, and ``panels`` builds its objects from the columns when read.
+    raising.  A heap entry holds a panel's bound, ends and row in the kernel
+    calls' arrays; the final panels become columns in panel order, rule values
+    are evaluated in chunks, and ``panels`` is built from the columns on first read.
 
     Under linf with a sup-envelope, the worst panel, if its halves are not yet
     certified, has them certified in one kernel call together with the

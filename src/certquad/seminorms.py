@@ -123,20 +123,16 @@ def segment_seminorms(
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     sup = fn.df_sup
     if regime.kind == "linf" and sup is not None:
-        try:
-            values = [float(sup(lo, hi)) if lo != hi else 0.0 for lo, hi in zip(los, his)]
-            # a nan or inf value makes the sum nan or inf
-            if 0.0 <= min(values) and sum(values) < math.inf:
-                return values, True
-        except Exception:
-            pass
-        # walk the segments one by one, so the error raised is the first met
         values = []
+        append, inf = values.append, math.inf
         for lo, hi in zip(los, his):
-            value = float(sup(lo, hi)) if lo != hi else 0.0
-            if not 0.0 <= value < math.inf:
+            if lo == hi:
+                append(0.0)
+                continue
+            value = float(sup(lo, hi))
+            if not 0.0 <= value < inf:
                 raise _bad_envelope(fn, value)
-            values.append(value)
+            append(value)
         return values, True
     pairs = [_estimate(fn, lo, hi, regime, resolution) for lo, hi in zip(los, his)]
     return [value for value, _ in pairs], [exact for _, exact in pairs]

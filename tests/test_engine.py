@@ -464,7 +464,7 @@ class TestAdaptiveMatchesReference:
 
 class TestPanelSequence:
     """An adaptive run's ``panels`` is a read-only sequence that builds its
-    ``(Interval, ErrorCertificate)`` pairs on access."""
+    ``(Interval, ErrorCertificate)`` pairs on first read."""
 
     def setup_method(self):
         self.result = integrate_adaptive(
@@ -481,6 +481,15 @@ class TestPanelSequence:
         assert self.panels[::-3] == pairs[::-3]
         assert list(self.panels) == list(pairs)
         assert self.panels[3] == self.panels[3]
+
+    def test_equal_to_its_tuple(self):
+        again = integrate_adaptive(
+            make_function("exp"), preset("qt"), UNIT, LINF, tol=1e-4, max_panels=64
+        ).panels
+        pairs = tuple(self.panels)
+        assert self.panels == pairs and pairs == self.panels and self.panels == again
+        assert self.panels != pairs[1:] and self.panels != list(pairs)
+        assert repr(self.panels) == repr(pairs) == repr(again)
 
     def test_out_of_range(self):
         for k in (len(self.panels), -len(self.panels) - 1):
