@@ -2,36 +2,69 @@
 
 Shared by the seminorm estimators, the level-1 bound, the kernel-identity
 check and the test oracle.  ``panels`` counts Simpson panels; each panel
-contributes two half-steps, so ``2*panels + 1`` samples are taken.  All
-sums run left to right at fixed precision, so results are reproducible
-bit for bit.
+contributes two half-steps, so ``2*panels + 1`` samples are taken, at
+``a + k*h`` for ``k < 2*panels`` and at ``b``.  Both folds take their
+integrand in batches of at most ``SAMPLE_CHUNK`` points and add the
+samples one at a time in a fixed order (``np.add.accumulate``, never a
+pairwise sum), so results are reproducible bit for bit and equal to the
+one-sample-at-a-time loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simpson_scalar", "simpson_element"]
+__all__ = ["simpson_scalar", "simpson_element", "sample_batch"]
 
-SAMPLE_CHUNK = 1024  # points per batched call in simpson_element
+SAMPLE_CHUNK = 1024  # points per batched integrand call
+
+
+def sample_batch(g, ts: np.ndarray) -> np.ndarray:
+    """``g(ts)`` as a float array, where ``g`` maps sample points to the
+    values of a real function there.
+
+    When the batch raises, or holds a value that is not finite, ``g`` is
+    called again on one point at a time in order, so the error raised is
+    the one the first failing point raises alone; nonfinite values that
+    raise nothing are returned as they are.
+    """
+    try:
+        values = np.array(g(ts), dtype=float)
+    except Exception:
+        values = None  # redone point by point below, which raises it again
+    if values is None or not np.isfinite(values).all():
+        values = np.array([g(ts[k:k + 1])[0] for k in range(len(ts))], dtype=float)
+    return values
 
 
 def simpson_scalar(g, a: float, b: float, panels: int) -> float:
-    """Composite Simpson estimate of the integral of ``g`` over [a, b]."""
+    """Composite Simpson estimate of the integral of a real function over
+    [a, b].
+
+    ``g`` maps a float array of sample points to the array of the
+    integrand's values there, through :func:`sample_batch`.  The fold is
+    the one-sample loop's: ``first = g(a)``, ``last = g(b)``, the odd
+    samples added in ascending order from 0.0, then the even samples
+    likewise, and ``(h/3) * (first + last + 4*odd + 2*even)``.
+    """
     if panels < 1:
         raise ValueError(f"panel count must be >= 1, got {panels}")
     if a == b:
         return 0.0
     m = 2 * panels
     h = (b - a) / m
-    first = g(a)
-    last = g(b)
-    odd = 0.0
-    for k in range(1, m, 2):
-        odd += g(a + k * h)
-    even = 0.0
-    for k in range(2, m, 2):
-        even += g(a + k * h)
+    with np.errstate(all="ignore"):
+        first, last = sample_batch(g, np.array([a, b])).tolist()
+        sums = []
+        for start in (1, 2):
+            acc = 0.0
+            for lo in range(start, m, 2 * SAMPLE_CHUNK):
+                k = np.arange(lo, min(lo + 2 * SAMPLE_CHUNK, m), 2)
+                terms = sample_batch(g, a + k * h)
+                terms[0] = acc + terms[0]
+                acc = np.add.accumulate(terms)[-1]
+            sums.append(float(acc))
+    odd, even = sums
     return (h / 3.0) * (first + last + 4.0 * odd + 2.0 * even)
 
 

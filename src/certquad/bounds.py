@@ -104,7 +104,7 @@ def bound_level1(
         if hi <= lo:
             return 0.0
         return simpson_scalar(
-            lambda t: abs(t - center) * fn.df_norm_at(t), lo, hi, resolution
+            lambda ts: np.abs(ts - center) * fn.df_norms(ts), lo, hi, resolution
         )
 
     contribs: list[float] = []

@@ -4,8 +4,11 @@ Every entry carries an analytic derivative and an analytic upper bound for
 ``norm(f'(t))`` on an interval, so certified sup-norm certificates are
 available for all of them.  ``const`` and ``affine`` can be instantiated in
 any registered space; the others are tied to their natural space.  Each
-entry also has a numpy form ``f_many`` that samples a whole array of points
-at once.
+entry also has batched forms ``f_many`` and ``df_many`` that sample a whole
+array of points at once.  ``df_many`` gives ``df``'s bits: numpy forms
+where the arithmetic is exact or one IEEE operation per entry, and
+``math`` one point at a time for ``exp``, ``sin`` and ``cos``, whose numpy
+forms do not round like libm's.
 """
 
 from __future__ import annotations
@@ -57,11 +60,13 @@ def _pattern(space: NormedSpace, offset: int = 0):
 
 def _const(space: NormedSpace) -> VectorFunction:
     value = _pattern(space)
+    zero = space.zero()
     return VectorFunction(
         space=space,
         f=lambda t: value,
         f_many=lambda ts: np.broadcast_to(value, (len(ts),) + np.shape(value)),
         df=lambda t: space.zero(),
+        df_many=lambda ts: np.broadcast_to(zero, (len(ts),) + np.shape(zero)),
         df_sup=lambda lo, hi: 0.0,
         name="const",
     )
@@ -76,9 +81,16 @@ def _affine(space: NormedSpace) -> VectorFunction:
         f=lambda t: space.add(base, space.scale(t, slope)),
         f_many=lambda ts: base + np.multiply.outer(ts, slope),
         df=lambda t: slope,
+        df_many=lambda ts: np.broadcast_to(slope, (len(ts),) + np.shape(slope)),
         df_sup=lambda lo, hi: slope_norm,
         name="affine",
     )
+
+
+def _math_many(func, ts: np.ndarray) -> np.ndarray:
+    """``func`` from ``math`` at each point of ``ts``: libm's rounding,
+    which numpy's own ``exp``, ``sin`` and ``cos`` do not promise."""
+    return np.array(list(map(func, ts.tolist())))
 
 
 _SCALAR = SPACES["scalar"]
@@ -96,6 +108,7 @@ def _quadratic() -> VectorFunction:
         f=lambda t: t * t,
         f_many=lambda ts: ts * ts,
         df=lambda t: 2.0 * t,
+        df_many=lambda ts: 2.0 * ts,
         df_sup=lambda lo, hi: 2.0 * max(abs(lo), abs(hi)),
         name="quadratic",
     )
@@ -107,6 +120,7 @@ def _exp() -> VectorFunction:
         f=math.exp,
         f_many=np.exp,
         df=math.exp,
+        df_many=lambda ts: _math_many(math.exp, ts),
         df_sup=lambda lo, hi: math.exp(hi),
         name="exp",
     )
@@ -119,6 +133,7 @@ def _trig_circle() -> VectorFunction:
         f=lambda t: np.array([math.cos(t), math.sin(t)]),
         f_many=lambda ts: np.stack([np.cos(ts), np.sin(ts)], axis=-1),
         df=lambda t: np.array([-math.sin(t), math.cos(t)]),
+        df_many=lambda ts: np.stack([-_math_many(math.sin, ts), _math_many(math.cos, ts)], axis=-1),
         df_sup=lambda lo, hi: 1.0,
         name="trig_circle",
     )
@@ -136,6 +151,7 @@ def _poly_r3() -> VectorFunction:
         f=lambda t: np.array([t, t * t, t ** 3]),
         f_many=lambda ts: np.stack([ts, ts * ts, ts ** 3], axis=-1),
         df=lambda t: np.array([1.0, 2.0 * t, 3.0 * t * t]),
+        df_many=lambda ts: np.stack([np.ones_like(ts), 2.0 * ts, (3.0 * ts) * ts], axis=-1),
         df_sup=sup,
         name="poly_r3",
     )
@@ -155,11 +171,16 @@ def _matrix_path() -> VectorFunction:
         c, s = math.cos(t), math.sin(t)
         return np.array([[-s, -c], [c, -s]])
 
+    def df_many(ts):
+        c, s = _math_many(math.cos, ts), _math_many(math.sin, ts)
+        return np.stack([-s, -c, c, -s], axis=-1).reshape(-1, 2, 2)
+
     return VectorFunction(
         space=_M22,
         f=f,
         f_many=f_many,
         df=df,
+        df_many=df_many,
         df_sup=lambda lo, hi: math.sqrt(2.0),
         name="matrix_path",
     )
@@ -171,6 +192,7 @@ def _abs_kink() -> VectorFunction:
         f=lambda t: abs(t - _KINK),
         f_many=lambda ts: np.abs(ts - _KINK),
         df=lambda t: 1.0 if t >= _KINK else -1.0,
+        df_many=lambda ts: np.where(ts >= _KINK, 1.0, -1.0),
         df_sup=lambda lo, hi: 1.0,
         name="abs_kink",
     )

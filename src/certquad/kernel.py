@@ -104,8 +104,9 @@ def identity_residual(
         panels = max(1, math.ceil(oracle_resolution * (hi - lo) / length))
 
         def integrand(ts, c=center):
-            # S(t) f'(t) one point at a time: there is no batched derivative
-            return np.array([space.scale(t - c, fn.df_at(t)) for t in ts.tolist()])
+            # S(t) f'(t): row k is scale(ts[k] - c, f'(ts[k]))
+            slopes = fn.df_many(ts)
+            return (ts - c).reshape((-1,) + (1,) * (np.ndim(slopes) - 1)) * slopes
 
         piece = simpson_element(space, integrand, lo, hi, panels)
         kernel_side = space.add(kernel_side, piece)

@@ -14,6 +14,16 @@ maximum over ``resolution + 1`` equispaced samples (not certified; the
 sample grids are nested under doubling, so estimates grow monotonically
 with resolution).
 
+Derivative samples are taken in batches of at most ``SAMPLE_CHUNK``
+points through ``VectorFunction.df_norms`` (``df_many``, then the space's
+``norms``) and folded in the one-sample loop's order, so every value is
+the one that loop gives, bit for bit; a batch that fails is redone one
+point at a time, so the error raised is the first one that loop meets.
+p-th powers are Python ``**`` per sample.  When a power raises
+``OverflowError`` or the Simpson sum of the powers overflows to inf, the
+integral is taken again with every sample scaled by a power of two, and
+the scale is undone after the root.
+
 One estimator, :func:`segment_seminorms`, serves the segments of many
 panels at once; the level-2 kernel calls it, and :func:`seminorm` for one
 interval.  Only it calls and checks the sup-envelope.
@@ -24,7 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._simpson import simpson_scalar
+import numpy as np
+
+from ._simpson import SAMPLE_CHUNK, sample_batch, simpson_scalar
 from .geometry import LINF, Interval, NormRegime
 from .rules import QuadratureRule, _cut_points
 from .spaces import VectorFunction
@@ -155,22 +167,34 @@ def _estimate(
             )
         h = (hi - lo) / resolution
         best = 0.0
-        for k in range(resolution + 1):
-            t = lo + k * h if k < resolution else hi
-            v = fn.df_norm_at(t)
-            if v > best:
-                best = v
+        for start in range(0, resolution + 1, SAMPLE_CHUNK):
+            k = np.arange(start, min(start + SAMPLE_CHUNK, resolution + 1))
+            ts = lo + k * h
+            if k[-1] == resolution:
+                ts[-1] = hi
+            best = max(best, float(np.max(sample_batch(fn.df_norms, ts))))
         return best, False
 
-    power, scale = regime.integral_exponent, 1.0
+    power = regime.integral_exponent
+
+    def integrand(ts, scale=1.0):
+        # Python's ** per sample, L1 included, as the one-sample loop took
+        # it: np.power rounds differently, and ** raises OverflowError where
+        # a power leaves the float range (x / 1.0 is x exactly)
+        return np.array([v ** power for v in (fn.df_norms(ts) / scale).tolist()])
+
+    scale = 1.0
     try:
-        integral = simpson_scalar(lambda t: fn.df_norm_at(t) ** power, lo, hi, resolution)
+        integral = simpson_scalar(integrand, lo, hi, resolution)
     except OverflowError:
-        # a power past the float range: scale each sample by 2**-e, e the
-        # exponent of the largest on Simpson's grid, and undo after the root
+        integral = math.inf
+    if integral == math.inf:
+        # a power or the sum past the float range: scale each sample by
+        # 2**-e, e the exponent of the largest on Simpson's grid, and undo
+        # after the root
         top = _estimate(fn, lo, hi, LINF, 2 * resolution)[0]
         scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
-        integral = simpson_scalar(lambda t: (fn.df_norm_at(t) / scale) ** power, lo, hi, resolution)
+        integral = simpson_scalar(lambda ts: integrand(ts, scale), lo, hi, resolution)
     # tiny negative values can appear for an identically-zero integrand
     integral = max(integral, 0.0)
     value = integral if power == 1.0 else integral ** (1.0 / power)

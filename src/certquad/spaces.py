@@ -27,6 +27,18 @@ __all__ = [
 
 Element = Any
 
+_FAR = 2.0 ** 500
+
+
+def _far(top):
+    """Whether an element whose largest entry modulus is ``top`` (a float,
+    or an array of them) has squares that could overflow or underflow:
+    ``top`` finite and outside [2**-500, 2**500].  Such an element is
+    scaled by an even power of two, exactly, before its 2-norm is taken,
+    and the root scaled back; every other element keeps np.linalg.norm's
+    bits."""
+    return ((top > _FAR) & (top < math.inf)) | ((top > 0.0) & (top < 1.0 / _FAR))
+
 
 class NormedSpace:
     """Base class for the two concrete spaces below.
@@ -49,6 +61,12 @@ class NormedSpace:
         raise NotImplementedError
 
     def norm(self, x: Element) -> float:
+        raise NotImplementedError
+
+    def norms(self, stack) -> np.ndarray:
+        """``norm`` of each element of ``stack``, an array of elements
+        stacked along axis 0; entry ``k`` equals ``norm(stack[k])`` bit for
+        bit."""
         raise NotImplementedError
 
     def add(self, x: Element, y: Element) -> Element:
@@ -100,6 +118,9 @@ class ScalarSpace(NormedSpace):
     def norm(self, x) -> float:
         return abs(float(x))
 
+    def norms(self, stack) -> np.ndarray:
+        return np.abs(np.asarray(stack, dtype=float))
+
     def is_element(self, x) -> bool:
         return _is_real_scalar(x)
 
@@ -138,9 +159,37 @@ class ArraySpace(NormedSpace):
         return np.zeros(self.shape, dtype=complex if self.kind == "c" else float)
 
     def norm(self, x) -> float:
+        # one element: np.linalg.norm costs a fifth of norms() per call
+        x = np.asarray(x)
+        top = float(abs(x).max())
         if self.sup:
-            return float(np.max(np.abs(x)))
-        return float(np.linalg.norm(x))
+            return top
+        if not _far(top):
+            return float(np.linalg.norm(x))
+        return float(self.norms(x[None])[0])
+
+    def norms(self, stack) -> np.ndarray:
+        rows = np.asarray(stack).reshape(len(stack), -1)
+        if rows.dtype.kind not in "fc":
+            rows = rows.astype(float)
+        tops = np.max(np.abs(rows), axis=1)
+        if self.sup:
+            return tops
+        # np.linalg.norm flattens and takes sqrt(dot(x, x)), or for complex
+        # entries sqrt(dot(re, re) + dot(im, im)); rows scaled as _far says
+        parts = [rows.real, rows.imag] if rows.dtype.kind == "c" else [rows]
+        far = _far(tops)
+        exps = None
+        if far.any():
+            exps = np.where(far, 2 * ((np.frexp(tops)[1] + 1) // 2), 0)
+            parts = [np.ldexp(part, -exps[:, None]) for part in parts]
+        # the stacked matmul adds each row's products as dot does; an
+        # elementwise sum of products or einsum rounds differently
+        squares = (parts[0][:, None, :] @ parts[0][:, :, None]).ravel()
+        if len(parts) == 2:
+            squares = squares + (parts[1][:, None, :] @ parts[1][:, :, None]).ravel()
+        norms = np.sqrt(squares)
+        return norms if exps is None else np.ldexp(norms, exps)
 
     def is_element(self, x) -> bool:
         return (isinstance(x, np.ndarray) and x.shape == self.shape
@@ -195,6 +244,12 @@ class VectorFunction:
         a fallback calls ``f`` once per sample.
     df : callable, optional
         Analytic derivative ``f'(t)``.  Preferred derivative source.
+    df_many : callable, optional
+        Batched form of the derivative, with ``f_many``'s shape contract:
+        row ``k`` of ``df_many(ts)`` is ``df(ts[k])`` bit for bit.  The
+        L1/Lp and sampled sup seminorms, level 1 and ``identity_residual``
+        sample through it.  When omitted, a fallback takes one derivative
+        sample per point (``df``, else finite differences).
     df_sup : callable, optional
         ``df_sup(lo, hi)`` returns an upper bound for the sup of
         ``norm(f'(t))`` over ``[lo, hi]``.  The only source that yields
@@ -215,10 +270,13 @@ class VectorFunction:
     fd_step: float | None = None
     name: str = ""
     f_many: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    df_many: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.f_many is None:
             self.f_many = self._f_many_fallback
+        if self.df_many is None:
+            self.df_many = self._df_many_fallback
         if self.fd_step is not None:
             step = float(self.fd_step)
             if not math.isfinite(step) or step <= 0.0:
@@ -226,8 +284,10 @@ class VectorFunction:
             self.fd_step = step
 
     def _f_many_fallback(self, ts: np.ndarray) -> np.ndarray:
-        out = np.array([self.f(t) for t in ts.tolist()])
-        return out if out.dtype.kind in "fc" else out.astype(float)
+        return _stacked([self.f(t) for t in ts.tolist()])
+
+    def _df_many_fallback(self, ts: np.ndarray) -> np.ndarray:
+        return _stacked([self.df_at(t) for t in ts.tolist()])
 
     @property
     def has_derivative_source(self) -> bool:
@@ -248,11 +308,20 @@ class VectorFunction:
             "(neither df nor fd_step supplied)"
         )
 
-    def df_norm_at(self, t: float) -> float:
-        """``norm(f'(t))`` with a finiteness check on the sample."""
-        value = self.space.norm(self.df_at(t))
-        if not math.isfinite(value):
+    def df_norms(self, ts: np.ndarray) -> np.ndarray:
+        """``norm(f'(t))`` at each point of ``ts``, from ``df_many``.  A
+        value that is not finite raises ``ValueError`` naming the first
+        point that gives one."""
+        values = self.space.norms(self.df_many(ts))
+        finite = np.isfinite(values)
+        if not finite.all():
+            t = float(ts[np.argmin(finite)])
             raise ValueError(
                 f"nonfinite derivative sample for {self.name or '<anonymous>'} at t={t!r}"
             )
-        return value
+        return values
+
+
+def _stacked(samples: list) -> np.ndarray:
+    out = np.array(samples)
+    return out if out.dtype.kind in "fc" else out.astype(float)

@@ -27,7 +27,7 @@ from certquad import (
     mu,
     nodes_abs,
 )
-from certquad._simpson import simpson_scalar
+from certquad.rules import _pieces
 
 # rules whose Peano-kernel pieces are degenerate (coincident nodes), sit
 # at both ends of the interval, or are centred outside their segment
@@ -60,6 +60,48 @@ def kernel_direct_sum(rule: QuadratureRule, interval: Interval, t: float) -> flo
     return total
 
 
+def reference_norm(space, x) -> float:
+    """The space's norm by the formulas the spaces used before batching:
+    ``abs``, the largest modulus, or ``np.linalg.norm``."""
+    if space.label == "scalar":
+        return abs(float(x))
+    if space.sup:
+        return float(np.max(np.abs(x)))
+    return float(np.linalg.norm(x))
+
+
+def df_norm_at(fn, t: float) -> float:
+    """``norm(f'(t))`` from one derivative sample, with a finiteness check:
+    the per-sample form of ``VectorFunction.df_norms``."""
+    value = reference_norm(fn.space, fn.df_at(t))
+    if not math.isfinite(value):
+        raise ValueError(
+            f"nonfinite derivative sample for {fn.name or '<anonymous>'} at t={t!r}"
+        )
+    return value
+
+
+def reference_simpson_scalar(g, a: float, b: float, panels: int) -> float:
+    """Composite Simpson one sample at a time: ``g`` maps a float to a
+    float, and the odd and then the even samples are each added to a
+    running Python float from 0.0."""
+    if panels < 1:
+        raise ValueError(f"panel count must be >= 1, got {panels}")
+    if a == b:
+        return 0.0
+    m = 2 * panels
+    h = (b - a) / m
+    first = g(a)
+    last = g(b)
+    odd = 0.0
+    for k in range(1, m, 2):
+        odd += g(a + k * h)
+    even = 0.0
+    for k in range(2, m, 2):
+        even += g(a + k * h)
+    return (h / 3.0) * (first + last + 4.0 * odd + 2.0 * even)
+
+
 def riemann_weighted_df(fn, lo: float, hi: float, center: float, n: int = 200_000) -> float:
     """Dense midpoint value of the integral of |t - center| * norm(f'(t))."""
     if hi <= lo:
@@ -68,7 +110,7 @@ def riemann_weighted_df(fn, lo: float, hi: float, center: float, n: int = 200_00
     total = 0.0
     for k in range(n):
         t = lo + (k + 0.5) * h
-        total += abs(t - center) * fn.df_norm_at(t)
+        total += abs(t - center) * df_norm_at(fn, t)
     return total * h
 
 
@@ -167,14 +209,39 @@ def _reference_seminorm(fn, lo, hi, regime, resolution):
         best = 0.0
         for k in range(resolution + 1):
             t = lo + k * h if k < resolution else hi
-            v = fn.df_norm_at(t)
+            v = df_norm_at(fn, t)
             if v > best:
                 best = v
         return best, False
     power = regime.integral_exponent
-    integral = simpson_scalar(lambda t: fn.df_norm_at(t) ** power, lo, hi, resolution)
+    integral = reference_simpson_scalar(
+        lambda t: df_norm_at(fn, t) ** power, lo, hi, resolution
+    )
     integral = max(integral, 0.0)
     return (integral if power == 1.0 else integral ** (1.0 / power)), False
+
+
+def reference_level1(fn, rule, interval, resolution):
+    """``(bound, contributions)`` of the level-1 certificate, one derivative
+    sample at a time: each Peano-kernel piece, split at its centre when the
+    centre lies inside, integrated by :func:`reference_simpson_scalar`."""
+    def piece(lo, hi, center):
+        if hi <= lo:
+            return 0.0
+        return reference_simpson_scalar(
+            lambda t: abs(t - center) * df_norm_at(fn, t), lo, hi, resolution
+        )
+
+    contribs = []
+    for lo, hi, center in _pieces(rule, interval):
+        if lo < center < hi:
+            contribs.append(piece(lo, center, center) + piece(center, hi, center))
+        else:
+            contribs.append(piece(lo, hi, center))
+    bound = 0.0
+    for c in contribs:
+        bound += c
+    return bound, tuple(contribs)
 
 
 def _reference_log_mu(q, a, c, b):

@@ -95,6 +95,21 @@ class TestKernelValue:
 
 
 class TestIdentityResidual:
+    @pytest.mark.parametrize(
+        "name,label",
+        [(name, label) for name in ("const", "affine") for label in SPACES]
+        + [(name, None) for name in
+           ("quadratic", "exp", "trig_circle", "poly_r3", "matrix_path", "abs_kink")],
+    )
+    def test_batched_kernel_side_keeps_the_per_point_bits(self, name, label):
+        # without df_many the kernel side samples df one point at a time
+        fn = make_function(name, label)
+        per_point = VectorFunction(space=fn.space, f=fn.f, f_many=fn.f_many, df=fn.df)
+        for rule in (preset("qt"), PIECE_RULES["outside"]):
+            for interval in (UNIT, Interval(-0.7, 1.3)):
+                assert identity_residual(fn, rule, interval, 1025) == identity_residual(
+                    per_point, rule, interval, 1025), (rule.name, interval)
+
     def test_smooth_cases_tiny(self):
         assert identity_residual(
             make_function("exp"), preset("qs"), UNIT, 1024

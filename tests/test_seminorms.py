@@ -69,7 +69,7 @@ class TestConstantSlope:
         self.iv = Interval(0.0, 2.0)
 
     def test_slope_norm(self):
-        assert self.fn.df_norm_at(0.37) == 2.5
+        assert self.fn.df_norms(np.array([0.37])).tolist() == [2.5]
 
     def test_l1(self):
         assert seminorm(self.fn, self.iv, L1).value == pytest.approx(5.0, rel=1e-13)
@@ -269,6 +269,14 @@ class TestIntegralBehaviour:
         exact = mpmath.sqrt((mpmath.exp(712) - mpmath.exp(710)) / 2)
         assert abs(est.value - exact) <= 1e-9 * exact
         assert not est.certified
+
+    def test_lp_value_past_the_sum_range(self):
+        # (2t)**2 stays in range on [-L, L], L = 1e150, but the Simpson sum
+        # of the squares does not; the L2 seminorm sqrt(8 L**3 / 3) does
+        length = 1e150
+        est = seminorm(make_function("quadratic"), Interval(-length, length), lp(2.0))
+        exact = mpmath.sqrt(8 * mpmath.mpf(length) ** 3 / 3)
+        assert abs(est.value - exact) <= 1e-12 * exact
 
     def test_resolution_convergence(self):
         # poly_r3 has a smooth, non-constant integrand; coarse estimates

@@ -3,6 +3,7 @@
 import math
 import zlib
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from certquad import (
     space_by_label,
 )
 
-from helpers import linear_combination
+from helpers import linear_combination, reference_norm
 
 
 class TestNormExamples:
@@ -245,7 +246,7 @@ class TestVectorFunction:
             name="broken",
         )
         with pytest.raises(ValueError, match="nonfinite"):
-            fn.df_norm_at(0.5)
+            fn.df_norms(np.array([0.5]))
 
     def test_df_norm(self):
         fn = VectorFunction(
@@ -253,9 +254,51 @@ class TestVectorFunction:
             f=lambda t: np.array([t, t]),
             df=lambda t: np.array([3.0, 4.0]),
         )
-        assert fn.df_norm_at(0.0) == 5.0
+        assert fn.df_norms(np.array([0.0])).tolist() == [5.0]
 
     def test_bad_fd_step_rejected(self):
         for bad in (0.0, -1e-5, float("nan")):
             with pytest.raises(ValueError):
                 VectorFunction(space=SPACES["scalar"], f=math.sin, fd_step=bad)
+
+
+class TestBatchedNorms:
+    @pytest.mark.parametrize("label", sorted(SPACES))
+    def test_rows_equal_the_per_element_norm(self, label):
+        # in-range rows keep the bits of the formulas used before batching
+        space = SPACES[label]
+        rng = np.random.default_rng(7)
+        stack = np.array([
+            space.from_flat(rng.standard_normal(space.flat_dim) * 10.0 ** rng.uniform(-8, 8))
+            for _ in range(2000)
+        ])
+        norms = space.norms(stack)
+        assert norms.shape == (len(stack),)
+        expected = [reference_norm(space, x) for x in stack]
+        assert norms.tolist() == expected
+        assert [space.norm(x) for x in stack] == expected
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("label", ["r2", "r3", "c2", "m22"])
+    @pytest.mark.parametrize("size", [1e155, 1e300, 1e-160, 5e-324])
+    def test_norm_past_the_square_range(self, label, size):
+        # squares of these entries overflow or underflow; the norm does not
+        space = SPACES[label]
+        coords = [size * (1.0 + 0.5 * j) for j in range(space.flat_dim)]
+        x = space.from_flat(coords)
+        exact = mpmath.sqrt(mpmath.fsum(mpmath.mpf(c) ** 2 for c in coords))
+        value = space.norm(x)
+        assert abs(value - float(exact)) <= 2 * math.ulp(float(exact))
+        # huge, tiny, zero, nonfinite and ordinary rows side by side
+        stack = np.array([x, space.zero(), 2.0 * x, space.from_flat([1.0] * space.flat_dim),
+                          space.from_flat([np.inf] + [1.0] * (space.flat_dim - 1))])
+        assert space.norms(stack).tolist() == [space.norm(row) for row in stack]
+
+    def test_far_rows_scale_by_powers_of_two(self):
+        # scaling a row by 2**k moves its norm by exactly 2**k, across the
+        # range where the squares would overflow or underflow
+        space = SPACES["r3"]
+        x = np.array([0.1, -0.7, 1.0 / 3.0])
+        base = space.norm(x)
+        for k in (-1000, -600, -520, 520, 600, 1000):
+            assert space.norm(np.ldexp(x, k)) == math.ldexp(base, k)
