@@ -21,20 +21,19 @@ SAMPLE_CHUNK = 1024  # points per batched integrand call
 
 def sample_batch(g, ts: np.ndarray) -> np.ndarray:
     """``g(ts)`` as a float array, where ``g`` maps sample points to the
-    values of a real function there.
+    values of a real function there, and raises on a batch exactly when
+    some point of it raises alone.
 
-    When the batch raises, or holds a value that is not finite, ``g`` is
-    called again on one point at a time in order, so the error raised is
-    the one the first failing point raises alone; nonfinite values that
-    raise nothing are returned as they are.
+    When the batch raises, ``g`` is called again on one point at a time in
+    order, so the error raised is the one the first failing point raises
+    alone.  Values that are not finite but raised nothing are returned as
+    they are, without a second pass.
     """
     try:
-        values = np.array(g(ts), dtype=float)
+        return np.array(g(ts), dtype=float)
     except Exception:
-        values = None  # redone point by point below, which raises it again
-    if values is None or not np.isfinite(values).all():
-        values = np.array([g(ts[k:k + 1])[0] for k in range(len(ts))], dtype=float)
-    return values
+        pass  # redone point by point below, which raises it again
+    return np.array([g(ts[k:k + 1])[0] for k in range(len(ts))], dtype=float)
 
 
 def simpson_scalar(g, a: float, b: float, panels: int) -> float:

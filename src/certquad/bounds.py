@@ -17,6 +17,11 @@ derivative information consumed:
 Mathematically level1 <= level2 <= level3 for every regime; the levels are
 computed by independent code paths (level 3 does not reuse level 2's
 per-segment factors), so the inequality doubles as a cross-check in tests.
+
+Each level has one array form over N panels, ``_level1_rows``,
+``_level2_rows`` and ``_level3_rows``, returning the arrays
+``(contributions, bounds, certified)``; ``_certificate_rows`` picks one by
+level, and every one-interval function here is a one-row call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._simpson import simpson_scalar
-from .geometry import INF, Interval, NormRegime, _exp, _mu_arrays, _mu_log, _pow, _powers, mu
+from .geometry import INF, Interval, NormRegime, _exp, _mu_arrays, _mu_log, _powers
 from .rules import QuadratureRule, _comparison_points, _cut_points, _pieces
 from .seminorms import DEFAULT_RESOLUTION, SeminormEstimate, SeminormProfile, segment_seminorms
 from .spaces import VectorFunction
@@ -94,6 +99,24 @@ def bound_level1(
     ``|t - xi_i|`` weight and converges at full order.  The value does not
     depend on ``regime``; the parameter only stamps the certificate.
     """
+    rows = _level1_rows(fn, rule, regime, [interval.a], [interval.b], resolution)
+    return _certificates(rule, regime, 1, [interval], rows)[0]
+
+
+def _row_sums(contribs: np.ndarray) -> np.ndarray:
+    """Each row of ``contribs`` summed left to right from 0.0, as a running
+    ``+=`` over the row would; callers silence numpy's warnings."""
+    bounds = np.zeros(len(contribs))
+    for j in range(contribs.shape[1]):
+        bounds = bounds + contribs[:, j]
+    return bounds
+
+
+def _level1_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple:
+    """Level-1 certificates of ``rule`` on the panels ``[a[k], b[k]]``, as
+    the arrays ``(contributions, bounds, certified)``: one Simpson integral
+    per Peano-kernel piece (two where its centre lies inside), panel by
+    panel and piece by piece; none certified, and ``regime`` unread."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
 
@@ -107,25 +130,14 @@ def bound_level1(
             lambda ts: np.abs(ts - center) * fn.df_norms(ts), lo, hi, resolution
         )
 
-    contribs: list[float] = []
-    for lo, hi, center in _pieces(rule, interval):
-        if lo < center < hi:
-            contribs.append(piece(lo, center, center) + piece(center, hi, center))
-        else:
-            contribs.append(piece(lo, hi, center))
-
-    bound = 0.0
-    for c in contribs:
-        bound += c
-    return ErrorCertificate(
-        bound=bound,
-        level=1,
-        regime=regime,
-        segment_contributions=tuple(contribs),
-        certified=False,
-        rule_name=rule.name,
-        interval=interval,
-    )
+    los, his, centers = _pieces(rule, a, b)
+    contribs = np.array([
+        piece(lo, c, c) + piece(c, hi, c) if lo < c < hi else piece(lo, hi, c)
+        for lo, hi, c in zip(*(x.ravel().tolist() for x in (los, his, centers)))
+    ]).reshape(los.shape)
+    with np.errstate(all="ignore"):
+        bounds = _row_sums(contribs)
+    return contribs, bounds, np.zeros(len(bounds), dtype=bool)
 
 
 def _level2(
@@ -174,23 +186,14 @@ def _level2(
         # overflowed (inf * 0 is nan); a finite factor >= 0 times +-0 gives
         # that same zero
         contribs = np.where(values == 0.0, values, factors * values)
-        bounds = np.zeros(len(cuts))
-        for j in range(contribs.shape[1]):
-            bounds = bounds + contribs[:, j]
+        bounds = _row_sums(contribs)
     certified = bounds == bounds  # a nan bound certifies nothing
     if exact is not True:
         certified &= exact.all(axis=1)
     return contribs, bounds, certified
 
 
-def _level2_rows(
-    fn: VectorFunction,
-    rule: QuadratureRule,
-    regime: NormRegime,
-    a,
-    b,
-    resolution: int = DEFAULT_RESOLUTION,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _level2_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple:
     """Level-2 certificates of ``rule`` on the panels ``[a[k], b[k]]``, as
     the arrays ``(contributions, bounds, certified)`` of :func:`_level2`.
 
@@ -207,12 +210,12 @@ def _level2_rows(
     return _level2(rule, regime, cuts, values, exact)
 
 
-def _certificates(rule, regime, intervals, rows) -> list[ErrorCertificate]:
-    """The level-2 certificates of the kernel's arrays ``rows``, row k on
+def _certificates(rule, regime, level, intervals, rows) -> list[ErrorCertificate]:
+    """The level-``level`` certificates of the arrays ``rows``, row k on
     ``intervals[k]``."""
     contribs, bounds, certified = (column.tolist() for column in rows)
     return [
-        ErrorCertificate(bound, 2, regime, tuple(terms), ok, rule.name, interval)
+        ErrorCertificate(bound, level, regime, tuple(terms), ok, rule.name, interval)
         for interval, bound, terms, ok in zip(intervals, bounds, contribs, certified)
     ]
 
@@ -243,7 +246,7 @@ def bound_level2(
     values = np.array([[seg.value for seg in profile.segments]], dtype=float)
     exact = np.array([[seg.certified for seg in profile.segments]], dtype=bool)
     rows = _level2(rule, profile.regime, cuts, values, exact)
-    return _certificates(rule, profile.regime, [interval], rows)[0]
+    return _certificates(rule, profile.regime, 2, [interval], rows)[0]
 
 
 def level2_certificate(
@@ -261,7 +264,7 @@ def level2_certificate(
     goes straight into the level-2 arithmetic.
     """
     rows = _level2_rows(fn, rule, regime, [interval.a], [interval.b], resolution)
-    return _certificates(rule, regime, [interval], rows)[0]
+    return _certificates(rule, regime, 2, [interval], rows)[0]
 
 
 def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) -> float:
@@ -272,32 +275,59 @@ def level3_factor(rule: QuadratureRule, interval: Interval, regime: NormRegime) 
     path): a max of segment reaches for l1, a single collapsed bracket for
     lp (q-th powers through logarithms once q > 30) and linf.
     """
-    pieces = _pieces(rule, interval)
-    (a, x_1, _), *inner, (x_n, b, _) = pieces
-    first, last = x_1 - a, b - x_n
-    if regime.kind == "l1":
-        return max([first, *(mu(INF, lo, c, hi) for lo, hi, c in inner), last])
-    # linf pairs with mu(1), and its outer terms d**2 / 2 are those of q = 1
-    q = 1.0 if regime.kind == "linf" else regime.q
-    r = q + 1.0
-    if q > _LOG_SPACE_Q:
-        # at an outer piece, centred on its end, _mu_log is exactly
-        # r * log(length) - log(r)
-        logs = [_mu_log(q, lo, c, hi) for lo, hi, c in pieces if hi > lo]
-        if not logs:
-            return 0.0
-        top = max(logs)
-        acc = 0.0
-        for value in logs:
-            acc += math.exp(value - top)
-        return _exp((top + math.log(acc)) / q)
-    total = _pow(first, r) / r
-    for lo, hi, c in inner:
-        total += mu(q, lo, c, hi)
-    total += _pow(last, r) / r
-    if regime.kind == "linf":
-        return total
-    return total ** (1.0 / q) if total > 0.0 else 0.0
+    return _level3_factors(rule, regime, [interval.a], [interval.b]).item()
+
+
+def _level3_factors(rule: QuadratureRule, regime: NormRegime, a, b) -> np.ndarray:
+    """:func:`level3_factor` on the panels ``[a[k], b[k]]``.
+
+    l1 takes the largest of the two outer lengths and the interior
+    ``mu(INF)``; linf and lp sum ``mu(q)`` over the n+1 pieces left to
+    right (linf pairs with q = 1, and at an outer piece, centred on its
+    end, ``mu(q)`` is ``length**(q+1) / (q+1)``), then lp takes the q-th
+    root.  Past q = 30 each row collapses the pieces' ``_mu_log`` by
+    log-sum-exp.
+    """
+    lo, hi, c = _pieces(rule, a, b)
+    with np.errstate(all="ignore"):
+        if regime.kind == "l1":
+            inner = _mu_arrays(INF, lo[:, 1:-1], c[:, 1:-1], hi[:, 1:-1])
+            reach = np.concatenate((hi[:, :1] - lo[:, :1], inner, hi[:, -1:] - lo[:, -1:]), axis=1)
+            return reach.max(axis=1)
+        q = 1.0 if regime.kind == "linf" else regime.q
+        if q > _LOG_SPACE_Q:
+            rows = zip(lo.tolist(), c.tolist(), hi.tolist())
+            return np.array([_log_collapse(q, *row) for row in rows])
+        total = _row_sums(_mu_arrays(q, lo, c, hi))
+        if regime.kind == "linf":
+            return total
+        return np.where(total > 0.0, _powers(total, 1.0 / q), 0.0)
+
+
+def _log_collapse(q: float, lo: list, c: list, hi: list) -> float:
+    """The q-th root of the sum of ``mu(q)`` over one panel's pieces."""
+    logs = [_mu_log(q, l, m, h) for l, m, h in zip(lo, c, hi) if h > l]
+    if not logs:
+        return 0.0
+    top = max(logs)
+    acc = 0.0
+    for value in logs:
+        acc += math.exp(value - top)
+    return _exp((top + math.log(acc)) / q)
+
+
+def _level3(factors: np.ndarray, values: np.ndarray, exact) -> tuple:
+    """The level-3 arithmetic for N panels at once, as :func:`_level2`'s
+    arrays: each panel's factor times its global seminorm in ``values``,
+    certified where ``exact`` (flags, or True) is and the bound is not nan;
+    no contributions."""
+    with np.errstate(all="ignore"):
+        # a seminorm 0 bounds the error by 0 even where the factor overflowed
+        bounds = np.where(values == 0.0, values, factors * values)
+    certified = bounds == bounds
+    if exact is not True:
+        certified &= exact
+    return np.zeros((len(bounds), 0)), bounds, certified
 
 
 def bound_level3(
@@ -306,19 +336,30 @@ def bound_level3(
     """Level-3 certificate: one geometry factor times the global seminorm."""
     _check_alignment(global_estimate.interval, interval.a, interval.b, "global seminorm")
     regime = global_estimate.regime
-    factor = level3_factor(rule, interval, regime)
-    value = global_estimate.value
-    # a seminorm 0 bounds the error by 0 even where the factor overflowed
-    bound = value if value == 0.0 else factor * value
-    return ErrorCertificate(
-        bound=bound,
-        level=3,
-        regime=regime,
-        segment_contributions=(),
-        certified=global_estimate.certified and bound == bound,
-        rule_name=rule.name,
-        interval=interval,
-    )
+    factors = _level3_factors(rule, regime, [interval.a], [interval.b])
+    rows = _level3(factors, np.array([global_estimate.value]), global_estimate.certified)
+    return _certificates(rule, regime, 3, [interval], rows)[0]
+
+
+def _level3_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple:
+    """Level-3 certificates of ``rule`` on the panels ``[a[k], b[k]]``, as
+    the arrays of :func:`_level3`.  Row k equals the fields of
+    ``bound_level3(seminorm(fn, panel, regime, resolution), rule, panel)``
+    bit for bit, ``panel`` being ``Interval(a[k], b[k])``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    values, exact = segment_seminorms(fn, regime, a.tolist(), b.tolist(), resolution)
+    if exact is not True:
+        exact = np.array(exact, dtype=bool)
+    return _level3(_level3_factors(rule, regime, a, b), np.array(values, dtype=float), exact)
+
+
+def _certificate_rows(fn, rule, regime, level, a, b, resolution) -> tuple:
+    """The level-``level`` certificates of ``rule`` on the panels ``[a[k],
+    b[k]]``, as the arrays ``(contributions, bounds, certified)``."""
+    if level not in (1, 2, 3):
+        raise ValueError(f"certificate level must be 1, 2 or 3, got {level}")
+    rows = (_level1_rows, _level2_rows, _level3_rows)[int(level) - 1]
+    return rows(fn, rule, regime, a, b, resolution)
 
 
 def interval_exponent(regime: NormRegime) -> float:

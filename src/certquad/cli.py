@@ -254,10 +254,19 @@ def compare_rules(
     return rows
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+def _finite(x):
+    """``x``, a float or a nested list of floats, unchanged; ``ValueError``
+    when an entry is inf or nan, since no report prints one."""
+    if isinstance(x, list):
+        for value in x:
+            _finite(value)
+    elif math.isnan(x) or math.isinf(x):
         raise ValueError("nonfinite value in report")
-    s = format(x, ".17g")
+    return x
+
+
+def _format_float(x: float) -> str:
+    s = format(_finite(x), ".17g")
     if not any(c in s for c in ".eE"):
         s += ".0"
     return s
@@ -316,9 +325,9 @@ def _emit_run(report: dict[str, Any], output: str) -> str:
             f"rule          {report['config']['rule']}",
             f"regime/level  {cert['regime'] or 'n/a'} / {cert['level']}",
             f"mode          {report['config']['mode']}",
-            f"approximation {report['approximation']}",
-            f"actual error  {report['actual_error']:.6e}",
-            f"bound         {cert['bound']:.6e}  certified={cert['certified']}",
+            f"approximation {_finite(report['approximation'])}",
+            f"actual error  {_finite(report['actual_error']):.6e}",
+            f"bound         {_finite(cert['bound']):.6e}  certified={cert['certified']}",
             f"panels        {report['panels']['count']}  converged={report['panels']['converged']}",
         ]
         return "\n".join(lines)
@@ -348,8 +357,8 @@ def _emit_compare(rows: list[dict[str, Any]], output: str) -> str:
         lines = [header, "-" * len(header)]
         for row in rows:
             lines.append(
-                f"{row['rule']:<28} {row['constant']:>14.6e} "
-                f"{row['bound']:>14.6e} {row['actual_error']:>14.6e}"
+                f"{row['rule']:<28} {_finite(row['constant']):>14.6e} "
+                f"{_finite(row['bound']):>14.6e} {_finite(row['actual_error']):>14.6e}"
             )
         return "\n".join(lines)
     raise ValueError(f"unknown output mode {output!r}")

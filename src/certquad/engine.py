@@ -17,17 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from ._simpson import simpson_element
-from .bounds import (
-    ErrorCertificate,
-    _certificates,
-    _level2_rows,
-    bound_level1,
-    bound_level3,
-    level2_certificate,
-)
+from .bounds import ErrorCertificate, _certificate_rows, _certificates
 from .geometry import Interval, NormRegime, Partition
 from .rules import QuadratureRule, _cut_points
-from .seminorms import DEFAULT_RESOLUTION, seminorm
+from .seminorms import DEFAULT_RESOLUTION
 from .spaces import Element, VectorFunction
 
 __all__ = [
@@ -116,24 +109,6 @@ def oracle_integral(fn: VectorFunction, interval: Interval, resolution: int) -> 
     return simpson_element(fn.space, fn.f_many, interval.a, interval.b, resolution)
 
 
-def _panel_certificate(
-    fn: VectorFunction,
-    rule: QuadratureRule,
-    panel: Interval,
-    regime: NormRegime,
-    level: int,
-    resolution: int,
-) -> ErrorCertificate:
-    if level == 2:
-        return level2_certificate(fn, rule, panel, regime, resolution)
-    if level == 1:
-        return bound_level1(fn, rule, panel, resolution, regime=regime)
-    if level == 3:
-        estimate = seminorm(fn, panel, regime, resolution)
-        return bound_level3(estimate, rule, panel)
-    raise ValueError(f"certificate level must be 1, 2 or 3, got {level}")
-
-
 class _PanelTable(Sequence):
     """An adaptive run's final panels as columns (ends, kernel rows): a caller
     that reads no pair never builds one; the first read builds them all."""
@@ -144,7 +119,7 @@ class _PanelTable(Sequence):
     @cached_property
     def _pairs(self) -> tuple[tuple[Interval, ErrorCertificate], ...]:
         panels = [Interval(a, b) for a, b in zip(self._lo.tolist(), self._hi.tolist())]
-        return tuple(zip(panels, _certificates(self._rule, self._regime, panels, self._rows)))
+        return tuple(zip(panels, _certificates(self._rule, self._regime, 2, panels, self._rows)))
 
     def __len__(self) -> int:
         return len(self._lo)
@@ -194,27 +169,25 @@ def integrate_composite(
     level: int = 2,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> QuadratureResult:
-    """Apply the rule on every panel of ``partition`` and sum certificates."""
+    """Apply the rule on every panel of ``partition`` and sum certificates.
+
+    The rule values and then the certificates of all panels are computed
+    at once, the certificates by one call of the level's array form.
+    """
     panels = partition.panels
     los, his = partition.breakpoints[:-1], partition.breakpoints[1:]
     try:
         values = _rule_values(fn, rule, los, his)
-        if level == 2:
-            rows = _level2_rows(fn, rule, regime, los, his, resolution)
-            certs = _certificates(rule, regime, panels, rows)
-        else:
-            certs = [
-                _panel_certificate(fn, rule, panel, regime, level, resolution)
-                for panel in panels
-            ]
+        rows = _certificate_rows(fn, rule, regime, level, los, his, resolution)
     except Exception:
         # all rule values come before any certificate here: redo the work
         # panel by panel, so that the error raised is the first one met
         # when each panel's value and then its certificate are computed
         for panel in panels:
             apply_rule(fn, rule, panel)
-            _panel_certificate(fn, rule, panel, regime, level, resolution)
+            _certificate_rows(fn, rule, regime, level, [panel.a], [panel.b], resolution)
         raise
+    certs = _certificates(rule, regime, level, panels, rows)
     return _aggregate(fn, rule, partition.interval, regime, level, tuple(zip(panels, certs)),
                       values, [c.bound for c in certs], all(c.certified for c in certs))
 
@@ -239,7 +212,7 @@ def _entries(fn, rule, regime, resolution, ends: list, store: list) -> list:
     """Heap entries of the panels ``ends`` from one kernel call, whose
     ``(rows made so far, contributions, certified)`` goes onto ``store``."""
     a, b = zip(*ends)
-    contribs, bounds, certified = _level2_rows(fn, rule, regime, a, b, resolution)
+    contribs, bounds, certified = _certificate_rows(fn, rule, regime, 2, a, b, resolution)
     first = store[-1][0] if store else 0
     store.append((first + len(bounds), contribs, certified))
     rows = range(first, first + len(bounds))

@@ -6,10 +6,11 @@ package: for an exponent s in [1, inf] it measures the distance function
 s = inf. All values come from closed forms; nothing here integrates
 numerically.
 
-Every form of ``mu`` lives here: :func:`mu`, the unchecked ``_mu``, its
-array form ``_mu_arrays`` (the same float operations, for the level-2
-kernel) and its logarithm ``_mu_log`` (for q > 30).  Powers go through
-Python floats and overflow to inf.
+Every form of ``mu`` lives here: ``_mu_arrays``, which the certificate
+levels call on many segments at once, :func:`mu`, which validates one
+segment and reads it back from ``_mu_arrays``, and the logarithm
+``_mu_log`` (for q > 30).  Powers go through Python floats and overflow
+to inf.
 """
 
 from __future__ import annotations
@@ -209,8 +210,6 @@ def conjugate_exponent(p: float) -> float:
 
 
 def _validate_mu_exponent(exponent):
-    if exponent is INF:
-        return INF
     if isinstance(exponent, _InfinityExponent):
         return INF
     try:
@@ -250,7 +249,8 @@ def mu(exponent, a: float, c: float, b: float) -> float:
         raise ValueError("mu arguments must be finite")
     if a > b:
         raise ValueError(f"mu needs a <= b, got a={a!r}, b={b!r}")
-    return _mu(p, a, c, b)
+    with np.errstate(all="ignore"):
+        return _mu_arrays(p, np.array(a), np.array(c), np.array(b)).item()
 
 
 def _pow(x: float, y: float) -> float:
@@ -268,35 +268,6 @@ def _exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def _mu(p, a: float, c: float, b: float) -> float:
-    """:func:`mu` on arguments it has validated: ``p`` is ``INF`` or a
-    float >= 1, and ``a <= b`` and ``c`` are finite floats."""
-    if a == b:
-        return 0.0
-    if p is INF:
-        if c < a:
-            return b - c
-        if c > b:
-            return c - a
-        return 0.5 * (b - a) + abs(c - 0.5 * (a + b))
-    r = p + 1.0
-    if c < a:
-        return _pow_gap(b - c, a - c, r)
-    if c > b:
-        return _pow_gap(c - a, c - b, r)
-    return (_pow(c - a, r) + _pow(b - c, r)) / r
-
-
-def _pow_gap(x: float, y: float, r: float) -> float:
-    """``(x**r - y**r) / r`` for ``x >= y >= 0``.  Once ``x**r`` overflows
-    the difference would be ``inf - inf``, nan; the gap is huge there, and
-    inf bounds it."""
-    big = _pow(x, r)
-    if big == math.inf:
-        return math.inf
-    return (big - _pow(y, r)) / r
 
 
 def _logaddexp(u: float, v: float) -> float:
@@ -342,8 +313,11 @@ def _powers(x: np.ndarray, y: float) -> np.ndarray:
 
 
 def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """:func:`_mu` over arrays, with the same float
-    operations in each branch (``lo - c`` is ``-(c - lo)`` exactly)."""
+    """:func:`mu` element by element, for ``p`` INF or a float >= 1 and
+    finite ``lo <= hi`` and ``c``, unchecked; callers silence numpy's
+    overflow warnings.  Outside the segment the two powers' difference is
+    inf once they overflow, never nan (``lo - c`` is ``-(c - lo)``
+    exactly, so each branch's powers are those of the distances)."""
     below, above = c < lo, c > hi
     left, right = c - lo, hi - c
     if p is INF:
@@ -353,7 +327,7 @@ def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:
         r = p + 1.0
         left, right = _powers(np.abs(left), r), _powers(np.abs(right), r)
         out = np.where(below, right - left, np.where(above, left - right, left + right)) / r
-        # outside the segment both powers can overflow: the gap is inf, as
-        # in _pow_gap, not inf - inf
+        # outside the segment both powers can overflow: the gap is inf,
+        # not inf - inf
         out = np.where(np.isnan(out), math.inf, out)
     return np.where(lo == hi, 0.0, out)

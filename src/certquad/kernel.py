@@ -85,12 +85,12 @@ def identity_residual(
     if interval.is_degenerate:
         raise ValueError("identity residual needs a nondegenerate interval")
     space = fn.space
-    pieces = _pieces(rule, interval)
     a, b = interval.a, interval.b
+    los, his, centers = (column[0].tolist() for column in _pieces(rule, [a], [b]))
     length = b - a
 
     rule_mean = space.zero()
-    for (x, _, _), w in zip(pieces[1:], rule.weights):
+    for x, w in zip(los[1:], rule.weights):
         rule_mean = space.add(rule_mean, space.scale(w, fn.f(x)))
     mean_integral = space.scale(
         1.0 / length, simpson_element(space, fn.f_many, a, b, oracle_resolution)
@@ -98,7 +98,7 @@ def identity_residual(
     lhs = space.subtract(rule_mean, mean_integral)
 
     kernel_side = space.zero()
-    for lo, hi, center in pieces:
+    for lo, hi, center in zip(los, his, centers):
         if hi <= lo:
             continue
         panels = max(1, math.ceil(oracle_resolution * (hi - lo) / length))

@@ -150,14 +150,16 @@ def cumulative(rule: QuadratureRule, interval: Interval) -> CumulativeWeights:
     return CumulativeWeights(rule._P, tuple(1.0 - s for s in rule._P), tuple(xi))
 
 
-def _pieces(rule: QuadratureRule, interval: Interval) -> tuple[tuple[float, float, float], ...]:
-    """The n+1 pieces ``(lo, hi, center)`` of the rule's Peano kernel on
-    ``interval``, on each of which it is ``t - center``: [a, x_1] about a,
-    [x_i, x_{i+1}] about xi_i, [x_n, b] about b."""
-    a, b = interval.a, interval.b
-    cuts = (a,) + nodes_abs(rule, interval) + (b,)
-    centers = (a,) + cumulative(rule, interval).xi + (b,)
-    return tuple(zip(cuts, cuts[1:], centers))
+def _pieces(rule: QuadratureRule, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n+1 pieces of the rule's Peano kernel on the panels ``[a[k],
+    b[k]]``, as the arrays ``(lo, hi, center)`` of shape (N, n+1): on each
+    piece the kernel is ``t - center``, [a, x_1] about a, [x_i, x_{i+1}]
+    about xi_i, [x_n, b] about b."""
+    cuts = _cut_points(rule, a, b)
+    centers = np.concatenate(
+        (cuts[..., :1], _comparison_points(rule, a, b), cuts[..., -1:]), axis=-1
+    )
+    return cuts[..., :-1], cuts[..., 1:], centers
 
 
 def corollary_condition_holds(rule: QuadratureRule, interval: Interval) -> bool:

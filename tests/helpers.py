@@ -3,11 +3,14 @@
 These deliberately avoid the library's own closed forms: mu is checked
 against a dense midpoint Riemann sum, the collapsed kernel against the
 direct sum of elementary kernels, and weighted derivative integrals
-against dense sampling.  The one-pass level-2 certificate is checked
-against :func:`reference_level2`, a frozen copy of the profile-then-bound
-arithmetic, the batched rule pass against :func:`reference_rule_value`, a
-per-panel fold, and the adaptive driver against :func:`reference_adaptive`,
-which forms the ordered sum of panel bounds before every split.
+against dense sampling.  The array certificates are checked against
+frozen one-panel, one-piece copies of the scalar code: :func:`reference_mu`,
+:func:`reference_level1`, :func:`reference_level2` (the profile-then-bound
+arithmetic) and :func:`reference_level3_factor`, all on geometry formed
+here from the rule's nodes and weights.  The batched rule pass is checked
+against :func:`reference_rule_value`, a per-panel fold, and the adaptive
+driver against :func:`reference_adaptive`, which forms the ordered sum of
+panel bounds before every split.
 """
 
 from __future__ import annotations
@@ -24,10 +27,8 @@ from certquad import (
     QuadratureResult,
     QuadratureRule,
     make_rule,
-    mu,
     nodes_abs,
 )
-from certquad.rules import _pieces
 
 # rules whose Peano-kernel pieces are degenerate (coincident nodes), sit
 # at both ends of the interval, or are centred outside their segment
@@ -221,6 +222,16 @@ def _reference_seminorm(fn, lo, hi, regime, resolution):
     return (integral if power == 1.0 else integral ** (1.0 / power)), False
 
 
+def reference_pieces(rule, interval):
+    """The Peano-kernel pieces ``(lo, hi, center)`` on ``interval``, formed
+    from :func:`reference_nodes` and the running sums of the weights:
+    [a, x_1] about a, [x_i, x_{i+1}] about xi_i, [x_n, b] about b."""
+    a, b = interval.a, interval.b
+    cuts = [a] + reference_nodes(rule, interval) + [b]
+    centers = [a] + reference_comparison_points(rule, interval) + [b]
+    return list(zip(cuts, cuts[1:], centers))
+
+
 def reference_level1(fn, rule, interval, resolution):
     """``(bound, contributions)`` of the level-1 certificate, one derivative
     sample at a time: each Peano-kernel piece, split at its centre when the
@@ -233,7 +244,7 @@ def reference_level1(fn, rule, interval, resolution):
         )
 
     contribs = []
-    for lo, hi, center in _pieces(rule, interval):
+    for lo, hi, center in reference_pieces(rule, interval):
         if lo < center < hi:
             contribs.append(piece(lo, center, center) + piece(center, hi, center))
         else:
@@ -242,6 +253,79 @@ def reference_level1(fn, rule, interval, resolution):
     for c in contribs:
         bound += c
     return bound, tuple(contribs)
+
+
+def _reference_pow(x, y):
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def reference_mu(p, a, c, b):
+    """The scalar ``mu`` for ``p`` INF or a float >= 1 and finite ``a <= b``
+    and ``c``, branch by branch with Python floats; powers overflow to inf,
+    and a difference of two overflowing powers is inf."""
+    if a == b:
+        return 0.0
+    if p is INF:
+        if c < a:
+            return b - c
+        if c > b:
+            return c - a
+        return 0.5 * (b - a) + abs(c - 0.5 * (a + b))
+    r = p + 1.0
+
+    def gap(x, y):
+        big = _reference_pow(x, r)
+        return math.inf if big == math.inf else (big - _reference_pow(y, r)) / r
+
+    if c < a:
+        return gap(b - c, a - c)
+    if c > b:
+        return gap(c - a, c - b)
+    return (_reference_pow(c - a, r) + _reference_pow(b - c, r)) / r
+
+
+def reference_level3_factor(rule, interval, regime):
+    """The level-3 geometry factor one piece at a time with Python floats:
+    the largest reach for l1, else the sum of :func:`reference_mu` over
+    the pieces (outer pieces as ``length**r / r``) and its q-th root, or
+    past q = 30 a log-sum-exp of :func:`_reference_log_mu`."""
+    pieces = reference_pieces(rule, interval)
+    (a, x_1, _), *inner, (x_n, b, _) = pieces
+    first, last = x_1 - a, b - x_n
+    if regime.kind == "l1":
+        return max([first, *(reference_mu(INF, lo, c, hi) for lo, hi, c in inner), last])
+    q = 1.0 if regime.kind == "linf" else regime.q
+    r = q + 1.0
+    if q > 30.0:
+        logs = [_reference_log_mu(q, lo, c, hi) for lo, hi, c in pieces if hi > lo]
+        if not logs:
+            return 0.0
+        top = max(logs)
+        acc = 0.0
+        for value in logs:
+            acc += math.exp(value - top)
+        try:
+            return math.exp((top + math.log(acc)) / q)
+        except OverflowError:
+            return math.inf
+    total = _reference_pow(first, r) / r
+    for lo, hi, c in inner:
+        total += reference_mu(q, lo, c, hi)
+    total += _reference_pow(last, r) / r
+    if regime.kind == "linf":
+        return total
+    return total ** (1.0 / q) if total > 0.0 else 0.0
+
+
+def reference_level3(fn, rule, interval, regime, resolution):
+    """The level-3 certificate from the frozen seminorm estimator and
+    :func:`reference_level3_factor`."""
+    value, exact = _reference_seminorm(fn, interval.a, interval.b, regime, resolution)
+    bound = value if value == 0.0 else reference_level3_factor(rule, interval, regime) * value
+    return ErrorCertificate(bound, 3, regime, (), exact and bound == bound, rule.name, interval)
 
 
 def _reference_log_mu(q, a, c, b):
@@ -282,7 +366,7 @@ def _reference_lp_factors(q):
         if hi <= lo:
             return 0.0
         if q <= 30.0:
-            return mu(q, lo, point, hi) ** (1.0 / q)
+            return reference_mu(q, lo, point, hi) ** (1.0 / q)
         return math.exp(_reference_log_mu(q, lo, point, hi) / q)
 
     return outer, inner
@@ -294,6 +378,17 @@ def reference_nodes(rule, interval):
     a, b = interval.a, interval.b
     return [a if u == 0.0 else b if u == 1.0 else min(max(a + u * (b - a), a), b)
             for u in rule.nodes_rel]
+
+
+def reference_comparison_points(rule, interval):
+    """``xi_i = P_i b + (1 - P_i) a`` from the running sums ``P_i`` of the
+    weights, clamped into [a, b]."""
+    a, b = interval.a, interval.b
+    xi, running = [], 0.0
+    for w in rule.weights[:-1]:
+        running += w
+        xi.append(min(max(running * b + (1.0 - running) * a, a), b))
+    return xi
 
 
 def reference_rule_value(fn, rule, interval):
@@ -309,16 +404,13 @@ def reference_rule_value(fn, rule, interval):
 
 def reference_level2(fn, rule, interval, regime, resolution):
     """The level-2 certificate as the profile-then-bound path computed it:
-    one seminorm per segment, then the per-regime factors with the
-    validated :func:`certquad.mu`, summed left to right.  Nodes and
+    one seminorm per segment, then the per-regime factors with
+    :func:`reference_mu`, summed left to right.  Nodes and
     comparison points are formed here too, from the rule's nodes and
     weights."""
     a, b = interval.a, interval.b
     xs = reference_nodes(rule, interval)
-    xi, running = [], 0.0
-    for w in rule.weights[:-1]:
-        running += w
-        xi.append(min(max(running * b + (1.0 - running) * a, a), b))
+    xi = reference_comparison_points(rule, interval)
     cuts = [a] + xs + [b]
     estimates = [
         _reference_seminorm(fn, lo, hi, regime, resolution)
@@ -327,12 +419,12 @@ def reference_level2(fn, rule, interval, regime, resolution):
     values = [value for value, _ in estimates]
     if regime.kind == "l1":
         outer = lambda length: length  # noqa: E731
-        inner = lambda lo, point, hi: mu(INF, lo, point, hi)  # noqa: E731
+        inner = lambda lo, point, hi: reference_mu(INF, lo, point, hi)  # noqa: E731
     elif regime.kind == "lp":
         outer, inner = _reference_lp_factors(regime.q)
     else:
         outer = lambda length: 0.5 * length ** 2  # noqa: E731
-        inner = lambda lo, point, hi: mu(1.0, lo, point, hi)  # noqa: E731
+        inner = lambda lo, point, hi: reference_mu(1.0, lo, point, hi)  # noqa: E731
     contribs = [outer(xs[0] - a) * values[0]]
     for i in range(rule.n - 1):
         contribs.append(inner(xs[i], xi[i], xs[i + 1]) * values[i + 1])

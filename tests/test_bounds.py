@@ -16,7 +16,9 @@ from certquad import (
     L1,
     LINF,
     SPACES,
+    PRESET_NAMES,
     Partition,
+    SeminormEstimate,
     SeminormProfile,
     VectorFunction,
     bound_level1,
@@ -34,11 +36,20 @@ from certquad import (
     preset,
     seminorm,
     seminorm_profile,
+    uniform_partition,
 )
 import certquad
 from certquad import bounds
 from certquad.bounds import _level2_rows, level2_certificate
-from helpers import PIECE_RULES, mu_well_placed, reference_level2, riemann_weighted_df
+from helpers import (
+    PIECE_RULES,
+    mu_well_placed,
+    reference_level1,
+    reference_level2,
+    reference_level3,
+    reference_level3_factor,
+    riemann_weighted_df,
+)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -334,6 +345,87 @@ class TestLevel2Batched:
         fn = make_function("trig_circle")
         rows = _row_tuples(_level2_rows(fn, preset("qt"), L1, [0.5, 0.0], [0.5, 1.0], 8))
         assert [certified for _, _, certified in rows] == [True, False]
+
+
+# rules for the array levels: pieces degenerate, at both ends or centred
+# outside their segment, every preset, and random rules
+ARRAY_RULES = [
+    *PIECE_RULES.values(),
+    *(preset(name) for name in PRESET_NAMES if name != "three_point"),
+    preset("three_point", 0.3, 0.4, 0.1, 0.5, 0.85),
+    _COINCIDENT,
+    *(_random_rule(seed, sorted(random.Random(seed).random() for _ in range(seed % 4 + 1)))
+      for seed in range(6, 9)),
+]
+# ordinary, degenerate and overflowing intervals, each with functions whose
+# seminorm sums stay finite there, so that the frozen estimator applies
+ARRAY_CASES = [
+    (Interval(-0.7, 1.3), ("quadratic", "matrix_path", "abs_kink")),
+    (Interval(0.3, 0.3), ("exp", "trig_circle")),
+    (Interval(-1e155, 1e155), ("trig_circle", "abs_kink")),
+    (Interval(0.0, 1e307), ("trig_circle", "affine")),
+]
+
+
+def _composite_bits(fn, rule, iv, panels, regime, level):
+    """Each panel's certificate bits and the summed bound's, from the
+    composite driver."""
+    result = integrate_composite(fn, rule, uniform_partition(iv, panels), regime, level, 8)
+    return [_bits(cert) for _, cert in result.panels], result.certificate.bound.hex()
+
+
+def _reference_bits(fn, rule, iv, panels, regime, level):
+    certs = []
+    for panel in uniform_partition(iv, panels).panels:
+        if level == 1:
+            bound, contribs = reference_level1(fn, rule, panel, 8)
+            certs.append(ErrorCertificate(bound, 1, regime, contribs, False, rule.name, panel))
+        else:
+            certs.append(reference_level3(fn, rule, panel, regime, 8))
+    total = 0.0
+    for cert in certs:
+        total += cert.bound
+    return [_bits(cert) for cert in certs], total.hex()
+
+
+class TestArrayLevelsMatchReference:
+    """Levels 1 and 3 over the composite driver's one array call equal the
+    frozen one-panel, one-piece arithmetic, bit for bit, on 1 to 8 panels."""
+
+    @pytest.mark.parametrize("level", [1, 3])
+    @pytest.mark.parametrize("regime", [L1, lp(1.5), lp(1.01), LINF],
+                             ids=["l1", "lp1.5", "lp1.01", "linf"])
+    def test_composite_matches_reference(self, level, regime):
+        k = 0
+        for iv, names in ARRAY_CASES:
+            for name in names:
+                fn = make_function(name)
+                for rule in ARRAY_RULES:
+                    panels = 1 + k % 8
+                    k += 1
+                    assert _composite_bits(fn, rule, iv, panels, regime, level) == \
+                        _reference_bits(fn, rule, iv, panels, regime, level), (name, rule, iv)
+
+    @pytest.mark.parametrize("regime", [L1, lp(1.5), lp(1.01), lp(40.0), LINF],
+                             ids=["l1", "lp1.5", "lp1.01", "lp40", "linf"])
+    def test_factor_matches_reference(self, regime):
+        rng = random.Random(11)
+        intervals = [Interval(*ends) for ends in MIXED_PANELS] + [
+            Interval(-1e155, 1e155), Interval(0.0, 1e307), Interval(-1e308, 1e308),
+            Interval(1e300, 1e300 * (1.0 + 1e-12)), Interval(-5e-324, 5e-324),
+        ]
+        for _ in range(40):
+            a = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+            width = abs(a) * rng.random() + 10.0 ** rng.randint(-300, 300)
+            intervals.append(Interval(a, a + width))
+        for rule in ARRAY_RULES:
+            for iv in intervals:
+                expected = reference_level3_factor(rule, iv, regime)
+                assert level3_factor(rule, iv, regime).hex() == expected.hex(), (rule, iv)
+                for value in (0.0, 0.75, 3e-300):
+                    cert = bound_level3(SeminormEstimate(value, regime, iv, True, 8), rule, iv)
+                    bound = value if value == 0.0 else expected * value
+                    assert (cert.bound.hex(), cert.certified) == (bound.hex(), bound == bound)
 
 
 class TestLevel3:

@@ -300,6 +300,21 @@ class TestMainInProcess:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {cause}\n"
 
+    @pytest.mark.parametrize("output", ["json", "csv", "table"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--function", "matrix_path", "--interval", "0", "1e300", "--level", "1",
+          "--resolution", "16", "--no-timing"],
+         ["compare", "--function", "trig_circle", "--interval", "0", "1e307",
+          "--rules", "qt,simpson"]],
+        ids=["run", "compare"],
+    )
+    def test_overflowed_bound_is_refused_in_every_output(self, capsys, argv, output):
+        # the bound overflows to inf (level 1 on [0, 1e300]; the level-3
+        # factor on [0, 1e307]), which no output mode prints
+        assert main([*argv, "--output", output]) == 2
+        assert capsys.readouterr() == ("", "error: nonfinite value in report\n")
+
     @pytest.mark.parametrize("mode", ["single", "composite:3", "adaptive:1e-3"])
     def test_overflowing_sample(self, capsys, mode):
         # affine's samples overflow at the ends; the rule pass must not let

@@ -731,3 +731,27 @@ class TestCompositeErrorOrder:
         with pytest.raises(error, match=f"^{first} failed on panel {panel}$"):
             integrate_composite(fn, preset("qt"), uniform_partition(Interval(0.0, 4.0), 4),
                                 LINF, level, 16)
+
+    @pytest.mark.parametrize(
+        "f_panel, df_panel, first",
+        [(2, 0, "df"), (0, 2, "f"), (1, 1, "f"), (None, 1, "df"), (3, None, "f")],
+    )
+    def test_level1_first_failure_in_panel_order(self, f_panel, df_panel, first):
+        base = make_function("exp")
+
+        def f(x):
+            if f_panel is not None and f_panel <= x < f_panel + 1:
+                raise ArithmeticError(f"f failed on panel {f_panel}")
+            return base.f(x)
+
+        def df(t):
+            if df_panel is not None and df_panel < t < df_panel + 1:
+                raise LookupError(f"df failed on panel {df_panel}")
+            return base.df(t)
+
+        fn = VectorFunction(space=base.space, f=f, df=df, df_sup=base.df_sup, name="failing")
+        error = ArithmeticError if first == "f" else LookupError
+        panel = f_panel if first == "f" else df_panel
+        with pytest.raises(error, match=f"^{first} failed on panel {panel}$"):
+            integrate_composite(fn, preset("qt"), uniform_partition(Interval(0.0, 4.0), 4),
+                                LINF, 1, 16)

@@ -18,7 +18,7 @@ from certquad import (
     mu,
     uniform_partition,
 )
-from helpers import riemann_mu
+from helpers import reference_mu, riemann_mu
 
 
 class TestInterval:
@@ -197,6 +197,27 @@ class TestMu:
         assert mu(1.0, 2.0, 2.0, 2.0) == 0.0
         assert mu(3.5, 2.0, 7.0, 2.0) == 0.0
         assert mu(INF, 2.0, -1.0, 2.0) == 0.0
+
+    def test_matches_scalar_reference_bit_for_bit(self):
+        # every branch, degenerate and touching segments, tiny and huge
+        # scales, and powers and differences of powers that overflow
+        rng = np.random.default_rng(20261019)
+        for k in range(6000):
+            scale = 10.0 ** float(rng.integers(-300, 300))
+            a, b = sorted(float(x) * scale for x in rng.uniform(-1.0, 1.0, 2))
+            if k % 7 == 0:
+                b = a
+            c = (a, b, a - (b - a), b + (b - a))[k % 4] if k % 5 == 0 else \
+                float(rng.uniform(-2.0, 2.0)) * scale
+            p = (INF, 1.0, 2.0, float(rng.uniform(1.0, 40.0)), float(rng.uniform(1.0, 1e3)))[k % 5]
+            for a, c, b in ((a, c, b), (a / scale, c / scale, b / scale)):
+                if not math.isfinite(c):
+                    continue
+                assert mu(p, a, c, b).hex() == reference_mu(p, a, c, b).hex(), (p, a, c, b)
+
+    def test_overflow_is_inf(self):
+        assert mu(2.0, -1e200, 0.0, 1e200) == math.inf
+        assert mu(2.0, 1e200, -1e200, 1.5e200) == math.inf  # inf - inf is not nan
 
     def test_against_dense_integration(self):
         rng = np.random.default_rng(424242)

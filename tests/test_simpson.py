@@ -16,7 +16,7 @@ from certquad import (
     make_function,
     preset,
 )
-from certquad._simpson import SAMPLE_CHUNK, simpson_element
+from certquad._simpson import SAMPLE_CHUNK, sample_batch, simpson_element
 from certquad.seminorms import segment_seminorms
 from helpers import (
     _reference_seminorm,
@@ -239,3 +239,32 @@ def test_fallback_samples_df_once_per_point():
     fn = VectorFunction(space=SPACES["scalar"], f=lambda t: 3 * t, df=df)
     out = fn.df_many(np.array([0.5, 0.25]))
     assert calls == [0.5, 0.25] and out.dtype == np.float64 and out.tolist() == [3.0, 3.0]
+
+
+def test_nonfinite_batch_that_raises_nothing_is_kept():
+    # an integrand that overflows without raising is sampled once per batch
+    calls = []
+
+    def g(ts):
+        calls.append(len(ts))
+        return np.array([np.inf, 1.0, 2.0])
+    assert sample_batch(g, np.array([0.0, 0.5, 1.0])).tolist() == [np.inf, 1.0, 2.0]
+    assert calls == [3]
+
+
+def test_level1_overflow_samples_each_batch_once():
+    # |t - c| * norm(2t) overflows on [-1e200, 1e200]: the bound is inf, and
+    # each Simpson integral calls df_many on its two ends and then on its
+    # odd and even points a chunk at a time, never once per point
+    base = make_function("quadratic")
+    calls = []
+
+    def df_many(ts):
+        calls.append(len(ts))
+        return base.df_many(ts)
+    fn = VectorFunction(space=base.space, f=base.f, df=base.df, df_many=df_many)
+    resolution = 4 * SAMPLE_CHUNK
+    cert = bound_level1(fn, preset("qt"), Interval(-1e200, 1e200), resolution)
+    assert cert.bound == np.inf
+    # qt's three pieces, the middle one split at its centre: four integrals
+    assert calls == [2, *[SAMPLE_CHUNK] * 4, *[SAMPLE_CHUNK] * 3, SAMPLE_CHUNK - 1] * 4
