@@ -3,10 +3,11 @@
 Shared by the seminorm estimators, the level-1 bound, the kernel-identity
 check and the test oracle.  ``panels`` counts Simpson panels; each panel
 contributes two half-steps, so ``2*panels + 1`` samples are taken, at
-``a + k*h`` for ``k < 2*panels`` and at ``b``.  Both folds take their
-integrand in batches of at most ``SAMPLE_CHUNK`` points and add the
-samples one at a time in a fixed order (``np.add.accumulate``, never a
-pairwise sum), so results are reproducible bit for bit and equal to the
+``a + k*h`` for ``k < 2*panels`` and at ``b`` (:func:`sample_points`).
+Both folds take their integrand in batches of at most ``SAMPLE_CHUNK``
+points, read what it returns without writing to it, and add the samples
+one at a time in a fixed order (``np.add.accumulate``, never a pairwise
+sum), so results are reproducible bit for bit and equal to the
 one-sample-at-a-time loop.
 """
 
@@ -14,9 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simpson_scalar", "simpson_element", "sample_batch"]
+__all__ = ["simpson_scalar", "simpson_element", "sample_batch", "sample_points"]
 
-SAMPLE_CHUNK = 1024  # points per batched integrand call
+SAMPLE_CHUNK = 4096  # points per batched integrand call
+
+
+def sample_points(a: float, b: float, m: int):
+    """``(h, points)``: ``(b - a)/m`` and ``k -> a + k*h``; where ``b - a``
+    overflows, ``b/m - a/m`` and ``uniform_partition``'s ``(a/m)(m - k) + (b/m)k``."""
+    h = (b - a) / m
+    if np.isfinite(h):
+        return h, lambda k: a + k * h
+    return b / m - a / m, lambda k: (a / m) * (m - k) + (b / m) * k
 
 
 def sample_batch(g, ts: np.ndarray) -> np.ndarray:
@@ -51,17 +61,16 @@ def simpson_scalar(g, a: float, b: float, panels: int) -> float:
     if a == b:
         return 0.0
     m = 2 * panels
-    h = (b - a) / m
+    h, points = sample_points(a, b, m)
     with np.errstate(all="ignore"):
         first, last = sample_batch(g, np.array([a, b])).tolist()
         sums = []
         for start in (1, 2):
             acc = 0.0
             for lo in range(start, m, 2 * SAMPLE_CHUNK):
-                k = np.arange(lo, min(lo + 2 * SAMPLE_CHUNK, m), 2)
-                terms = sample_batch(g, a + k * h)
+                terms = sample_batch(g, points(np.arange(lo, min(lo + 2 * SAMPLE_CHUNK, m), 2)))
                 terms[0] = acc + terms[0]
-                acc = np.add.accumulate(terms)[-1]
+                acc = np.add.accumulate(terms, out=terms)[-1]
             sums.append(float(acc))
     odd, even = sums
     return (h / 3.0) * (first + last + 4.0 * odd + 2.0 * even)
@@ -74,23 +83,27 @@ def _samples(f_many, ts: np.ndarray, shape: tuple) -> np.ndarray:
             f"batched samples have shape {values.shape}, "
             f"expected {(len(ts),) + shape}"
         )
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = np.argmin(finite.reshape(len(ts), -1).all(axis=1))
-        raise ValueError(f"nonfinite sample at t={float(ts[first])!r}")
     return values
+
+
+def _check(acc, values: np.ndarray, ts: np.ndarray) -> None:
+    # a nonfinite sample leaves the running sum nonfinite; only then scan the samples
+    if not np.isfinite(acc).all():
+        finite = np.isfinite(values).reshape(len(ts), -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"nonfinite sample at t={float(ts[np.argmin(finite)])!r}")
 
 
 def simpson_element(space, f_many, a: float, b: float, panels: int):
     """Composite Simpson estimate of a space-valued integral.
 
     ``f_many`` maps an array of sample points to an array of elements
-    stacked along axis 0 (see ``VectorFunction.f_many``); it is called on
-    at most ``SAMPLE_CHUNK`` points at a time.  The fold is pinned:
-    ``f(a) + f(b)``, then ``4 f(t_k)`` for odd ``k`` ascending, then
-    ``2 f(t_k)`` for even ``k`` ascending, each added to the running sum
-    in turn (``np.add.accumulate``, never a pairwise sum), and the ``h/3``
-    factor is applied once at the end.  A nonfinite sample or sum raises
+    stacked along axis 0 in any layout (see ``VectorFunction.f_many``); it
+    is called on at most ``SAMPLE_CHUNK`` points at a time.  The fold is
+    pinned: ``f(a) + f(b)``, then ``4 f(t_k)`` for odd ``k`` ascending,
+    then ``2 f(t_k)`` for even ``k`` ascending, each added to the running
+    sum in turn (``np.add.accumulate``, never a pairwise sum), and ``h/3``
+    applied once at the end.  A nonfinite sample or sum raises
     ``ValueError``.  The scalar space gets a Python float back.
     """
     if panels < 1:
@@ -98,17 +111,21 @@ def simpson_element(space, f_many, a: float, b: float, panels: int):
     if a == b:
         return space.zero()
     m = 2 * panels
-    h = (b - a) / m
+    h, points = sample_points(a, b, m)
     shape = np.shape(space.zero())
     with np.errstate(all="ignore"):
-        ends = _samples(f_many, np.array([a, b]), shape)
-        acc = ends[0] + ends[1]
+        ends = np.array([a, b])
+        values = _samples(f_many, ends, shape)
+        acc = values[0] + values[1]
+        _check(acc, values, ends)
         for weight, first in ((4.0, 1), (2.0, 2)):
             for lo in range(first, m, 2 * SAMPLE_CHUNK):
-                k = np.arange(lo, min(lo + 2 * SAMPLE_CHUNK, m), 2)
-                terms = weight * _samples(f_many, a + k * h, shape)
+                ts = points(np.arange(lo, min(lo + 2 * SAMPLE_CHUNK, m), 2))
+                values = _samples(f_many, ts, shape)
+                terms = weight * values  # a new array: values is only read
                 terms[0] += acc  # IEEE addition commutes: acc + terms[0]
-                acc = np.add.accumulate(terms, axis=0)[-1]
+                acc = np.add.accumulate(terms, axis=0, out=terms)[-1]
+                _check(acc, values, ts)
         result = (h / 3.0) * acc
     if not np.isfinite(result).all():
         raise ValueError(f"nonfinite Simpson sum over [{a}, {b}]")

@@ -372,10 +372,10 @@ def interval_exponent(regime: NormRegime) -> float:
 
 
 # Closed-form level-3 coefficients of (b-a)**interval_exponent * seminorm
-# for the named rules.  The qs/lp entry is the sharp table value; the
-# general machinery in level3_factor aggregates the two halves by a
-# discrete Hoelder step and therefore returns 2**(1/q) times this number
-# for qs, and exactly this number for the other rules (see tests).
+# for the named rules; level3_factor returns them exactly (see tests), but
+# for qs/lp, where it returns 2**(1/q) times the entry.  That entry is no
+# bound: f' equal to qs's Peano kernel on [0, 1] gives error 1/48, above
+# 0.1021 * ||f'||_2 = 0.0147 at p = 2.  Use level3_factor there.
 _CLOSED_L1 = {
     "trapezoid": 0.5,
     "qt": 0.25,
@@ -409,7 +409,8 @@ def closed_form_constant(rule_name: str, regime: NormRegime) -> float:
     """Tabulated level-3 coefficient for a named rule.
 
     Multiply by ``(b-a) ** interval_exponent(regime)`` and the global
-    seminorm to obtain the bound.  Known rules: trapezoid, qt, qs, simpson.
+    seminorm to obtain the bound; qs under lp is the exception (see
+    ``_CLOSED_L1``).  Known rules: trapezoid, qt, qs, simpson.
     """
     if regime.kind == "l1":
         table = _CLOSED_L1

@@ -76,10 +76,12 @@ def _affine(space: NormedSpace) -> VectorFunction:
     base = _pattern(space)
     slope = _pattern(space, offset=1)
     slope_norm = space.norm(slope)
+    base_col, slope_col = np.ravel(base)[:, None], np.ravel(slope)  # one row per entry
+    rows = (-1,) + np.shape(base)
     return VectorFunction(
         space=space,
         f=lambda t: space.add(base, space.scale(t, slope)),
-        f_many=lambda ts: base + np.multiply.outer(ts, slope),
+        f_many=lambda ts: (np.multiply.outer(slope_col, ts) + base_col).T.reshape(rows),
         df=lambda t: slope,
         df_many=lambda ts: np.broadcast_to(slope, (len(ts),) + np.shape(slope)),
         df_sup=lambda lo, hi: slope_norm,
@@ -131,7 +133,7 @@ def _trig_circle() -> VectorFunction:
     return VectorFunction(
         space=_R2,
         f=lambda t: np.array([math.cos(t), math.sin(t)]),
-        f_many=lambda ts: np.stack([np.cos(ts), np.sin(ts)], axis=-1),
+        f_many=lambda ts: np.array([np.cos(ts), np.sin(ts)]).T,
         df=lambda t: np.array([-math.sin(t), math.cos(t)]),
         df_many=lambda ts: np.stack([-_math_many(math.sin, ts), _math_many(math.cos, ts)], axis=-1),
         df_sup=lambda lo, hi: 1.0,
@@ -149,7 +151,7 @@ def _poly_r3() -> VectorFunction:
     return VectorFunction(
         space=_R3,
         f=lambda t: np.array([t, t * t, t ** 3]),
-        f_many=lambda ts: np.stack([ts, ts * ts, ts ** 3], axis=-1),
+        f_many=lambda ts: np.array([ts, ts * ts, ts ** 3]).T,
         df=lambda t: np.array([1.0, 2.0 * t, 3.0 * t * t]),
         df_many=lambda ts: np.stack([np.ones_like(ts), 2.0 * ts, (3.0 * ts) * ts], axis=-1),
         df_sup=sup,
@@ -165,7 +167,7 @@ def _matrix_path() -> VectorFunction:
 
     def f_many(ts):
         c, s = np.cos(ts), np.sin(ts)
-        return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+        return np.array([c, -s, s, c]).T.reshape(-1, 2, 2)
 
     def df(t: float):
         c, s = math.cos(t), math.sin(t)

@@ -19,7 +19,7 @@ points through ``VectorFunction.df_norms`` (``df_many``, then the space's
 ``norms``) and folded in the one-sample loop's order, so every value is
 the one that loop gives, bit for bit; a batch that fails is redone one
 point at a time, so the error raised is the first one that loop meets.
-p-th powers are Python ``**`` per sample.  When a power raises
+p-th powers for p > 1 are Python ``**`` per sample.  When one raises
 ``OverflowError`` or the Simpson sum of the powers overflows to inf, the
 integral is taken again with every sample scaled by a power of two, and
 the scale is undone after the root.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simpson import SAMPLE_CHUNK, sample_batch, simpson_scalar
+from ._simpson import SAMPLE_CHUNK, sample_batch, sample_points, simpson_scalar
 from .geometry import LINF, Interval, NormRegime
 from .rules import QuadratureRule, _cut_points
 from .spaces import VectorFunction
@@ -165,23 +165,25 @@ def _estimate(
                 f"function {fn.name or '<anonymous>'} has neither a sup-envelope "
                 "nor a derivative source for the linf seminorm"
             )
-        h = (hi - lo) / resolution
+        points = sample_points(lo, hi, resolution)[1]
         best = 0.0
-        for start in range(0, resolution + 1, SAMPLE_CHUNK):
-            k = np.arange(start, min(start + SAMPLE_CHUNK, resolution + 1))
-            ts = lo + k * h
-            if k[-1] == resolution:
-                ts[-1] = hi
-            best = max(best, float(np.max(sample_batch(fn.df_norms, ts))))
+        with np.errstate(all="ignore"):  # df_norms raises on overflow
+            for start in range(0, resolution + 1, SAMPLE_CHUNK):
+                k = np.arange(start, min(start + SAMPLE_CHUNK, resolution + 1))
+                ts = points(k)
+                if k[-1] == resolution:
+                    ts[-1] = hi
+                best = max(best, float(np.max(sample_batch(fn.df_norms, ts))))
         return best, False
 
     power = regime.integral_exponent
 
     def integrand(ts, scale=1.0):
-        # Python's ** per sample, L1 included, as the one-sample loop took
-        # it: np.power rounds differently, and ** raises OverflowError where
-        # a power leaves the float range (x / 1.0 is x exactly)
-        return np.array([v ** power for v in (fn.df_norms(ts) / scale).tolist()])
+        # x / 1.0 and x ** 1.0 are x exactly: L1 takes the norms as they are.
+        # Other powers are Python's ** per sample, as the one-sample loop took
+        # them (np.power rounds differently; ** raises OverflowError past range)
+        norms = fn.df_norms(ts) / scale
+        return norms if power == 1.0 else np.array([v ** power for v in norms.tolist()])
 
     scale = 1.0
     try:

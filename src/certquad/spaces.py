@@ -162,7 +162,7 @@ class ArraySpace(NormedSpace):
         # one element: np.linalg.norm costs a fifth of norms() per call
         x = np.asarray(x)
         top = float(abs(x).max())
-        if self.sup:
+        if self.sup or top == math.inf:  # inf without squaring what may overflow
             return top
         if not _far(top):
             return float(np.linalg.norm(x))
@@ -184,12 +184,14 @@ class ArraySpace(NormedSpace):
             exps = np.where(far, 2 * ((np.frexp(tops)[1] + 1) // 2), 0)
             parts = [np.ldexp(part, -exps[:, None]) for part in parts]
         # the stacked matmul adds each row's products as dot does; an
-        # elementwise sum of products or einsum rounds differently
-        squares = (parts[0][:, None, :] @ parts[0][:, :, None]).ravel()
-        if len(parts) == 2:
-            squares = squares + (parts[1][:, None, :] @ parts[1][:, :, None]).ravel()
-        norms = np.sqrt(squares)
-        return norms if exps is None else np.ldexp(norms, exps)
+        # elementwise sum of products or einsum rounds differently.  Squares
+        # overflow only beside an inf entry, norms only past the float range
+        with np.errstate(over="ignore"):
+            squares = (parts[0][:, None, :] @ parts[0][:, :, None]).ravel()
+            if len(parts) == 2:
+                squares = squares + (parts[1][:, None, :] @ parts[1][:, :, None]).ravel()
+            norms = np.sqrt(squares)
+            return norms if exps is None else np.ldexp(norms, exps)
 
     def is_element(self, x) -> bool:
         return (isinstance(x, np.ndarray) and x.shape == self.shape
@@ -240,8 +242,9 @@ class VectorFunction:
     f_many : callable, optional
         Batched form of ``f``: maps a float array ``ts`` of shape ``(N,)``
         to an array of shape ``(N, *element_shape)`` whose row ``k`` is
-        ``f(ts[k])`` (shape ``(N,)`` in the scalar space).  When omitted,
-        a fallback calls ``f`` once per sample.
+        ``f(ts[k])`` (shape ``(N,)`` in the scalar space), in any memory
+        layout; it is read, never written.  When omitted, a fallback calls
+        ``f`` once per sample.
     df : callable, optional
         Analytic derivative ``f'(t)``.  Preferred derivative source.
     df_many : callable, optional

@@ -149,6 +149,25 @@ def simpson_fold(space, values, h: float):
     return space.scale(h / 3.0, acc)
 
 
+def reference_f_many(fn, ts):
+    """``fn.f_many(ts)`` for a registry function, in the forms the registry
+    used before its batches were built component by component: a
+    broadcast over the element's last axis for ``affine``, and
+    ``np.stack(..., axis=-1)`` for the fixed-space functions."""
+    name = fn.name
+    if name == "affine":
+        # f(0) is base exactly, and df is the slope
+        return fn.f(0.0) + np.multiply.outer(ts, fn.df(0.0))
+    if name == "trig_circle":
+        return np.stack([np.cos(ts), np.sin(ts)], axis=-1)
+    if name == "poly_r3":
+        return np.stack([ts, ts * ts, ts ** 3], axis=-1)
+    if name == "matrix_path":
+        c, s = np.cos(ts), np.sin(ts)
+        return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    raise ValueError(f"no frozen f_many for {name!r}")
+
+
 def mu_well_placed(exponent, lo: float, point: float, hi: float) -> float:
     """Simplified mu for a comparison point inside its segment.
 

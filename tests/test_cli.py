@@ -315,6 +315,20 @@ class TestMainInProcess:
         assert main([*argv, "--output", output]) == 2
         assert capsys.readouterr() == ("", "error: nonfinite value in report\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("output", ["json", "csv", "table"])
+    @pytest.mark.parametrize("regime", ["linf", "lp:1.5"])
+    def test_overflowing_panel_norm(self, capsys, regime, output):
+        # a panel value's norm passes the float range (an inf entry beside
+        # a huge one under linf, finite entries under lp:1.5): no numpy
+        # warning escapes, and no output prints the inf
+        rc = main(["run", "--function", "affine", "--space", "c2",
+                   "--interval", " -1e155", "1e155", "--rule", "simpson", "--level", "1",
+                   "--mode", "adaptive:1e-3", "--resolution", "16", "--max-panels", "32",
+                   "--regime", regime, "--output", output, "--no-timing"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: nonfinite value in report\n")
+
     @pytest.mark.parametrize("mode", ["single", "composite:3", "adaptive:1e-3"])
     def test_overflowing_sample(self, capsys, mode):
         # affine's samples overflow at the ends; the rule pass must not let

@@ -294,6 +294,21 @@ class TestBatchedNorms:
                           space.from_flat([np.inf] + [1.0] * (space.flat_dim - 1))])
         assert space.norms(stack).tolist() == [space.norm(row) for row in stack]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label,entries", [
+        # an infinite entry beside a finite one whose square overflows
+        ("c2", [complex(1.46484375e308, -math.inf), complex(math.inf, -math.inf)]),
+        ("r2", [1.5e308, -math.inf]),
+        # finite entries whose norm passes the float range
+        ("c2", [5.8e307 - 7.8e307j, 9.7e307 - 1.2e308j]),
+        ("r3", [1.5e308, -1.5e308, 1e308]),
+    ])
+    def test_overflowing_norm_is_inf_without_a_warning(self, label, entries):
+        space = SPACES[label]
+        x = np.array(entries)
+        assert space.norm(x) == math.inf
+        assert space.norms(np.array([x, space.zero(), x])).tolist() == [math.inf, 0.0, math.inf]
+
     def test_far_rows_scale_by_powers_of_two(self):
         # scaling a row by 2**k moves its norm by exactly 2**k, across the
         # range where the squares would overflow or underflow
