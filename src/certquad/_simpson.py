@@ -5,10 +5,13 @@ check and the test oracle.  ``panels`` counts Simpson panels; each panel
 contributes two half-steps, so ``2*panels + 1`` samples are taken, at
 ``a + k*h`` for ``k < 2*panels`` and at ``b`` (:func:`sample_points`).
 Both folds take their integrand in batches of at most ``SAMPLE_CHUNK``
-points, read what it returns without writing to it, and add the samples
-one at a time in a fixed order (``np.add.accumulate``, never a pairwise
-sum), so results are reproducible bit for bit and equal to the
-one-sample-at-a-time loop.
+points and read what it returns without writing to it.  Neither uses a
+pairwise sum, so results are reproducible bit for bit.
+:func:`simpson_scalar`, which feeds the certificates, adds its samples one
+at a time, as the one-sample loop does.  :func:`simpson_element`, the
+oracle, sums each batch in blocks of ``ROW`` samples in a fixed order
+(:func:`_batch_sum`), which shortens its chain of dependent additions from
+one per sample to about ``2 * ROW`` per batch.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 __all__ = ["simpson_scalar", "simpson_element", "sample_batch", "sample_points"]
 
 SAMPLE_CHUNK = 4096  # points per batched integrand call
+ROW = 64  # samples per row of a batch in the oracle's blocked sum
 
 
 def sample_points(a: float, b: float, m: int):
@@ -94,17 +98,44 @@ def _check(acc, values: np.ndarray, ts: np.ndarray) -> None:
             raise ValueError(f"nonfinite sample at t={float(ts[np.argmin(finite)])!r}")
 
 
+def _batch_sum(values: np.ndarray):
+    """The sum of a batch of samples stacked along axis 0, in a pinned
+    order: rows of ``ROW`` consecutive samples added elementwise in turn
+    (the short last row into the first columns), then the column sums
+    left to right.
+
+    Each coordinate is summed on its own, from a C-contiguous
+    coordinate-major form of the batch, copied unless the batch is
+    component-major already: ``np.add.reduce`` adds the rows of a block in
+    turn only on C-contiguous blocks, and sums pairwise on others.
+    """
+    n = len(values)
+    coords = np.ascontiguousarray(
+        values.reshape(n, -1).T, dtype=np.result_type(values, float)
+    )
+    full = n - n % ROW
+    if full:
+        columns = np.add.reduce(coords[:, :full].reshape(len(coords), -1, ROW), axis=1)
+        columns[:, :n - full] += coords[:, full:]
+    else:
+        columns = coords
+    return np.add.accumulate(columns, axis=1)[:, -1].reshape(values.shape[1:])
+
+
 def simpson_element(space, f_many, a: float, b: float, panels: int):
     """Composite Simpson estimate of a space-valued integral.
 
     ``f_many`` maps an array of sample points to an array of elements
     stacked along axis 0 in any layout (see ``VectorFunction.f_many``); it
     is called on at most ``SAMPLE_CHUNK`` points at a time.  The fold is
-    pinned: ``f(a) + f(b)``, then ``4 f(t_k)`` for odd ``k`` ascending,
-    then ``2 f(t_k)`` for even ``k`` ascending, each added to the running
-    sum in turn (``np.add.accumulate``, never a pairwise sum), and ``h/3``
-    applied once at the end.  A nonfinite sample or sum raises
-    ``ValueError``.  The scalar space gets a Python float back.
+    pinned: ``ends = f(a) + f(b)``; ``odd``, the batches of odd ``k``
+    ascending, each summed by :func:`_batch_sum` and the batch sums added
+    left to right from 0.0; ``even`` likewise; then
+    ``(h/3) * ((ends + 4*odd) + 2*even)``.  The order does not depend on
+    the layout ``f_many`` returns.  A nonfinite sample or sum raises
+    ``ValueError``, naming the first nonfinite sample in sampling order
+    (ends, odd points, even points).  The scalar space gets a Python float
+    back.
     """
     if panels < 1:
         raise ValueError(f"panel count must be >= 1, got {panels}")
@@ -118,15 +149,17 @@ def simpson_element(space, f_many, a: float, b: float, panels: int):
         values = _samples(f_many, ends, shape)
         acc = values[0] + values[1]
         _check(acc, values, ends)
-        for weight, first in ((4.0, 1), (2.0, 2)):
+        sums = []
+        for first in (1, 2):
+            total = 0.0
             for lo in range(first, m, 2 * SAMPLE_CHUNK):
-                ts = points(np.arange(lo, min(lo + 2 * SAMPLE_CHUNK, m), 2))
+                ts = points(np.arange(lo, min(lo + 2 * SAMPLE_CHUNK, m), 2, dtype=float))
                 values = _samples(f_many, ts, shape)
-                terms = weight * values  # a new array: values is only read
-                terms[0] += acc  # IEEE addition commutes: acc + terms[0]
-                acc = np.add.accumulate(terms, axis=0, out=terms)[-1]
-                _check(acc, values, ts)
-        result = (h / 3.0) * acc
+                total = total + _batch_sum(values)
+                _check(total, values, ts)
+            sums.append(total)
+        odd, even = sums
+        result = (h / 3.0) * ((acc + 4.0 * odd) + 2.0 * even)
     if not np.isfinite(result).all():
         raise ValueError(f"nonfinite Simpson sum over [{a}, {b}]")
     return float(result) if result.ndim == 0 else result

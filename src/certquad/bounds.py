@@ -372,10 +372,10 @@ def interval_exponent(regime: NormRegime) -> float:
 
 
 # Closed-form level-3 coefficients of (b-a)**interval_exponent * seminorm
-# for the named rules; level3_factor returns them exactly (see tests), but
-# for qs/lp, where it returns 2**(1/q) times the entry.  That entry is no
-# bound: f' equal to qs's Peano kernel on [0, 1] gives error 1/48, above
-# 0.1021 * ||f'||_2 = 0.0147 at p = 2.  Use level3_factor there.
+# for the named rules; level3_factor returns them on [0, 1] (see tests).
+# Under lp, qs's Peano kernel is a rearrangement of qt's (four unit-slope
+# ramps of length 1/4), so both have the entry 1/(4 (q+1)^(1/q)); f' equal
+# to qs's kernel attains it (error 1/48 at p = 2).
 _CLOSED_L1 = {
     "trapezoid": 0.5,
     "qt": 0.25,
@@ -394,10 +394,8 @@ def _closed_lp(rule_name: str, q: float) -> float:
     root = (q + 1.0) ** (1.0 / q)
     if rule_name == "trapezoid":
         return 1.0 / (2.0 * root)
-    if rule_name == "qt":
+    if rule_name in ("qt", "qs"):
         return 1.0 / (4.0 * root)
-    if rule_name == "qs":
-        return 1.0 / (2.0 ** (2.0 + 1.0 / q) * root)
     if rule_name == "simpson":
         return (2.0 ** (q + 1.0) + 1.0) ** (1.0 / q) / (
             2.0 * 3.0 ** (1.0 + 1.0 / q) * root
@@ -409,8 +407,8 @@ def closed_form_constant(rule_name: str, regime: NormRegime) -> float:
     """Tabulated level-3 coefficient for a named rule.
 
     Multiply by ``(b-a) ** interval_exponent(regime)`` and the global
-    seminorm to obtain the bound; qs under lp is the exception (see
-    ``_CLOSED_L1``).  Known rules: trapezoid, qt, qs, simpson.
+    seminorm to obtain the bound; each entry equals ``level3_factor`` on
+    [0, 1].  Known rules: trapezoid, qt, qs, simpson.
     """
     if regime.kind == "l1":
         table = _CLOSED_L1

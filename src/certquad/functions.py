@@ -151,7 +151,7 @@ def _poly_r3() -> VectorFunction:
     return VectorFunction(
         space=_R3,
         f=lambda t: np.array([t, t * t, t ** 3]),
-        f_many=lambda ts: np.array([ts, ts * ts, ts ** 3]).T,
+        f_many=lambda ts: np.array([ts, ts * ts, (ts * ts) * ts]).T,
         df=lambda t: np.array([1.0, 2.0 * t, 3.0 * t * t]),
         df_many=lambda ts: np.stack([np.ones_like(ts), 2.0 * ts, (3.0 * ts) * ts], axis=-1),
         df_sup=sup,

@@ -115,28 +115,42 @@ def make_rule(nodes_rel, weights, name: str = "") -> QuadratureRule:
     return QuadratureRule(tuple(nodes_rel), tuple(weights), name)
 
 
-def _cut_points(rule: QuadratureRule, a, b) -> np.ndarray:
-    """``[a, x_1, ..., x_n, b]`` along a new last axis: the ends of the
-    rule's n+1 segments, for endpoints ``a <= b`` of any (equal) shape.
-    Nodes at u = 0 and u = 1 are ``a`` and ``b`` exactly."""
-    a = np.asarray(a, dtype=float)[..., None]
-    b = np.asarray(b, dtype=float)[..., None]
-    with np.errstate(all="ignore"):  # b - a may overflow to inf
-        x = a + rule._inner * (b - a)
+def _columns(a, b) -> tuple[np.ndarray, np.ndarray]:
+    # the endpoints as float arrays with a new last axis
+    return np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+
+
+def _cuts(rule: QuadratureRule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # _cut_points on columns from _columns, under np.errstate(all="ignore"):
+    # b - a may overflow to inf
+    x = a + rule._inner * (b - a)
     # x >= a, since u * (b - a) >= 0, but rounding can push it past b
     x = np.where(x > b, b, x)
     at_a, at_b = rule._at_ends
     return np.concatenate((a,) * (1 + at_a) + (x,) + (b,) * (1 + at_b), axis=-1)
 
 
+def _xi(rule: QuadratureRule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # _comparison_points on columns from _columns, under np.errstate(all="ignore")
+    x = rule._s * b + rule._sbar * a
+    return np.where(x < a, a, np.where(x > b, b, x))
+
+
+def _cut_points(rule: QuadratureRule, a, b) -> np.ndarray:
+    """``[a, x_1, ..., x_n, b]`` along a new last axis: the ends of the
+    rule's n+1 segments, for endpoints ``a <= b`` of any (equal) shape.
+    Nodes at u = 0 and u = 1 are ``a`` and ``b`` exactly."""
+    a, b = _columns(a, b)
+    with np.errstate(all="ignore"):
+        return _cuts(rule, a, b)
+
+
 def _comparison_points(rule: QuadratureRule, a, b) -> np.ndarray:
     """The n-1 interior comparison points ``xi_i`` along a new last axis,
     clamped into [a, b]."""
-    a = np.asarray(a, dtype=float)[..., None]
-    b = np.asarray(b, dtype=float)[..., None]
+    a, b = _columns(a, b)
     with np.errstate(all="ignore"):
-        x = rule._s * b + rule._sbar * a
-    return np.where(x < a, a, np.where(x > b, b, x))
+        return _xi(rule, a, b)
 
 
 def nodes_abs(rule: QuadratureRule, interval: Interval) -> tuple[float, ...]:
@@ -154,11 +168,11 @@ def _pieces(rule: QuadratureRule, a, b) -> tuple[np.ndarray, np.ndarray, np.ndar
     """The n+1 pieces of the rule's Peano kernel on the panels ``[a[k],
     b[k]]``, as the arrays ``(lo, hi, center)`` of shape (N, n+1): on each
     piece the kernel is ``t - center``, [a, x_1] about a, [x_i, x_{i+1}]
-    about xi_i, [x_n, b] about b."""
-    cuts = _cut_points(rule, a, b)
-    centers = np.concatenate(
-        (cuts[..., :1], _comparison_points(rule, a, b), cuts[..., -1:]), axis=-1
-    )
+    about xi_i, [x_n, b] about b.  The endpoints are converted once."""
+    a, b = _columns(a, b)
+    with np.errstate(all="ignore"):
+        cuts = _cuts(rule, a, b)
+        centers = np.concatenate((a, _xi(rule, a, b), b), axis=-1)
     return cuts[..., :-1], cuts[..., 1:], centers
 
 

@@ -22,7 +22,9 @@ point at a time, so the error raised is the first one that loop meets.
 p-th powers for p > 1 are Python ``**`` per sample.  When one raises
 ``OverflowError`` or the Simpson sum of the powers overflows to inf, the
 integral is taken again with every sample scaled by a power of two, and
-the scale is undone after the root.
+the scale is undone after the root.  Where that sum still overflows, as
+on an interval whose length passes the float range, the interval is
+scaled by a power of two as well, and that too is undone after the root.
 
 One estimator, :func:`segment_seminorms`, serves the segments of many
 panels at once; the level-2 kernel calls it, and :func:`seminorm` for one
@@ -197,7 +199,16 @@ def _estimate(
         top = _estimate(fn, lo, hi, LINF, 2 * resolution)[0]
         scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
         integral = simpson_scalar(lambda ts: integrand(ts, scale), lo, hi, resolution)
+    length = 1.0
+    if integral == math.inf:
+        # the length past the float range too: integrate over [lo, hi] / L,
+        # L = 2**k within a factor 4 of hi - lo, at the points scaled back
+        # by L, and undo L after the root
+        length = math.ldexp(1.0, math.frexp(hi / 2.0 - lo / 2.0)[1] - 1)
+        integral = simpson_scalar(
+            lambda us: integrand(us * length, scale), lo / length, hi / length, resolution
+        )
     # tiny negative values can appear for an identically-zero integrand
     integral = max(integral, 0.0)
     value = integral if power == 1.0 else integral ** (1.0 / power)
-    return value * scale, False
+    return value * scale * length ** (1.0 / power), False

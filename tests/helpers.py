@@ -10,7 +10,9 @@ arithmetic) and :func:`reference_level3_factor`, all on geometry formed
 here from the rule's nodes and weights.  The batched rule pass is checked
 against :func:`reference_rule_value`, a per-panel fold, and the adaptive
 driver against :func:`reference_adaptive`, which forms the ordered sum of
-panel bounds before every split.
+panel bounds before every split.  The oracle's blocked sum is checked
+against :func:`simpson_fold`, which makes the same additions one at a
+time in Python.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from certquad import (
     make_rule,
     nodes_abs,
 )
+from certquad._simpson import ROW, SAMPLE_CHUNK
 
 # rules whose Peano-kernel pieces are degenerate (coincident nodes), sit
 # at both ends of the interval, or are centred outside their segment
@@ -135,25 +138,72 @@ def simpson_points(a: float, b: float, panels: int) -> tuple[list[float], float]
     return [a + k * h for k in range(m)] + [b], h
 
 
+def reference_batch_sum(space, batch):
+    """The oracle's sum of one batch of samples, one addition at a time:
+    rows of ``ROW`` consecutive samples added elementwise in turn (the
+    short last row into the first columns), then the column sums left to
+    right."""
+    columns = list(batch[:ROW])
+    for start in range(ROW, len(batch), ROW):
+        for j, x in enumerate(batch[start:start + ROW]):
+            columns[j] = space.add(columns[j], x)
+    total = columns[0]
+    for x in columns[1:]:
+        total = space.add(total, x)
+    return total
+
+
 def simpson_fold(space, values, h: float):
-    """Composite Simpson from samples at :func:`simpson_points`, added one
-    at a time in the library's pinned order: ``f(a) + f(b)``, then
-    ``4 f(t_k)`` for odd ``k`` ascending, then ``2 f(t_k)`` for even ``k``
-    ascending, with ``h/3`` applied once at the end."""
+    """Composite Simpson from samples at :func:`simpson_points`, in the
+    oracle's pinned order: ``ends = f(a) + f(b)``; ``odd``, the odd samples
+    in batches of ``SAMPLE_CHUNK``, each summed by
+    :func:`reference_batch_sum` and the batch sums added left to right from
+    the space's zero; ``even`` likewise; then
+    ``(h/3) * ((ends + 4*odd) + 2*even)``."""
     m = len(values) - 1
-    acc = space.add(values[0], values[m])
-    for k in range(1, m, 2):
-        acc = space.add(acc, space.scale(4.0, values[k]))
-    for k in range(2, m, 2):
-        acc = space.add(acc, space.scale(2.0, values[k]))
-    return space.scale(h / 3.0, acc)
+    ends = space.add(values[0], values[m])
+    sums = []
+    for first in (1, 2):
+        picked = values[first:m:2]
+        total = space.zero()
+        for lo in range(0, len(picked), SAMPLE_CHUNK):
+            total = space.add(total, reference_batch_sum(space, picked[lo:lo + SAMPLE_CHUNK]))
+        sums.append(total)
+    odd, even = sums
+    total = space.add(space.add(ends, space.scale(4.0, odd)), space.scale(2.0, even))
+    return space.scale(h / 3.0, total)
+
+
+def reference_identity_residual(fn, rule, interval, oracle_resolution):
+    """``identity_residual`` from :func:`simpson_fold` over samples taken
+    one point at a time, on pieces from :func:`reference_pieces`."""
+    space = fn.space
+    a, b = interval.a, interval.b
+    length = b - a
+    rule_mean = space.zero()
+    for x, w in zip(reference_nodes(rule, interval), rule.weights):
+        rule_mean = space.add(rule_mean, space.scale(w, fn.f(x)))
+    points, h = simpson_points(a, b, oracle_resolution)
+    mean = simpson_fold(space, [fn.f(t) for t in points], h)
+    lhs = space.subtract(rule_mean, space.scale(1.0 / length, mean))
+    kernel_side = space.zero()
+    for lo, hi, center in reference_pieces(rule, interval):
+        if hi <= lo:
+            continue
+        panels = max(1, math.ceil(oracle_resolution * (hi - lo) / length))
+        points, h = simpson_points(lo, hi, panels)
+        samples = [space.scale(t - center, fn.df(t)) for t in points]
+        kernel_side = space.add(kernel_side, simpson_fold(space, samples, h))
+    rhs = space.scale(1.0 / length, kernel_side)
+    return space.norm(space.subtract(lhs, rhs))
 
 
 def reference_f_many(fn, ts):
     """``fn.f_many(ts)`` for a registry function, in the forms the registry
     used before its batches were built component by component: a
     broadcast over the element's last axis for ``affine``, and
-    ``np.stack(..., axis=-1)`` for the fixed-space functions."""
+    ``np.stack(..., axis=-1)`` for the fixed-space functions, poly_r3's
+    cube taken as ``(ts * ts) * ts``."""
     name = fn.name
     if name == "affine":
         # f(0) is base exactly, and df is the slope
@@ -161,7 +211,7 @@ def reference_f_many(fn, ts):
     if name == "trig_circle":
         return np.stack([np.cos(ts), np.sin(ts)], axis=-1)
     if name == "poly_r3":
-        return np.stack([ts, ts * ts, ts ** 3], axis=-1)
+        return np.stack([ts, ts * ts, (ts * ts) * ts], axis=-1)
     if name == "matrix_path":
         c, s = np.cos(ts), np.sin(ts)
         return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)

@@ -138,7 +138,7 @@ def test_criterion_3_closed_form_constants():
         ("simpson", "l1"): 1.0 / 3.0,
         ("trapezoid", "lp:2"): 1.0 / (2.0 * sqrt3),
         ("qt", "lp:2"): 1.0 / (4.0 * sqrt3),
-        ("qs", "lp:2"): 1.0 / (2.0 ** 2.5 * sqrt3),
+        ("qs", "lp:2"): 1.0 / (4.0 * sqrt3),
         ("simpson", "lp:2"): 1.0 / 6.0,
     }
     regimes = {"l1": L1, "linf": LINF, "lp:2": lp(2.0)}
@@ -147,13 +147,9 @@ def test_criterion_3_closed_form_constants():
         assert closed_form_constant(rule_name, regime) == pytest.approx(
             value, rel=1e-12
         ), (rule_name, regime_label)
-        # the generic geometry path reproduces the table except for qs in
-        # the lp regime, where aggregating the two mirrored halves with a
-        # discrete Hoelder step costs an extra 2**(1/q); the table keeps
-        # the sharper constant
+        # the generic geometry path reproduces the table
         factor = level3_factor(preset(rule_name), UNIT, regime)
-        target = value * (math.sqrt(2.0) if (rule_name, regime_label) == ("qs", "lp:2") else 1.0)
-        assert factor == pytest.approx(target, rel=1e-12), (rule_name, regime_label)
+        assert factor == pytest.approx(value, rel=1e-12), (rule_name, regime_label)
     print("[criterion 3] PASS 12 closed-form constants to 1e-12")
 
 

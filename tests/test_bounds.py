@@ -538,15 +538,25 @@ class TestLevel3Factor:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0])
     def test_qs_lp_factor_hoelder_gap(self, p):
-        # the general machinery folds the two identical qs half-brackets by
-        # a discrete Hoelder step, so it exceeds the tabulated coefficient
-        # by exactly 2^(1/q)
+        # the table entry for qs under lp is qt's, 1/(4 (q+1)^(1/q)), which
+        # level3_factor gives on [0, 1]
         regime = lp(p)
-        q = regime.q
         factor = level3_factor(preset("qs"), UNIT, regime)
-        assert factor == pytest.approx(
-            2.0 ** (1.0 / q) * closed_form_constant("qs", regime), rel=1e-14
-        )
+        assert closed_form_constant("qs", regime) == pytest.approx(factor, rel=1e-14)
+        assert closed_form_constant("qs", regime) == closed_form_constant("qt", regime)
+        if p == 2.0:
+            # f' equal to qs's Peano kernel S attains the bound: the error
+            # is the integral of S f' = S^2, and the bound is the factor
+            # times ||f'||_2 = ||S||_2
+            def kernel(t):
+                return t - 0.25 if t <= 0.5 else t - 0.75
+
+            with mpmath.workdps(30):
+                error = mpmath.quad(lambda t: kernel(t) ** 2, [0, 0.5, 1])
+                bound = closed_form_constant("qs", regime) * mpmath.sqrt(error)
+            assert error == pytest.approx(1.0 / 48.0, rel=1e-25)
+            assert bound >= error * (1 - 1e-15)
+            assert bound == pytest.approx(1.0 / 48.0, rel=1e-15)
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(1203)
@@ -622,7 +632,7 @@ class TestClosedFormTable:
             1.0 / (4.0 * root3), rel=1e-14
         )
         assert closed_form_constant("qs", regime) == pytest.approx(
-            1.0 / (2.0**2.5 * root3), rel=1e-14
+            1.0 / (4.0 * root3), rel=1e-14
         )
         # (2^3 + 1)^(1/2) / (2 * 3^(3/2) * 3^(1/2)) simplifies to 1/6
         assert closed_form_constant("simpson", regime) == pytest.approx(

@@ -16,7 +16,7 @@ from certquad import (
     peano_kernel,
     preset,
 )
-from helpers import PIECE_RULES, kernel_direct_sum, riemann_scalar
+from helpers import PIECE_RULES, kernel_direct_sum, reference_identity_residual, riemann_scalar
 
 UNIT = Interval(0.0, 1.0)
 
@@ -171,12 +171,14 @@ class TestIdentityResidual:
 
     @pytest.mark.parametrize("space, residuals", [
         ("scalar", ("0x1.0000000000000p-55", "0x1.0000000000000p-55", "0x0.0p+0")),
-        ("r3", ("0x1.966b9984726fap-54", "0x1.0000000000000p-55", "0x1.94c583ada5b53p-53")),
-        ("c2", ("0x1.96700e015d1b3p-25", "0x1.bf66620f88d48p-25", "0x1.9aa12273600d0p-25")),
+        ("r3", ("0x1.715a73680208cp-55", "0x1.0000000000000p-55", "0x1.0000000000000p-54")),
+        ("c2", ("0x1.96700de687e7dp-25", "0x1.bf66620f88d48p-25", "0x1.9aa12273600d0p-25")),
     ])
     def test_pinned_bits(self, space, residuals):
-        # bits recorded before the kernel read its pieces from the rules
-        # module; the c2 integrand must stay complex
+        # bits recorded with the oracle's blocked sum, and equal to the
+        # one-addition-at-a-time reference at 64 panels (each parity one
+        # row) and 1000 (rows and a short last row); the c2 integrand must
+        # stay complex
         fns = {
             "scalar": make_function("quadratic"),
             "r3": make_function("poly_r3"),
@@ -191,3 +193,9 @@ class TestIdentityResidual:
             for rule in PIECE_RULES.values()
         )
         assert got == residuals
+        for resolution in (64, 1000):
+            for rule in PIECE_RULES.values():
+                iv = Interval(-0.5, 1.25)
+                got = identity_residual(fns[space], rule, iv, resolution)
+                expected = reference_identity_residual(fns[space], rule, iv, resolution)
+                assert got.hex() == expected.hex(), (rule.name, resolution)

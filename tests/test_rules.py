@@ -12,6 +12,8 @@ from certquad import (
     nodes_abs,
     preset,
 )
+from certquad.rules import _pieces
+from helpers import PIECE_RULES
 
 
 class TestRuleValidation:
@@ -214,3 +216,45 @@ class TestPresets:
             preset("weighted_endpoints", 1.0)  # zero weight
         with pytest.raises(ValueError):
             preset("endpoints_midpoint", 0.5, 0.5)  # third weight collapses
+
+
+def _old_pieces(rule, a, b):
+    """``rules._pieces`` as two separate calls formed it, each converting
+    the endpoints and entering ``np.errstate`` on its own (frozen)."""
+    def columns():
+        return np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+
+    lo, hi = columns()
+    with np.errstate(all="ignore"):
+        x = lo + rule._inner * (hi - lo)
+    x = np.where(x > hi, hi, x)
+    at_a, at_b = rule._at_ends
+    cuts = np.concatenate((lo,) * (1 + at_a) + (x,) + (hi,) * (1 + at_b), axis=-1)
+    lo, hi = columns()
+    with np.errstate(all="ignore"):
+        x = rule._s * hi + rule._sbar * lo
+    xi = np.where(x < lo, lo, np.where(x > hi, hi, x))
+    centers = np.concatenate((cuts[..., :1], xi, cuts[..., -1:]), axis=-1)
+    return cuts[..., :-1], cuts[..., 1:], centers
+
+
+def test_pieces_keep_the_bytes_of_the_separate_calls():
+    rng = np.random.default_rng(29)
+    lo = np.concatenate([
+        rng.uniform(-10.0, 10.0, 300),
+        np.exp(rng.uniform(-700.0, 700.0, 300)) * rng.choice([-1.0, 1.0], 300),
+        [0.0, -0.0, 5e-324, -1e308, -1e155, 1e15, 1e-300, -1e308, 1.0],
+    ])
+    hi = lo + np.concatenate([
+        rng.uniform(0.0, 5.0, 300),
+        np.exp(rng.uniform(-700.0, 700.0, 300)),
+        [0.0, 0.0, 5e-324, 1e308, 2e155, 1.0, 1e-300, 0.0, 0.0],
+    ])
+    hi[-6] = 1e308  # [-1e308, 1e308], whose length overflows
+    rules = [preset(name) for name in PRESET_NAMES if name != "three_point"]
+    rules += [preset("three_point", 0.2, 0.3, 0.1, 0.5, 0.9), *PIECE_RULES.values()]
+    for rule in rules:
+        for a, b in [(lo, hi), (lo[:1], hi[:1]), (float(lo[-3]), float(hi[-3]))]:
+            got, expected = _pieces(rule, a, b), _old_pieces(rule, a, b)
+            for x, y in zip(got, expected):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), rule.name

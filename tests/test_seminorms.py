@@ -394,3 +394,18 @@ def test_no_seminorm_is_nan_on_extreme_intervals(name, label, regime):
         except (ValueError, ArithmeticError):
             continue
         assert not math.isnan(value), (a, b)
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+@pytest.mark.parametrize("name,label", [("trig_circle", None), ("abs_kink", None), ("matrix_path", None)]
+                         + [("affine", label) for label in sorted(SPACES)])
+def test_lp_seminorm_on_an_overflowing_length_is_finite(name, label, p):
+    # norm(f') is a constant c here, so the Lp seminorm over [-1e308, 1e308]
+    # is c * (2e308)^(1/p), finite although the length is not; the L1
+    # seminorm, c * 2e308, is past the float range
+    fn = make_function(name, label)
+    c = fn.space.norm(fn.df(0.0))
+    exact = mpmath.mpf(c) * (2 * mpmath.mpf(1e308)) ** (1 / mpmath.mpf(p))
+    value = seminorm(fn, Interval(-1e308, 1e308), lp(p), 8).value
+    assert abs(value - exact) <= 1e-13 * exact
+    assert seminorm(fn, Interval(-1e308, 1e308), L1, 8).value == math.inf

@@ -1,7 +1,8 @@
-"""The batched Simpson folds against one-sample-at-a-time references: the
-oracle's element fold, and the derivative sampling behind the L1/Lp and
-sampled sup seminorms and level 1."""
+"""The batched Simpson folds against one-addition-at-a-time references:
+the oracle's blocked element fold, and the derivative sampling behind the
+L1/Lp and sampled sup seminorms and level 1."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,7 @@ from certquad import (
     make_function,
     preset,
 )
-from certquad._simpson import SAMPLE_CHUNK, sample_batch, sample_points, simpson_element
+from certquad._simpson import ROW, SAMPLE_CHUNK, sample_batch, sample_points, simpson_element
 from certquad.seminorms import segment_seminorms
 from helpers import (
     _reference_seminorm,
@@ -41,6 +42,10 @@ INTERVALS = [(0.0, 1.0), (1e3, 1e3 + 0.5), (-40.0, 30.0)]
 # exactly one chunk at SAMPLE_CHUNK panels, and spill one sample into a
 # second at SAMPLE_CHUNK + 1
 PANELS = [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1]
+# panels P take P odd and P - 1 even samples: batches shorter than a row,
+# exactly one row, a short last row of one sample, two rows and one, and
+# three batches of which the last holds one sample
+ROW_PANELS = [2, ROW - 1, ROW, ROW + 1, 2 * ROW + 1, 2 * SAMPLE_CHUNK + 1]
 
 
 def _interval(name, a, b):
@@ -71,6 +76,69 @@ def test_batched_matches_reference_fold(name, label):
             assert diff <= 1e-13 * fn.space.norm(per_sample), (a, b, panels)
             if fn.space.label == "scalar":
                 assert type(out) is float
+
+
+@pytest.mark.parametrize("name,label", REGISTRY)
+def test_blocked_sum_at_row_and_batch_edges(name, label):
+    fn = make_function(name, label)
+    a, b = _interval(name, -40.0, 30.0)
+    for panels in ROW_PANELS:
+        points, h = simpson_points(a, b, panels)
+        expected = simpson_fold(fn.space, list(fn.f_many(np.array(points))), h)
+        assert _equal(simpson_element(fn.space, fn.f_many, a, b, panels), expected), panels
+
+
+@pytest.mark.parametrize("name,label", [
+    ("exp", None), ("trig_circle", None), ("poly_r3", None), ("affine", "c2"), ("matrix_path", None),
+])
+def test_oracle_resolution_matches_reference_fold(name, label):
+    # the oracle's own 65,536 panels, sixteen full batches per parity, in
+    # each element shape and dtype; every cell is compared at the smaller
+    # counts above
+    fn = make_function(name, label)
+    points, h = simpson_points(0.0, 1.0, 65536)
+    expected = simpson_fold(fn.space, list(fn.f_many(np.array(points))), h)
+    assert _equal(simpson_element(fn.space, fn.f_many, 0.0, 1.0, 65536), expected)
+
+
+def _gamma(k: int) -> float:
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
+@pytest.mark.parametrize("label,panels", [
+    ("scalar", ROW + 1), ("r2", ROW + 1), ("r2", 2 * SAMPLE_CHUNK + 1), ("scalar", 65536),
+])
+def test_fold_error_within_its_gamma_bound(label, panels):
+    # an oscillating integrand cancels, so the rounding of the sum shows;
+    # each sample passes through at most k additions (rows, columns,
+    # batches, and the two of the Simpson formula), and the two roundings
+    # of h/3 and its product add two more: |result - (h/3) S| <= gamma_{k+2}
+    # (h/3) sum |w x|, with S and sum |w x| exact in mpmath
+    def g(ts):
+        wave = np.cos(ts * 1e5) * (1.0 + ts)
+        return wave if label == "scalar" else np.array([wave, np.sin(ts * 7e4)]).T
+
+    a, b = 0.0, 1.0
+    points, h = simpson_points(a, b, panels)
+    samples = np.reshape(g(np.array(points)), (len(points), -1)).T
+    result = np.reshape(simpson_element(SPACES[label], g, a, b, panels), -1)
+    weights = [1] + [4 if k % 2 else 2 for k in range(1, 2 * panels)] + [1]
+    count = min(panels, SAMPLE_CHUNK)
+    rows = -(-count // ROW)
+    k = (rows - 1) + (min(count, ROW) - 1) + -(-panels // SAMPLE_CHUNK) + 2
+    # at 65,536 panels k + 2 = 63 rows + 63 columns + 16 batches + 2 + 2 = 146,
+    # where one addition at a time gave 131,072 + 2
+    assert k + 2 <= 146
+    with mpmath.workprec(2200):  # every double and every sum of them exactly
+        third = mpmath.mpf(h) / 3
+        for row, got in zip(samples, result):
+            terms = [w * mpmath.mpf(x) for w, x in zip(weights, row.tolist())]
+            exact = third * mpmath.fsum(terms)
+            size = third * mpmath.fsum(abs(t) for t in terms)
+            error = abs(mpmath.mpf(float(got)) - exact)
+            # the rounding shows, and stays inside the bound
+            assert 0 < error <= _gamma(k + 2) * size
 
 
 @pytest.mark.parametrize("name,label", [("trig_circle", None), ("affine", "c2"), ("exp", None)])
@@ -125,6 +193,8 @@ def _layout(values, layout):
         return np.asfortranarray(values)
     if layout == "broadcast":  # stride 0 along the sample axis
         return np.broadcast_to(values[:1], values.shape)
+    if layout == "reversed":  # a negative stride along the sample axis
+        return values[::-1].copy()[::-1]
     values = values.copy()
     values.setflags(write=False)
     return values
@@ -159,6 +229,53 @@ def test_user_batches_in_any_layout_are_only_read(name, label, layout):
             rows.update(zip(ts.tolist(), values))
         points, h = simpson_points(a, b, panels)
         assert _equal(out, simpson_fold(base.space, [rows[t] for t in points], h)), panels
+
+
+@pytest.mark.parametrize("name,label", [
+    ("matrix_path", None), ("trig_circle", None), ("poly_r3", None), ("affine", "c2"), ("exp", None),
+])
+def test_every_layout_gives_the_same_bytes(name, label):
+    # full batches of 64 x 64 samples, in every layout, against the same
+    # values in C order
+    base = make_function(name, label)
+    a, b = 0.25, 2.0
+    for panels in (ROW + 1, 2 * SAMPLE_CHUNK + 1):
+        for layout in ("fortran", "broadcast", "reversed", "readonly"):
+            def f_many(ts, layout=layout):
+                return _layout(base.f_many(ts), layout)
+
+            def c_order(ts, layout=layout):
+                return np.ascontiguousarray(_layout(base.f_many(ts), layout))
+
+            out = simpson_element(base.space, f_many, a, b, panels)
+            assert _equal(out, simpson_element(base.space, c_order, a, b, panels)), layout
+            assert _equal(out, simpson_element(base.space, f_many, a, b, panels)), layout
+            if layout != "broadcast":  # the same values as f_many's own
+                assert _equal(out, simpson_element(base.space, base.f_many, a, b, panels))
+
+
+@pytest.mark.parametrize("label", ["scalar", "r2"])
+@pytest.mark.parametrize("bad,named", [
+    ((2.0,), 2.0),  # the right end comes before every inner point
+    ((1, 2 * SAMPLE_CHUNK + 1), 1),  # two batches of odd points: the first
+    ((2, 4 * SAMPLE_CHUNK + 1), 4 * SAMPLE_CHUNK + 1),  # odd points before even ones
+    ((2 * (40 * ROW + 5) + 1, 2 * (3 * ROW + 40) + 1), 2 * (3 * ROW + 40) + 1),  # one batch
+])
+def test_first_nonfinite_sample_in_sampling_order_is_named(label, bad, named):
+    # ``bad`` lists sample indices k (or the float 2.0, the right end b) of
+    # nonfinite samples; the first in sampling order is named: the ends,
+    # then the odd points ascending, then the even points ascending
+    panels = 2 * SAMPLE_CHUNK + 1
+    points, _ = simpson_points(0.0, 2.0, panels)
+    bad_ts = [k if isinstance(k, float) else points[k] for k in bad]
+    t_named = named if isinstance(named, float) else points[named]
+
+    def f_many(ts):
+        values = np.where(np.isin(ts, bad_ts), np.inf, ts)
+        return values if label == "scalar" else np.array([ts, values]).T
+
+    with pytest.raises(ValueError, match=f"^nonfinite sample at t={t_named!r}$"):
+        simpson_element(SPACES[label], f_many, 0.0, 2.0, panels)
 
 
 @pytest.mark.parametrize("label", ["scalar", "r2"])
