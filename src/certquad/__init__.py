@@ -11,8 +11,6 @@ from .bounds import (
     bound_level1,
     bound_level2,
     bound_level3,
-    closed_form_constant,
-    interval_exponent,
     level2_certificate,
     level3_factor,
 )
@@ -36,7 +34,7 @@ from .geometry import (
     mu,
     uniform_partition,
 )
-from .kernel import PeanoKernel, identity_residual, kernel_value, peano_kernel
+from .kernel import identity_residual
 from .rules import (
     PRESET_NAMES,
     CumulativeWeights,
@@ -97,9 +95,6 @@ __all__ = [
     "SeminormProfile",
     "seminorm",
     "seminorm_profile",
-    "PeanoKernel",
-    "peano_kernel",
-    "kernel_value",
     "identity_residual",
     "ErrorCertificate",
     "bound_level1",
@@ -107,8 +102,6 @@ __all__ = [
     "bound_level3",
     "level2_certificate",
     "level3_factor",
-    "closed_form_constant",
-    "interval_exponent",
     "QuadratureResult",
     "apply_rule",
     "oracle_integral",

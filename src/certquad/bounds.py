@@ -11,8 +11,8 @@ derivative information consumed:
 - level 2 applies Hoelder on each segment, pairing a closed-form geometry
   factor with that segment's seminorm.
 - level 3 collapses everything to one geometry factor times the global
-  seminorm over [a, b].  Coarsest, cheapest, and the one with closed-form
-  constants for the named rules.
+  seminorm over [a, b].  Coarsest and cheapest; its factor on [0, 1],
+  ``level3_factor(rule, Interval(0, 1), regime)``, is the rule's constant.
 
 Mathematically level1 <= level2 <= level3 for every regime; the levels are
 computed by independent code paths (level 3 does not reuse level 2's
@@ -44,8 +44,6 @@ __all__ = [
     "bound_level3",
     "level2_certificate",
     "level3_factor",
-    "closed_form_constant",
-    "interval_exponent",
 ]
 
 # above this conjugate exponent, q-th powers go through logarithms so that
@@ -360,64 +358,3 @@ def _certificate_rows(fn, rule, regime, level, a, b, resolution) -> tuple:
         raise ValueError(f"certificate level must be 1, 2 or 3, got {level}")
     rows = (_level1_rows, _level2_rows, _level3_rows)[int(level) - 1]
     return rows(fn, rule, regime, a, b, resolution)
-
-
-def interval_exponent(regime: NormRegime) -> float:
-    """Power of the interval length carried by the level-3 closed forms."""
-    if regime.kind == "l1":
-        return 1.0
-    if regime.kind == "linf":
-        return 2.0
-    return 1.0 + 1.0 / regime.q
-
-
-# Closed-form level-3 coefficients of (b-a)**interval_exponent * seminorm
-# for the named rules; level3_factor returns them on [0, 1] (see tests).
-# Under lp, qs's Peano kernel is a rearrangement of qt's (four unit-slope
-# ramps of length 1/4), so both have the entry 1/(4 (q+1)^(1/q)); f' equal
-# to qs's kernel attains it (error 1/48 at p = 2).
-_CLOSED_L1 = {
-    "trapezoid": 0.5,
-    "qt": 0.25,
-    "qs": 0.25,
-    "simpson": 1.0 / 3.0,
-}
-_CLOSED_LINF = {
-    "trapezoid": 0.25,
-    "qt": 0.125,
-    "qs": 0.125,
-    "simpson": 5.0 / 36.0,
-}
-
-
-def _closed_lp(rule_name: str, q: float) -> float:
-    root = (q + 1.0) ** (1.0 / q)
-    if rule_name == "trapezoid":
-        return 1.0 / (2.0 * root)
-    if rule_name in ("qt", "qs"):
-        return 1.0 / (4.0 * root)
-    if rule_name == "simpson":
-        return (2.0 ** (q + 1.0) + 1.0) ** (1.0 / q) / (
-            2.0 * 3.0 ** (1.0 + 1.0 / q) * root
-        )
-    raise ValueError(f"no closed-form constant for rule {rule_name!r}")
-
-
-def closed_form_constant(rule_name: str, regime: NormRegime) -> float:
-    """Tabulated level-3 coefficient for a named rule.
-
-    Multiply by ``(b-a) ** interval_exponent(regime)`` and the global
-    seminorm to obtain the bound; each entry equals ``level3_factor`` on
-    [0, 1].  Known rules: trapezoid, qt, qs, simpson.
-    """
-    if regime.kind == "l1":
-        table = _CLOSED_L1
-    elif regime.kind == "linf":
-        table = _CLOSED_LINF
-    else:
-        return _closed_lp(rule_name, regime.q)
-    try:
-        return table[rule_name]
-    except KeyError:
-        raise ValueError(f"no closed-form constant for rule {rule_name!r}") from None
-

@@ -224,7 +224,7 @@ def compare_rules(
     """One row per rule, sorted by level-3 certificate (ascending, stable).
 
     The ``constant`` column is the level-3 geometry factor on the unit
-    interval, i.e. the coefficient a closed-form table would list.
+    interval, ``level3_factor(rule, Interval(0, 1), regime)``.
     """
     if not rules:
         raise ValueError("no rules to compare")
@@ -255,12 +255,12 @@ def compare_rules(
 
 
 def _finite(x):
-    """``x``, a float or a nested list of floats, unchanged; ``ValueError``
-    when an entry is inf or nan, since no report prints one."""
-    if isinstance(x, list):
-        for value in x:
+    """``x`` unchanged; ``ValueError`` when it is an inf or nan float or a
+    list or dict holding one at any depth, since no report prints one."""
+    if isinstance(x, (list, dict)):
+        for value in x.values() if isinstance(x, dict) else x:
             _finite(value)
-    elif math.isnan(x) or math.isinf(x):
+    elif isinstance(x, float) and not math.isfinite(x):
         raise ValueError("nonfinite value in report")
     return x
 
@@ -310,6 +310,7 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
 
 
 def _emit_run(report: dict[str, Any], output: str) -> str:
+    _finite(report)  # so every output refuses the same reports
     if output == "json":
         return dumps_json(report)
     if output == "csv":
@@ -325,9 +326,9 @@ def _emit_run(report: dict[str, Any], output: str) -> str:
             f"rule          {report['config']['rule']}",
             f"regime/level  {cert['regime'] or 'n/a'} / {cert['level']}",
             f"mode          {report['config']['mode']}",
-            f"approximation {_finite(report['approximation'])}",
-            f"actual error  {_finite(report['actual_error']):.6e}",
-            f"bound         {_finite(cert['bound']):.6e}  certified={cert['certified']}",
+            f"approximation {report['approximation']}",
+            f"actual error  {report['actual_error']:.6e}",
+            f"bound         {cert['bound']:.6e}  certified={cert['certified']}",
             f"panels        {report['panels']['count']}  converged={report['panels']['converged']}",
         ]
         return "\n".join(lines)

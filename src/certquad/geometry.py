@@ -82,9 +82,6 @@ class Interval:
     def is_degenerate(self) -> bool:
         return self.a == self.b
 
-    def contains(self, t: float) -> bool:
-        return self.a <= t <= self.b
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -118,10 +115,6 @@ class Partition:
         return tuple(
             Interval(lo, hi) for lo, hi in zip(self.breakpoints, self.breakpoints[1:])
         )
-
-    @property
-    def panel_lengths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in zip(self.breakpoints, self.breakpoints[1:]))
 
 
 def uniform_partition(interval: Interval, panels: int) -> Partition:

@@ -20,50 +20,15 @@ suite.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._simpson import simpson_element
 from .geometry import Interval
-from .rules import CumulativeWeights, QuadratureRule, _pieces, cumulative, nodes_abs
+from .rules import QuadratureRule, _pieces
 from .spaces import VectorFunction
 
-__all__ = ["PeanoKernel", "peano_kernel", "kernel_value", "identity_residual"]
-
-
-@dataclass(frozen=True)
-class PeanoKernel:
-    """A rule's collapsed kernel on a concrete interval."""
-
-    rule: QuadratureRule
-    interval: Interval
-    cum: CumulativeWeights
-    nodes: tuple[float, ...]
-
-
-def peano_kernel(rule: QuadratureRule, interval: Interval) -> PeanoKernel:
-    return PeanoKernel(rule, interval, cumulative(rule, interval), nodes_abs(rule, interval))
-
-
-def kernel_value(kernel: PeanoKernel, t: float) -> float:
-    """Evaluate S(t).  ``t`` must lie in the kernel's interval.
-
-    At a node ``t == x_i`` the left piece wins, matching the direct sum of
-    the elementary kernels (which switch branches strictly after their
-    node).
-    """
-    t = float(t)
-    iv = kernel.interval
-    if not iv.contains(t):
-        raise ValueError(f"t={t!r} outside kernel interval [{iv.a}, {iv.b}]")
-    k = bisect_left(kernel.nodes, t)  # number of nodes strictly below t
-    if k == 0:
-        return t - iv.a
-    if k == kernel.rule.n:
-        return t - iv.b
-    return t - kernel.cum.xi[k - 1]
+__all__ = ["identity_residual"]
 
 
 def identity_residual(

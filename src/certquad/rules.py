@@ -8,9 +8,9 @@ cumulative weights ``P_i`` induce the comparison points
     xi_i = P_i * b + (1 - P_i) * a,      i = 1..n-1,
 
 which drive every error bound in :mod:`certquad.bounds`.  When each ``xi_i``
-lies inside ``[x_i, x_{i+1}]`` the rule is called well-placed here and the
-simplified midpoint-offset forms of the bound constants apply; the general
-machinery never requires this.
+lies inside ``[x_i, x_{i+1}]`` the rule is called well-placed here
+(:func:`corollary_condition_holds`).  The condition is diagnostic only:
+every bound is computed the same way, and holds, either way.
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ def _pieces(rule: QuadratureRule, a, b) -> tuple[np.ndarray, np.ndarray, np.ndar
 def corollary_condition_holds(rule: QuadratureRule, interval: Interval) -> bool:
     """True when every comparison point xi_i lies in [x_i, x_{i+1}].
 
-    Under this condition the simplified midpoint-offset constants coincide
-    with the general ones; bounds are valid either way.
+    Diagnostic only: no bound reads it, and bounds are valid either way.
     """
     cuts = _cut_points(rule, interval.a, interval.b)
     xi = _comparison_points(rule, interval.a, interval.b)
@@ -265,9 +264,9 @@ def preset(name: str, *params: float) -> QuadratureRule:
     - ``quarter_three_point(alpha=1/3, beta=1/3)``: nodes (1/4, 1/2, 3/4).
 
     Weight parameters that push a comparison point outside its node window
-    are accepted; such rules simply report
-    ``corollary_condition_holds(...) == False`` and all bounds fall back to
-    the general machinery.
+    are accepted; such rules report ``corollary_condition_holds(...) ==
+    False``, which is diagnostic only: their bounds are computed, and hold,
+    as for any other rule.
     """
     try:
         builder = _PRESETS[name]

@@ -89,10 +89,6 @@ class NormedSpace:
         """Nested list of plain floats for report serialisation."""
         raise NotImplementedError
 
-    def random(self, rng: np.random.Generator) -> Element:
-        """Element with coordinates uniform in [-1, 1]; used by tests."""
-        return self.from_flat(rng.uniform(-1.0, 1.0, self.flat_dim))
-
 
 def _is_real_scalar(x) -> bool:
     return isinstance(x, (int, float, np.floating, np.integer)) and not isinstance(

@@ -12,7 +12,9 @@ against :func:`reference_rule_value`, a per-panel fold, and the adaptive
 driver against :func:`reference_adaptive`, which forms the ordered sum of
 panel bounds before every split.  The oracle's blocked sum is checked
 against :func:`simpson_fold`, which makes the same additions one at a
-time in Python.
+time in Python.  :func:`closed_form_constant` and :func:`interval_exponent`
+are hand-derived level-3 factors of the named rules on [0, 1] and their
+scale law.
 """
 
 from __future__ import annotations
@@ -387,6 +389,42 @@ def reference_level3_factor(rule, interval, regime):
     if regime.kind == "linf":
         return total
     return total ** (1.0 / q) if total > 0.0 else 0.0
+
+
+def interval_exponent(regime) -> float:
+    """Power of the interval length in the level-3 factor: the factor on
+    [a, b] is its value on [0, 1] times ``(b - a) ** interval_exponent``."""
+    if regime.kind == "l1":
+        return 1.0
+    if regime.kind == "linf":
+        return 2.0
+    return 1.0 + 1.0 / regime.q
+
+
+# Hand-derived level-3 factors on [0, 1] of the named rules.  Under lp,
+# qs's Peano kernel is a rearrangement of qt's (four unit-slope ramps of
+# length 1/4), so both have the entry 1/(4 (q+1)^(1/q)); f' equal to qs's
+# kernel attains it (error 1/48 at p = 2).
+_CLOSED_L1 = {"trapezoid": 0.5, "qt": 0.25, "qs": 0.25, "simpson": 1.0 / 3.0}
+_CLOSED_LINF = {"trapezoid": 0.25, "qt": 0.125, "qs": 0.125, "simpson": 5.0 / 36.0}
+
+
+def closed_form_constant(rule_name: str, regime) -> float:
+    """The closed-form level-3 factor of a named rule on [0, 1], a reference
+    for ``level3_factor(preset(rule_name), Interval(0, 1), regime)``."""
+    if regime.kind == "l1":
+        return _CLOSED_L1[rule_name]
+    if regime.kind == "linf":
+        return _CLOSED_LINF[rule_name]
+    q = regime.q
+    root = (q + 1.0) ** (1.0 / q)
+    if rule_name == "trapezoid":
+        return 1.0 / (2.0 * root)
+    if rule_name in ("qt", "qs"):
+        return 1.0 / (4.0 * root)
+    if rule_name == "simpson":
+        return (2.0 ** (q + 1.0) + 1.0) ** (1.0 / q) / (2.0 * 3.0 ** (1.0 + 1.0 / q) * root)
+    raise KeyError(rule_name)
 
 
 def reference_level3(fn, rule, interval, regime, resolution):

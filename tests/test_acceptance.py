@@ -26,7 +26,6 @@ from certquad import (
     bound_level1,
     bound_level2,
     bound_level3,
-    closed_form_constant,
     identity_residual,
     integrate_adaptive,
     level3_factor,
@@ -38,7 +37,7 @@ from certquad import (
     seminorm_profile,
 )
 from certquad.cli import dumps_json
-from helpers import riemann_mu
+from helpers import closed_form_constant, riemann_mu
 
 UNIT = Interval(0.0, 1.0)
 RESOLUTION = 512

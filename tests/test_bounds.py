@@ -24,10 +24,8 @@ from certquad import (
     bound_level1,
     bound_level2,
     bound_level3,
-    closed_form_constant,
     conjugate_exponent,
     integrate_composite,
-    interval_exponent,
     level3_factor,
     lp,
     make_function,
@@ -43,6 +41,8 @@ from certquad import bounds
 from certquad.bounds import _level2_rows, level2_certificate
 from helpers import (
     PIECE_RULES,
+    closed_form_constant,
+    interval_exponent,
     mu_well_placed,
     reference_level1,
     reference_level2,
@@ -606,6 +606,8 @@ class TestHalving:
 
 
 class TestClosedFormTable:
+    """The reference table in ``helpers`` against values derived by hand."""
+
     def test_l1(self):
         assert closed_form_constant("trapezoid", L1) == 0.5
         assert closed_form_constant("qt", L1) == 0.25
@@ -644,16 +646,6 @@ class TestClosedFormTable:
         assert closed_form_constant("qt", lp(3.0)) == pytest.approx(
             1.0 / (4.0 * 2.5 ** (1.0 / 1.5)), rel=1e-14
         )
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError, match="closed-form"):
-            closed_form_constant("ostrowski", LINF)
-
-    def test_interval_exponent(self):
-        assert interval_exponent(L1) == 1.0
-        assert interval_exponent(LINF) == 2.0
-        assert interval_exponent(lp(2.0)) == 1.5
-        assert interval_exponent(lp(3.0)) == pytest.approx(1.0 + 1.0 / 1.5)
 
 
 class TestOstrowskiReduction:

@@ -3,13 +3,15 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 import certquad.cli as cli
-from certquad import LINF, Interval, preset
+from certquad import FUNCTION_NAMES, LINF, SPACES, Interval, preset
 from certquad.cli import (
     RunConfig,
     compare_rules,
@@ -306,12 +308,17 @@ class TestMainInProcess:
         [["run", "--function", "matrix_path", "--interval", "0", "1e300", "--level", "1",
           "--resolution", "16", "--no-timing"],
          ["compare", "--function", "trig_circle", "--interval", "0", "1e307",
-          "--rules", "qt,simpson"]],
-        ids=["run", "compare"],
+          "--rules", "qt,simpson"],
+         ["run", "--function", "trig_circle", "--interval", " -1e155", "1e155",
+          "--regime", "l1", "--mode", "adaptive:1e-3", "--resolution", "64",
+          "--max-panels", "16", "--no-timing"]],
+        ids=["run", "compare", "adaptive"],
     )
     def test_overflowed_bound_is_refused_in_every_output(self, capsys, argv, output):
         # the bound overflows to inf (level 1 on [0, 1e300]; the level-3
-        # factor on [0, 1e307]), which no output mode prints
+        # factor on [0, 1e307]; the sum of 16 finite panel bounds on
+        # [-1e155, 1e155]), which no output mode prints, csv included,
+        # although its panel rows are finite
         assert main([*argv, "--output", output]) == 2
         assert capsys.readouterr() == ("", "error: nonfinite value in report\n")
 
@@ -533,3 +540,49 @@ class TestSubprocess:
         data = json.loads(proc.stdout)
         assert data["schema"] == 2
         assert len(data["rows"]) == 3
+
+
+def _endpoint(x: float) -> str:
+    """``x`` as a command-line argument.  argparse takes ``-1e308`` for an
+    option, so a negative endpoint is written in positional notation,
+    which reads back as the same float."""
+    text = str(int(x)) if x < 0 else repr(x)
+    assert float(text) == x
+    return text
+
+
+class TestExtremeGrid:
+    """A seeded grid of ``main`` calls on extreme intervals: every command
+    ends with exit code 0, 2 or 3, and json, csv and table refuse the same
+    commands with the same message.  Rule and space are drawn per command
+    from a generator seeded by the cell."""
+
+    INTERVALS = [(-1e308, 1e308), (0.0, 1e307), (-1e155, 1e155), (1e-300, 2e-300),
+                 (1e15, 1e15 + 1)]
+    REGIMES = ("l1", "lp:2", "lp:1.01", "linf")
+    MODES = ("single", "composite:3", "adaptive:1e-3")
+    RULES = (*sorted(set(cli.PRESET_NAMES) - {"three_point"}), "ostrowski:0.3",
+             "quarter_points:0.8", "endpoints_midpoint:0.1,0.3",
+             "three_point:0.2,0.5,0.1,0.4,0.9")
+
+    @pytest.mark.parametrize("interval", INTERVALS, ids=lambda iv: f"[{iv[0]!r},{iv[1]!r}]")
+    @pytest.mark.parametrize("function", FUNCTION_NAMES)
+    def test_cell(self, capsys, monkeypatch, function, interval):
+        monkeypatch.setenv("QUAD_ORACLE_RESOLUTION", "256")
+        rng = random.Random(zlib.crc32(f"{function} {interval!r}".encode()))
+        for regime in self.REGIMES:
+            for level in (1, 2, 3):
+                for mode in self.MODES:
+                    argv = ["run", "--function", function,
+                            "--interval", *map(_endpoint, interval),
+                            "--rule", rng.choice(self.RULES), "--regime", regime,
+                            "--level", str(level), "--mode", mode, "--resolution", "64",
+                            "--max-panels", "16", "--no-timing"]
+                    if function in ("const", "affine"):
+                        argv += ["--space", rng.choice(sorted(SPACES))]
+                    ends = {}
+                    for output in ("json", "csv", "table"):
+                        rc = main([*argv, "--output", output])
+                        assert rc in (0, 2, 3), (argv, output, rc)
+                        ends[output] = rc, capsys.readouterr().err
+                    assert ends["csv"] == ends["json"] == ends["table"], (argv, ends)

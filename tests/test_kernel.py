@@ -1,6 +1,7 @@
 """Collapsed kernel evaluation and the rule-error identity."""
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -10,40 +11,58 @@ from certquad import (
     Interval,
     VectorFunction,
     identity_residual,
-    kernel_value,
     make_function,
     make_rule,
-    peano_kernel,
     preset,
 )
+from certquad.rules import _pieces
 from helpers import PIECE_RULES, kernel_direct_sum, reference_identity_residual, riemann_scalar
 
 UNIT = Interval(0.0, 1.0)
 
 
+def pieces(rule, interval):
+    """The one-panel ``(lo, hi, center)`` columns of ``rules._pieces``."""
+    return tuple(column[0] for column in _pieces(rule, [interval.a], [interval.b]))
+
+
+def kernel(rule, interval):
+    """S(t) = ``t - center[k]`` on the piece k that holds t: the first whose
+    upper end is at least t, so a node belongs to the piece on its left."""
+    _, his, centers = (column.tolist() for column in pieces(rule, interval))
+    return lambda t: t - centers[bisect_left(his, t)]
+
+
 class TestKernelValue:
+    """The Peano kernel as the library reads it, from ``rules._pieces``."""
+
     def test_trapezoid_pieces(self):
-        k = peano_kernel(preset("trapezoid"), UNIT)
-        assert kernel_value(k, 0.0) == 0.0
-        assert kernel_value(k, 0.3) == pytest.approx(-0.2, abs=1e-16)
-        assert kernel_value(k, 0.7) == pytest.approx(0.2, abs=1e-16)
+        s = kernel(preset("trapezoid"), UNIT)
+        assert s(0.0) == 0.0
+        assert s(0.3) == pytest.approx(-0.2, abs=1e-16)
+        assert s(0.7) == pytest.approx(0.2, abs=1e-16)
 
     def test_left_piece_wins_at_nodes(self):
         # at t equal to a node the piece left of the node applies, matching
         # the direct elementary sum (elementary kernels switch strictly
         # after their node)
-        k = peano_kernel(preset("trapezoid"), UNIT)
-        assert kernel_value(k, 1.0) == 0.5  # t - xi_1, not t - b
-        s = peano_kernel(preset("simpson"), UNIT)
-        assert kernel_value(s, 0.5) == pytest.approx(0.5 - 1.0 / 6.0, abs=1e-15)
+        assert kernel(preset("trapezoid"), UNIT)(1.0) == 0.5  # t - xi_1, not t - b
+        assert kernel_direct_sum(preset("trapezoid"), UNIT, 1.0) == 0.5
+        assert kernel(preset("simpson"), UNIT)(0.5) == pytest.approx(
+            0.5 - 1.0 / 6.0, abs=1e-15
+        )
 
     def test_qt_shifted_interval(self):
-        k = peano_kernel(preset("qt"), Interval(2.0, 6.0))
-        assert k.nodes == (3.0, 5.0)
-        assert kernel_value(k, 2.5) == 0.5  # t - a
-        assert kernel_value(k, 3.0) == 1.0  # still the first piece
-        assert kernel_value(k, 3.5) == -0.5  # t - xi_1 with xi_1 = 4
-        assert kernel_value(k, 6.0) == 0.0  # t - b
+        rule, iv = preset("qt"), Interval(2.0, 6.0)
+        los, his, centers = pieces(rule, iv)
+        assert los.tolist() == [2.0, 3.0, 5.0]
+        assert his.tolist() == [3.0, 5.0, 6.0]
+        assert centers.tolist() == [2.0, 4.0, 6.0]
+        s = kernel(rule, iv)
+        assert s(2.5) == 0.5  # t - a
+        assert s(3.0) == 1.0  # still the first piece
+        assert s(3.5) == -0.5  # t - xi_1 with xi_1 = 4
+        assert s(6.0) == 0.0  # t - b
 
     def test_matches_direct_elementary_sum(self):
         rng = np.random.default_rng(60601)
@@ -53,14 +72,15 @@ class TestKernelValue:
             nodes = tuple(sorted(rng.uniform(0.0, 1.0, n)))
             raw = rng.uniform(0.05, 1.0, n)
             rule = make_rule(nodes, tuple(raw / raw.sum()))
-            k = peano_kernel(rule, iv)
+            s = kernel(rule, iv)
             for _ in range(20):
                 t = float(rng.uniform(iv.a, iv.b))
-                assert kernel_value(k, t) == pytest.approx(
+                assert s(t) == pytest.approx(
                     kernel_direct_sum(rule, iv, t), abs=1e-12
                 )
 
     def test_direct_sum_at_node_points(self):
+        # at each node, the upper end of the piece on its left
         rng = np.random.default_rng(4455)
         iv = Interval(0.0, 1.0)
         for _ in range(50):
@@ -68,29 +88,28 @@ class TestKernelValue:
             nodes = tuple(sorted(rng.uniform(0.05, 0.95, n)))
             raw = rng.uniform(0.1, 1.0, n)
             rule = make_rule(nodes, tuple(raw / raw.sum()))
-            k = peano_kernel(rule, iv)
-            for x in k.nodes:
-                assert kernel_value(k, x) == pytest.approx(
+            _, his, centers = pieces(rule, iv)
+            for x, center in zip(his[:-1].tolist(), centers[:-1].tolist()):
+                assert x - center == pytest.approx(
                     kernel_direct_sum(rule, iv, x), abs=1e-12
                 )
 
     def test_outside_interval_rejected(self):
-        k = peano_kernel(preset("qt"), UNIT)
-        with pytest.raises(ValueError, match="outside"):
-            kernel_value(k, 1.0000001)
-        with pytest.raises(ValueError, match="outside"):
-            kernel_value(k, -0.1)
+        # the pieces tile [a, b] end to end, so no point outside it lies
+        # on a piece
+        for rule in (preset("qt"), *PIECE_RULES.values()):
+            los, his, _ = pieces(rule, UNIT)
+            assert los[0] == 0.0 and his[-1] == 1.0
+            assert los[1:].tolist() == his[:-1].tolist()
+            assert np.all(los <= his)
 
     def test_mean_of_kernel(self):
         # mean of S equals sum(p_i x_i) minus the interval midpoint
         for name, params in [("qt", ()), ("simpson", ()), ("quarter_points", (0.8,))]:
             rule = preset(name, *params)
             iv = Interval(0.0, 1.0)
-            k = peano_kernel(rule, iv)
-            dense = riemann_scalar(lambda t: kernel_value(k, t), 0.0, 1.0, n=100_000)
-            node_mean = sum(
-                w * x for w, x in zip(rule.weights, k.nodes)
-            )
+            dense = riemann_scalar(kernel(rule, iv), 0.0, 1.0, n=100_000)
+            node_mean = sum(w * x for w, x in zip(rule.weights, pieces(rule, iv)[1][:-1]))
             assert dense == pytest.approx(node_mean - 0.5, abs=1e-9)
 
 
