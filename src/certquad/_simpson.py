@@ -80,8 +80,20 @@ def simpson_scalar(g, a: float, b: float, panels: int) -> float:
     return (h / 3.0) * (first + last + 4.0 * odd + 2.0 * even)
 
 
-def _samples(f_many, ts: np.ndarray, shape: tuple) -> np.ndarray:
-    values = np.asarray(f_many(ts))
+def _samples(f_many, ts: np.ndarray, shape: tuple, f=None) -> np.ndarray:
+    """``f_many(ts)``, checked to stack ``len(ts)`` elements of ``shape``.
+
+    With ``f``, the one-point form, a batch that raises is redone one
+    point at a time through ``f`` in order, so the error raised is the one
+    the first failing point raises alone.
+    """
+    try:
+        values = f_many(ts)
+    except Exception:
+        if f is None:
+            raise
+        values = [f(t) for t in ts.tolist()]
+    values = np.asarray(values)
     if values.shape != (len(ts),) + shape:
         raise ValueError(
             f"batched samples have shape {values.shape}, "

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._simpson import simpson_element
+from ._simpson import _samples, simpson_element
 from .bounds import ErrorCertificate, _certificate_rows, _certificates
 from .geometry import Interval, NormRegime, Partition
 from .rules import QuadratureRule, _cut_points
@@ -48,9 +48,9 @@ class QuadratureResult:
     order; ``certificate`` aggregates them (its segment contributions are
     the per-panel bounds, summed in panel order).  ``panels`` is read-only
     and compares equal to its tuple; an adaptive run builds all its pairs
-    on the first read that needs them.  ``evaluations`` counts calls to
-    ``fn.f`` made for the returned approximation (derivative samples for
-    the certificates are not included).  ``converged`` is always True for
+    on the first read that needs them.  ``evaluations`` counts the samples
+    of f taken for the returned approximation (derivative samples for the
+    certificates are not included).  ``converged`` is always True for
     single/composite runs; adaptive runs clear it when the panel budget ran
     out before the requested tolerance was met.
     """
@@ -76,18 +76,20 @@ def _elements(stacked: np.ndarray) -> list[Element]:
 def _rule_values(fn: VectorFunction, rule: QuadratureRule, a, b) -> np.ndarray:
     """:func:`apply_rule` on the panels ``[a[k], b[k]]`` at once, stacked.
 
-    ``fn.f`` is sampled once per node, panel by panel; the weighted samples
-    are folded in node order with the space's ``add`` and ``scale`` over
-    the stacked samples, then each sum is scaled by its panel's length.
-    Each panel's value is therefore the one its own fold gives.
+    All nodes, panel by panel, are sampled by one ``fn.f_many`` call (one
+    ``fn.f`` call per node, in that order, if the batch raises); the
+    weighted samples are folded in node order with the space's ``add``
+    and ``scale`` over the stacked samples, then each sum is scaled by its
+    panel's length.  Each panel's value is therefore the one its own fold
+    gives.
     """
     space = fn.space
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     nodes = _cut_points(rule, a, b)[:, 1:-1]
+    shape = np.shape(space.zero())
     with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
-        samples = np.array([fn.f(x) for x in nodes.ravel().tolist()])
-        samples = samples.reshape(nodes.shape + samples.shape[1:])
+        samples = _samples(fn.f_many, nodes.ravel(), shape, fn.f).reshape(nodes.shape + shape)
         acc = space.zero()
         for j, w in enumerate(rule.weights):
             acc = space.add(acc, space.scale(w, samples[:, j]))

@@ -5,10 +5,13 @@ Every entry carries an analytic derivative and an analytic upper bound for
 available for all of them.  ``const`` and ``affine`` can be instantiated in
 any registered space; the others are tied to their natural space.  Each
 entry also has batched forms ``f_many`` and ``df_many`` that sample a whole
-array of points at once.  ``df_many`` gives ``df``'s bits: numpy forms
-where the arithmetic is exact or one IEEE operation per entry, and
-``math`` one point at a time for ``exp``, ``sin`` and ``cos``, whose numpy
-forms do not round like libm's.
+array of points at once, and each gives its one-point form's bits.  ``f``
+of ``exp``, ``trig_circle``, ``poly_r3`` and ``matrix_path`` is row 0 of
+``f_many`` at a one-point array (:func:`_at`), so the rule pass, the
+oracle and ``f`` itself share the numpy forms.  ``df_many`` follows
+``df`` instead: numpy forms where the arithmetic is exact or one IEEE
+operation per entry, and ``math`` one point at a time for ``exp``,
+``sin`` and ``cos``, whose numpy forms do not round like libm's.
 """
 
 from __future__ import annotations
@@ -89,6 +92,17 @@ def _affine(space: NormedSpace) -> VectorFunction:
     )
 
 
+def _at(f_many):
+    """The one-point form of ``f_many``: row 0 of ``f_many([t])``, overflow
+    giving inf without a warning, and a Python float in the scalar space."""
+    def f(t):
+        with np.errstate(over="ignore"):
+            row = f_many(np.array([t], dtype=float))[0]
+        return float(row) if np.ndim(row) == 0 else row
+
+    return f
+
+
 def _math_many(func, ts: np.ndarray) -> np.ndarray:
     """``func`` from ``math`` at each point of ``ts``: libm's rounding,
     which numpy's own ``exp``, ``sin`` and ``cos`` do not promise."""
@@ -119,7 +133,7 @@ def _quadratic() -> VectorFunction:
 def _exp() -> VectorFunction:
     return VectorFunction(
         space=_SCALAR,
-        f=math.exp,
+        f=_at(np.exp),
         f_many=np.exp,
         df=math.exp,
         df_many=lambda ts: _math_many(math.exp, ts),
@@ -130,10 +144,13 @@ def _exp() -> VectorFunction:
 
 def _trig_circle() -> VectorFunction:
     # unit-speed circle: norm(f'(t)) == 1 for every t
+    def f_many(ts):
+        return np.array([np.cos(ts), np.sin(ts)]).T
+
     return VectorFunction(
         space=_R2,
-        f=lambda t: np.array([math.cos(t), math.sin(t)]),
-        f_many=lambda ts: np.array([np.cos(ts), np.sin(ts)]).T,
+        f=_at(f_many),
+        f_many=f_many,
         df=lambda t: np.array([-math.sin(t), math.cos(t)]),
         df_many=lambda ts: np.stack([-_math_many(math.sin, ts), _math_many(math.cos, ts)], axis=-1),
         df_sup=lambda lo, hi: 1.0,
@@ -146,12 +163,18 @@ def _poly_r3() -> VectorFunction:
     # so the sup over [lo, hi] sits at the endpoint of largest magnitude
     def sup(lo: float, hi: float) -> float:
         m = max(abs(lo), abs(hi))
-        return math.sqrt(1.0 + 4.0 * m * m + 9.0 * m ** 4)
+        try:
+            return math.sqrt(1.0 + 4.0 * m * m + 9.0 * m ** 4)
+        except OverflowError:  # m ** 4 past the float range
+            return math.inf
+
+    def f_many(ts):
+        return np.array([ts, ts * ts, (ts * ts) * ts]).T
 
     return VectorFunction(
         space=_R3,
-        f=lambda t: np.array([t, t * t, t ** 3]),
-        f_many=lambda ts: np.array([ts, ts * ts, (ts * ts) * ts]).T,
+        f=_at(f_many),
+        f_many=f_many,
         df=lambda t: np.array([1.0, 2.0 * t, 3.0 * t * t]),
         df_many=lambda ts: np.stack([np.ones_like(ts), 2.0 * ts, (3.0 * ts) * ts], axis=-1),
         df_sup=sup,
@@ -161,10 +184,6 @@ def _poly_r3() -> VectorFunction:
 
 def _matrix_path() -> VectorFunction:
     # plane rotation path; the derivative has constant Frobenius norm sqrt(2)
-    def f(t: float):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, -s], [s, c]])
-
     def f_many(ts):
         c, s = np.cos(ts), np.sin(ts)
         return np.array([c, -s, s, c]).T.reshape(-1, 2, 2)
@@ -179,7 +198,7 @@ def _matrix_path() -> VectorFunction:
 
     return VectorFunction(
         space=_M22,
-        f=f,
+        f=_at(f_many),
         f_many=f_many,
         df=df,
         df_many=df_many,

@@ -23,7 +23,8 @@ import math
 
 import numpy as np
 
-from ._simpson import simpson_element
+from ._simpson import _samples, simpson_element
+from .engine import _elements
 from .geometry import Interval
 from .rules import QuadratureRule, _pieces
 from .spaces import VectorFunction
@@ -39,11 +40,13 @@ def identity_residual(
 ) -> float:
     """Norm of the identity defect at a finite reference resolution.
 
-    Both sides are evaluated with composite Simpson.  The kernel side is
-    integrated piecewise between rule nodes because S is only piecewise
-    smooth; the ``oracle_resolution`` panel budget is split across pieces
-    proportionally to length.  For smooth ``fn`` the residual decays like
-    the reference quadrature error and tends to zero under refinement.
+    Both integrals are evaluated with composite Simpson; the rule's node
+    samples come from one ``fn.f_many`` call, as in the rule pass.  The
+    kernel side is integrated piecewise between rule nodes because S is
+    only piecewise smooth; the ``oracle_resolution`` panel budget is split
+    across pieces proportionally to length.  For smooth ``fn`` the residual
+    decays like the reference quadrature error and tends to zero under
+    refinement.
     """
     if oracle_resolution < 2:
         raise ValueError(f"oracle_resolution must be >= 2, got {oracle_resolution}")
@@ -54,9 +57,11 @@ def identity_residual(
     los, his, centers = (column[0].tolist() for column in _pieces(rule, [a], [b]))
     length = b - a
 
+    with np.errstate(all="ignore"):  # an overflowing sample is inf, as in the rule pass
+        samples = _samples(fn.f_many, np.array(los[1:]), np.shape(space.zero()), fn.f)
     rule_mean = space.zero()
-    for x, w in zip(los[1:], rule.weights):
-        rule_mean = space.add(rule_mean, space.scale(w, fn.f(x)))
+    for x, w in zip(_elements(samples), rule.weights):
+        rule_mean = space.add(rule_mean, space.scale(w, x))
     mean_integral = space.scale(
         1.0 / length, simpson_element(space, fn.f_many, a, b, oracle_resolution)
     )

@@ -238,8 +238,13 @@ class VectorFunction:
     f_many : callable, optional
         Batched form of ``f``: maps a float array ``ts`` of shape ``(N,)``
         to an array of shape ``(N, *element_shape)`` whose row ``k`` is
-        ``f(ts[k])`` (shape ``(N,)`` in the scalar space), in any memory
-        layout; it is read, never written.  When omitted, a fallback calls
+        ``f(ts[k])`` bit for bit (shape ``(N,)`` in the scalar space), in
+        any memory layout; it is read, never written.  The rule pass
+        (``apply_rule`` and both drivers), the reference oracle and
+        ``identity_residual`` sample through it; the rule pass calls ``f``
+        node by node only where a batch raises, so that the error raised is
+        the first failing node's.  Rows that differ from ``f`` move rule
+        values by as much as the rows do.  When omitted, a fallback calls
         ``f`` once per sample.
     df : callable, optional
         Analytic derivative ``f'(t)``.  Preferred derivative source.

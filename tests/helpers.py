@@ -8,7 +8,8 @@ frozen one-panel, one-piece copies of the scalar code: :func:`reference_mu`,
 :func:`reference_level1`, :func:`reference_level2` (the profile-then-bound
 arithmetic) and :func:`reference_level3_factor`, all on geometry formed
 here from the rule's nodes and weights.  The batched rule pass is checked
-against :func:`reference_rule_value`, a per-panel fold, and the adaptive
+against :func:`reference_rule_value`, a per-panel fold, and within a
+rounding bound of :func:`exact_rule_sum`, an mpmath sum, and the adaptive
 driver against :func:`reference_adaptive`, which forms the ordered sum of
 panel bounds before every split.  The oracle's blocked sum is checked
 against :func:`simpson_fold`, which makes the same additions one at a
@@ -22,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 
+import mpmath
 import numpy as np
 
 from certquad import (
@@ -507,6 +509,54 @@ def reference_rule_value(fn, rule, interval):
     for x, w in zip(reference_nodes(rule, interval), rule.weights):
         acc = space.add(acc, space.scale(w, fn.f(x)))
     return space.scale(interval.b - interval.a, acc)
+
+
+def n_gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2**-53."""
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
+# the exact components of registry functions, for mpmath
+EXACT_COMPONENTS = {
+    "exp": lambda x: [mpmath.exp(x)],
+    "poly_r3": lambda x: [x, x * x, x * x * x],
+}
+
+
+def exact_rule_sum(name, rule, interval, ulps):
+    """The rule on one panel in exact arithmetic, and its error budget in
+    floats, one pair ``(value, budget)`` per real component.
+
+    The value is ``(b - a) * sum(w_i f(x_i))`` in mpmath, with the exact f
+    of registry function ``name`` (see ``EXACT_COMPONENTS``) at
+    :func:`reference_nodes` and the rule's stored weights.  A float rule
+    pass whose samples ``s_i`` lie within ``d_i`` of ``f_i``, that folds
+    ``acc + w_i * s_i`` in node order and scales by the rounded ``b - a``,
+    lies within
+
+        |b - a| * (gamma_(n+2) * sum |w_i| (|f_i| + d_i) + sum |w_i| d_i)
+
+    of it: the recursive dot product of n terms is within gamma_n of
+    ``sum |w_i s_i|``, and the rounding of the length and of the last
+    product add two more (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., sections 3.1 and 4.2).  ``d_i`` is ``ulps``
+    ulps of ``f_i``.
+    """
+    gamma = n_gamma(rule.n + 2)
+    xs = reference_nodes(rule, interval)
+    with mpmath.workprec(200):
+        length = abs(mpmath.mpf(interval.b) - mpmath.mpf(interval.a))
+        samples = [EXACT_COMPONENTS[name](mpmath.mpf(x)) for x in xs]
+        out = []
+        for j in range(len(samples[0])):
+            fs = [row[j] for row in samples]
+            ds = [ulps * math.ulp(float(v)) for v in fs]
+            value = length * mpmath.fsum(w * v for w, v in zip(rule.weights, fs))
+            size = mpmath.fsum(abs(w) * (abs(v) + d) for w, v, d in zip(rule.weights, fs, ds))
+            slack = mpmath.fsum(abs(w) * d for w, d in zip(rule.weights, ds))
+            out.append((value, length * (gamma * size + slack)))
+        return out
 
 
 def reference_level2(fn, rule, interval, regime, resolution):

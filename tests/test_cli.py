@@ -553,9 +553,10 @@ def _endpoint(x: float) -> str:
 
 class TestExtremeGrid:
     """A seeded grid of ``main`` calls on extreme intervals: every command
-    ends with exit code 0, 2 or 3, and json, csv and table refuse the same
-    commands with the same message.  Rule and space are drawn per command
-    from a generator seeded by the cell."""
+    ends with exit code 0, 2 or 3, never with an ``OverflowError``'s errno
+    text, and json, csv and table refuse the same commands with the same
+    message.  Rule and space are drawn per command from a generator seeded
+    by the cell."""
 
     INTERVALS = [(-1e308, 1e308), (0.0, 1e307), (-1e155, 1e155), (1e-300, 2e-300),
                  (1e15, 1e15 + 1)]
@@ -585,4 +586,5 @@ class TestExtremeGrid:
                         rc = main([*argv, "--output", output])
                         assert rc in (0, 2, 3), (argv, output, rc)
                         ends[output] = rc, capsys.readouterr().err
+                        assert "Numerical result out of range" not in ends[output][1], argv
                     assert ends["csv"] == ends["json"] == ends["table"], (argv, ends)

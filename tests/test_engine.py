@@ -4,7 +4,9 @@ import dataclasses
 import heapq
 import math
 import random
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,7 +31,13 @@ from certquad import (
 )
 from certquad import engine
 
-from helpers import reference_adaptive, reference_rule_value
+from helpers import (
+    EXACT_COMPONENTS,
+    exact_rule_sum,
+    reference_adaptive,
+    reference_nodes,
+    reference_rule_value,
+)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -562,6 +570,129 @@ class TestRulePassMatchesFold:
             result = integrate_composite(fn, preset("simpson"), part, LINF, 3)
             for (panel, _), value in zip(result.panels, result.panel_values):
                 assert _same_bits(value, reference_rule_value(fn, preset("simpson"), panel))
+
+
+class TestRulePassThroughFMany:
+    """The rule pass samples each chunk's nodes with one ``fn.f_many`` call;
+    ``fn.f`` is called only where that batch raises, node by node."""
+
+    PANELS = 150
+
+    @pytest.mark.parametrize("name", ["exp", "poly_r3"])
+    def test_within_a_rounding_bound_of_the_exact_sum(self, name):
+        # exp's and poly_r3's numpy samples differ from libm's exp and from
+        # t ** 3 in the last bit; each rule value stays within exact_rule_sum's
+        # budget, with 2 ulps per sample: (t * t) * t rounds twice and was
+        # measured 1.26 ulps from the exact cube, np.exp 0.68 ulps from e**t
+        fn = make_function(name)
+        rng = random.Random(14)
+        a = [rng.uniform(-4.0, 4.0) for _ in range(self.PANELS)]
+        b = [lo + 10.0 ** rng.uniform(-3.0, 0.5) for lo in a]
+        for rule in EQUIVALENCE_RULES.values():
+            values = engine._elements(engine._rule_values(fn, rule, a, b))
+            for lo, hi, value in zip(a, b, values):
+                panel = Interval(lo, hi)
+                for x in reference_nodes(rule, panel):
+                    sample = np.ravel(fn.f(x)).tolist()
+                    with mpmath.workprec(200):
+                        for got, exact in zip(sample, EXACT_COMPONENTS[name](mpmath.mpf(x))):
+                            assert abs(got - exact) <= 2 * math.ulp(float(exact))
+                for got, (exact, budget) in zip(np.ravel(value).tolist(),
+                                                exact_rule_sum(name, rule, panel, 2)):
+                    assert abs(got - exact) <= budget, (rule.name, lo, hi)
+
+    @pytest.mark.parametrize("name", ["exp", "trig_circle", "poly_r3", "matrix_path"])
+    def test_user_function_without_f_many_keeps_per_node_bits(self, name):
+        # libm's exp, sin and cos and t ** 3, one node at a time, as the rule
+        # pass sampled before it took f_many
+        one = {
+            "exp": math.exp,
+            "trig_circle": lambda t: np.array([math.cos(t), math.sin(t)]),
+            "poly_r3": lambda t: np.array([t, t * t, t ** 3]),
+            "matrix_path": lambda t: np.array([[math.cos(t), -math.sin(t)],
+                                               [math.sin(t), math.cos(t)]]),
+        }[name]
+        base = make_function(name)
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return one(t)
+
+        user = VectorFunction(space=base.space, f=f, df=base.df, df_sup=base.df_sup, name="user")
+        rule = EQUIVALENCE_RULES["random_5"]
+        part = uniform_partition(Interval(-1.0, 2.0), 7)
+        calls.clear()
+        result = integrate_composite(user, rule, part, LINF)
+        assert len(calls) == rule.n * 7
+        for (panel, _), value in zip(result.panels, result.panel_values):
+            assert _same_bits(value, reference_rule_value(user, rule, panel))
+        adaptive = integrate_adaptive(user, rule, Interval(-1.0, 2.0), LINF, 1e-3, 600)
+        assert len(adaptive.panels) > engine._BATCH
+        for (panel, _), value in zip(adaptive.panels, adaptive.panel_values):
+            assert _same_bits(value, reference_rule_value(user, rule, panel))
+
+    def test_one_f_many_call_per_chunk(self):
+        base = make_function("exp")
+        calls = []
+
+        def f_many(ts):
+            calls.append(len(ts))
+            return base.f_many(ts)
+
+        fn = VectorFunction(space=base.space, f=base.f, f_many=f_many, df=base.df,
+                            df_sup=base.df_sup, name="counted")
+        rule = preset("qt")
+        assert apply_rule(fn, rule, UNIT) == reference_rule_value(base, rule, UNIT)
+        assert calls == [rule.n]
+        calls.clear()
+        result = integrate_adaptive(fn, rule, Interval(0.0, 2.0), LINF, 1e-9, 600)
+        panels = len(result.panels)
+        chunks = [min(engine._BATCH, panels - k) for k in range(0, panels, engine._BATCH)]
+        assert calls == [rule.n * size for size in chunks]
+
+    @pytest.mark.parametrize("driver", ["apply_rule", "composite", "adaptive"])
+    def test_failing_batch_raises_the_first_failing_node(self, driver):
+        # f_many fails on any batch holding a node past 2.5; f fails on each
+        # such node, naming it: the error raised is the first failing node's
+        base = make_function("exp")
+
+        def f(t):
+            if t > 2.5:
+                raise ArithmeticError(f"f failed at {t!r}")
+            return base.f(t)
+
+        def f_many(ts):
+            if (ts > 2.5).any():
+                raise RuntimeError("the batch failed")
+            return base.f_many(ts)
+
+        fn = VectorFunction(space=base.space, f=f, f_many=f_many, df=base.df,
+                            df_sup=base.df_sup, name="failing")
+        rule = EQUIVALENCE_RULES["random_5"]
+        if driver == "apply_rule":
+            panels = [Interval(2.0, 3.0)]
+            call = lambda: apply_rule(fn, rule, panels[0])  # noqa: E731
+        elif driver == "composite":
+            panels = list(uniform_partition(Interval(0.0, 4.0), 4).panels)
+            call = lambda: integrate_composite(  # noqa: E731
+                fn, rule, uniform_partition(Interval(0.0, 4.0), 4), LINF)
+        else:
+            panels = list(integrate_adaptive(base, rule, Interval(0.0, 3.0), LINF,
+                                             1e-4, 600).panels)
+            panels = [panel for panel, _ in panels]
+            call = lambda: integrate_adaptive(fn, rule, Interval(0.0, 3.0), LINF,  # noqa: E731
+                                              1e-4, 600)
+        first = next(x for panel in panels for x in reference_nodes(rule, panel) if x > 2.5)
+        with pytest.raises(ArithmeticError, match=f"^f failed at {re.escape(repr(first))}$"):
+            call()
+
+    def test_wrong_batch_shape_raises(self):
+        base = make_function("trig_circle")
+        fn = VectorFunction(space=base.space, f=base.f, f_many=lambda ts: np.cos(ts),
+                            name="flat")
+        with pytest.raises(ValueError, match="batched samples have shape"):
+            apply_rule(fn, preset("qt"), UNIT)
 
 
 def _with_envelope(fn, envelope, name=None):

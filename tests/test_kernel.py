@@ -129,6 +129,26 @@ class TestIdentityResidual:
                 assert identity_residual(fn, rule, interval, 1025) == identity_residual(
                     per_point, rule, interval, 1025), (rule.name, interval)
 
+    def test_rule_side_takes_one_f_many_call(self):
+        # the node samples come from one f_many call on the nodes, as in the
+        # rule pass; f is not called
+        base = make_function("exp")
+        calls = []
+
+        def f(t):
+            raise AssertionError("the rule side samples through f_many")
+
+        def f_many(ts):
+            calls.append(ts.tolist())
+            return base.f_many(ts)
+
+        fn = VectorFunction(space=base.space, f=f, f_many=f_many, df=base.df,
+                            df_many=base.df_many)
+        rule, interval = PIECE_RULES["outside"], Interval(-0.7, 1.3)
+        assert identity_residual(fn, rule, interval, 64) == identity_residual(
+            base, rule, interval, 64)
+        assert calls[0] == pieces(rule, interval)[0][1:].tolist()
+
     def test_smooth_cases_tiny(self):
         assert identity_residual(
             make_function("exp"), preset("qs"), UNIT, 1024

@@ -22,6 +22,7 @@ from certquad.seminorms import segment_seminorms
 from helpers import (
     _reference_seminorm,
     df_norm_at,
+    n_gamma,
     reference_f_many,
     reference_level1,
     simpson_fold,
@@ -101,11 +102,6 @@ def test_oracle_resolution_matches_reference_fold(name, label):
     assert _equal(simpson_element(fn.space, fn.f_many, 0.0, 1.0, 65536), expected)
 
 
-def _gamma(k: int) -> float:
-    u = 2.0 ** -53
-    return k * u / (1.0 - k * u)
-
-
 @pytest.mark.parametrize("label,panels", [
     ("scalar", ROW + 1), ("r2", ROW + 1), ("r2", 2 * SAMPLE_CHUNK + 1), ("scalar", 65536),
 ])
@@ -138,7 +134,7 @@ def test_fold_error_within_its_gamma_bound(label, panels):
             size = third * mpmath.fsum(abs(t) for t in terms)
             error = abs(mpmath.mpf(float(got)) - exact)
             # the rounding shows, and stays inside the bound
-            assert 0 < error <= _gamma(k + 2) * size
+            assert 0 < error <= n_gamma(k + 2) * size
 
 
 @pytest.mark.parametrize("name,label", [("trig_circle", None), ("affine", "c2"), ("exp", None)])
@@ -323,6 +319,22 @@ def test_registry_f_many_keeps_the_stacked_bytes(name, label):
     ts = _edge_points()
     with np.errstate(over="ignore"):
         assert _equal(fn.f_many(ts), reference_f_many(fn, ts))
+
+
+@pytest.mark.parametrize("name,label", REGISTRY)
+def test_registry_f_is_a_row_of_f_many(name, label):
+    # f(t) is row 0 of f_many([t]), and row k of f_many(ts) is f(ts[k]), bit
+    # for bit: the rule pass samples through f_many, one-point callers through f
+    fn = make_function(name, label)
+    ts = _edge_points()
+    with np.errstate(over="ignore"):
+        ones = np.array([fn.f_many(np.array([t]))[0] for t in ts.tolist()])
+        singles = np.array([fn.f(t) for t in ts.tolist()])
+        batch = fn.f_many(ts)
+    assert _equal(singles, ones)
+    assert _equal(batch, ones)
+    if fn.space.label == "scalar":
+        assert all(type(fn.f(t)) is float for t in ts[:20].tolist())
 
 
 def test_sample_points_when_the_length_overflows():

@@ -1,4 +1,5 @@
-"""One SHA-256 per benchmark workload over every operation of its input pool.
+"""One SHA-256 per benchmark workload over every operation of its input pool,
+and one per registry function over that function's operations.
 
     python3 tools/pool_digest.py --seed N [--root DIR]
 
@@ -10,10 +11,13 @@ full: the approximation, the certificate, every panel and its
 certificate, the panel values, the evaluation count and the converged
 flag, with floats as hex and arrays as dtype, shape and bytes.  CLI
 results are hashed as printed: the exit code and the text.  An operation
-that raises is hashed as its exception's type and message.
+that raises is hashed as its exception's type and message.  Under each
+workload's line, one line per function hashes the same records of that
+function's operations, in pool order.
 
 Two trees that print the same digests give the same bits on every pool
-operation.  Nothing is gated on them: a change may move bits when its
+operation; where a workload's digest differs, its function lines show
+which functions moved.  Nothing is gated on them: a change may move bits when its
 notes say where.
 """
 
@@ -26,6 +30,7 @@ import importlib
 import os
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -63,21 +68,25 @@ def _load(root: Path):
     return cq, workloads.WORKLOADS, run.POOL_ROUNDS
 
 
-def digests(root: Path, seed: int) -> dict[str, tuple[int, str]]:
+def digests(root: Path, seed: int) -> dict[str, tuple[int, str, dict[str, tuple[int, str]]]]:
+    """``{workload: (ops, digest, {function: (ops, digest)})}``."""
     cq, workloads, rounds = _load(root)
     out = {}
     for name in sorted(workloads):
         workload = workloads[name](cq)
         pool = workload.inputs(random.Random(seed), rounds)
-        h = hashlib.sha256()
+        h, per = hashlib.sha256(), {}
         for op in pool:
             try:
                 result = workload.call(op)
             except Exception as exc:
                 result = (type(exc).__name__, str(exc))
-            h.update(repr(_canon(result)).encode())
-            h.update(b"\n")
-        out[name] = (len(pool), h.hexdigest())
+            record = repr(_canon(result)).encode() + b"\n"
+            h.update(record)
+            per.setdefault(op.function, hashlib.sha256()).update(record)
+        counts = Counter(op.function for op in pool)
+        functions = {f: (counts[f], per[f].hexdigest()) for f in sorted(per)}
+        out[name] = (len(pool), h.hexdigest(), functions)
     return out
 
 
@@ -88,8 +97,10 @@ def main(argv=None) -> int:
                         help="checkout whose bench/ and src/ are run (default: this one)")
     args = parser.parse_args(argv)
     root = args.root.resolve()
-    for name, (count, digest) in digests(root, args.seed).items():
+    for name, (count, digest, functions) in digests(root, args.seed).items():
         print(f"{name:<14} seed {args.seed} {count:>5} ops  {digest}")
+        for function, (count, digest) in functions.items():
+            print(f"  {function:<19} {count:>5} ops  {digest}")
     return 0
 
 
