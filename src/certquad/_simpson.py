@@ -3,22 +3,26 @@
 Shared by the seminorm estimators, the level-1 bound, the kernel-identity
 check and the test oracle.  ``panels`` counts Simpson panels; each panel
 contributes two half-steps, so ``2*panels + 1`` samples are taken, at
-``a + k*h`` for ``k < 2*panels`` and at ``b`` (:func:`sample_points`).
-Both folds take their integrand in batches of at most ``SAMPLE_CHUNK``
-points and read what it returns without writing to it.  Neither uses a
-pairwise sum, so results are reproducible bit for bit.
-:func:`simpson_scalar`, which feeds the certificates, adds its samples one
-at a time, as the one-sample loop does.  :func:`simpson_element`, the
-oracle, sums each batch in blocks of ``ROW`` samples in a fixed order
-(:func:`_batch_sum`), which shortens its chain of dependent additions from
-one per sample to about ``2 * ROW`` per batch.
+``a + k*h`` for ``k < 2*panels`` and at ``b`` (:func:`sample_points`), in
+batches of at most ``SAMPLE_CHUNK`` points (:func:`sample_grid`).  Every
+batched sample of f or f', here, in the rule pass and in the sampled sup,
+goes through one sampler, :func:`samples`.  Both folds read what it
+returns without writing to it, and neither uses a pairwise sum, so results
+are reproducible bit for bit.  :func:`simpson_scalar`, which feeds the
+certificates, adds its samples one at a time, as the one-sample loop does.
+:func:`simpson_element`, the oracle, sums each batch in blocks of ``ROW``
+samples in a fixed order (:func:`_batch_sum`), which shortens its chain of
+dependent additions from one per sample to about ``2 * ROW`` per batch.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["simpson_scalar", "simpson_element", "sample_batch", "sample_points"]
+__all__ = ["check_finite", "one_point", "sample_grid", "sample_points", "samples",
+           "simpson_element", "simpson_scalar"]
 
 SAMPLE_CHUNK = 4096  # points per batched integrand call
 ROW = 64  # samples per row of a batch in the oracle's blocked sum
@@ -26,28 +30,61 @@ ROW = 64  # samples per row of a batch in the oracle's blocked sum
 
 def sample_points(a: float, b: float, m: int):
     """``(h, points)``: ``(b - a)/m`` and ``k -> a + k*h``; where ``b - a``
-    overflows, ``b/m - a/m`` and ``uniform_partition``'s ``(a/m)(m - k) + (b/m)k``."""
+    overflows, ``b/m - a/m`` and ``(a/m)(m - k) + (b/m)k``, whose terms stay finite."""
     h = (b - a) / m
-    if np.isfinite(h):
+    if math.isfinite(h):
         return h, lambda k: a + k * h
     return b / m - a / m, lambda k: (a / m) * (m - k) + (b / m) * k
 
 
-def sample_batch(g, ts: np.ndarray) -> np.ndarray:
-    """``g(ts)`` as a float array, where ``g`` maps sample points to the
-    values of a real function there, and raises on a batch exactly when
-    some point of it raises alone.
+def sample_grid(points, b: float, m: int, ks: range):
+    """``points(k)`` of ``sample_points(a, b, m)`` for ``k`` in the range
+    ``ks`` (``k = m`` is ``b`` itself), in arrays of ``SAMPLE_CHUNK`` or fewer."""
+    for lo in range(0, len(ks), SAMPLE_CHUNK):
+        k = ks[lo:lo + SAMPLE_CHUNK]
+        ts = points(np.arange(k.start, k.stop, k.step, dtype=float))
+        if k[-1] == m:
+            ts[-1] = b
+        yield ts
 
-    When the batch raises, ``g`` is called again on one point at a time in
-    order, so the error raised is the one the first failing point raises
-    alone.  Values that are not finite but raised nothing are returned as
-    they are, without a second pass.
-    """
+
+def one_point(many):
+    """The one-point form of the batched function ``many``: row 0 of
+    ``many([t])``, overflow giving inf without a warning, and a Python
+    float where the row is a scalar."""
+    def one(t):
+        with np.errstate(over="ignore"):
+            row = many(np.array([t], dtype=float))[0]
+        return float(row) if np.ndim(row) == 0 else row
+
+    return one
+
+
+def samples(many, ts: np.ndarray, shape: tuple = (), one=None) -> np.ndarray:
+    """``many(ts)``, checked to stack ``len(ts)`` elements of ``shape``.  A
+    batch that raises is redone one point at a time in order, through
+    ``one``, the one-point form, if given, else :func:`one_point`, so the
+    error raised is the first failing point's alone.  Nonfinite values
+    that raised nothing are returned as they are."""
     try:
-        return np.array(g(ts), dtype=float)
-    except Exception:
-        pass  # redone point by point below, which raises it again
-    return np.array([g(ts[k:k + 1])[0] for k in range(len(ts))], dtype=float)
+        values = many(ts)
+    except Exception:  # redone point by point, which raises it again
+        values = [(one or one_point(many))(t) for t in ts.tolist()]
+    values = np.asarray(values)
+    if values.shape != (len(ts),) + shape:
+        raise ValueError(
+            f"batched samples have shape {values.shape}, expected {(len(ts),) + shape}"
+        )
+    return values
+
+
+def check_finite(values: np.ndarray, ts: np.ndarray, what: str) -> None:
+    """Raise ``ValueError("{what} at t=...")`` naming the first point of
+    ``ts`` whose row of ``values`` is not finite, if there is one."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        t = float(ts[np.argmin(finite.reshape(len(ts), -1).all(axis=1))])
+        raise ValueError(f"{what} at t={t!r}")
 
 
 def simpson_scalar(g, a: float, b: float, panels: int) -> float:
@@ -55,10 +92,10 @@ def simpson_scalar(g, a: float, b: float, panels: int) -> float:
     [a, b].
 
     ``g`` maps a float array of sample points to the array of the
-    integrand's values there, through :func:`sample_batch`.  The fold is
-    the one-sample loop's: ``first = g(a)``, ``last = g(b)``, the odd
-    samples added in ascending order from 0.0, then the even samples
-    likewise, and ``(h/3) * (first + last + 4*odd + 2*even)``.
+    integrand's values there, through :func:`samples`.  The fold is the
+    one-sample loop's: ``first = g(a)``, ``last = g(b)``, the odd samples
+    added in ascending order from 0.0, then the even samples likewise, and
+    ``(h/3) * (first + last + 4*odd + 2*even)``.
     """
     if panels < 1:
         raise ValueError(f"panel count must be >= 1, got {panels}")
@@ -67,12 +104,12 @@ def simpson_scalar(g, a: float, b: float, panels: int) -> float:
     m = 2 * panels
     h, points = sample_points(a, b, m)
     with np.errstate(all="ignore"):
-        first, last = sample_batch(g, np.array([a, b])).tolist()
+        first, last = samples(g, np.array([a, b])).astype(float).tolist()
         sums = []
-        for start in (1, 2):
+        for ks in (range(1, m, 2), range(2, m, 2)):
             acc = 0.0
-            for lo in range(start, m, 2 * SAMPLE_CHUNK):
-                terms = sample_batch(g, points(np.arange(lo, min(lo + 2 * SAMPLE_CHUNK, m), 2)))
+            for ts in sample_grid(points, b, m, ks):
+                terms = samples(g, ts).astype(float)
                 terms[0] = acc + terms[0]
                 acc = np.add.accumulate(terms, out=terms)[-1]
             sums.append(float(acc))
@@ -80,34 +117,10 @@ def simpson_scalar(g, a: float, b: float, panels: int) -> float:
     return (h / 3.0) * (first + last + 4.0 * odd + 2.0 * even)
 
 
-def _samples(f_many, ts: np.ndarray, shape: tuple, f=None) -> np.ndarray:
-    """``f_many(ts)``, checked to stack ``len(ts)`` elements of ``shape``.
-
-    With ``f``, the one-point form, a batch that raises is redone one
-    point at a time through ``f`` in order, so the error raised is the one
-    the first failing point raises alone.
-    """
-    try:
-        values = f_many(ts)
-    except Exception:
-        if f is None:
-            raise
-        values = [f(t) for t in ts.tolist()]
-    values = np.asarray(values)
-    if values.shape != (len(ts),) + shape:
-        raise ValueError(
-            f"batched samples have shape {values.shape}, "
-            f"expected {(len(ts),) + shape}"
-        )
-    return values
-
-
 def _check(acc, values: np.ndarray, ts: np.ndarray) -> None:
     # a nonfinite sample leaves the running sum nonfinite; only then scan the samples
     if not np.isfinite(acc).all():
-        finite = np.isfinite(values).reshape(len(ts), -1).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"nonfinite sample at t={float(ts[np.argmin(finite)])!r}")
+        check_finite(values, ts, "nonfinite sample")
 
 
 def _batch_sum(values: np.ndarray):
@@ -139,7 +152,8 @@ def simpson_element(space, f_many, a: float, b: float, panels: int):
 
     ``f_many`` maps an array of sample points to an array of elements
     stacked along axis 0 in any layout (see ``VectorFunction.f_many``); it
-    is called on at most ``SAMPLE_CHUNK`` points at a time.  The fold is
+    is called through :func:`samples` on at most ``SAMPLE_CHUNK`` points at
+    a time, so a batch that raises is redone point by point.  The fold is
     pinned: ``ends = f(a) + f(b)``; ``odd``, the batches of odd ``k``
     ascending, each summed by :func:`_batch_sum` and the batch sums added
     left to right from 0.0; ``even`` likewise; then
@@ -154,19 +168,18 @@ def simpson_element(space, f_many, a: float, b: float, panels: int):
     if a == b:
         return space.zero()
     m = 2 * panels
-    h, points = sample_points(a, b, m)
     shape = np.shape(space.zero())
+    h, points = sample_points(a, b, m)
     with np.errstate(all="ignore"):
         ends = np.array([a, b])
-        values = _samples(f_many, ends, shape)
+        values = samples(f_many, ends, shape)
         acc = values[0] + values[1]
         _check(acc, values, ends)
         sums = []
-        for first in (1, 2):
+        for ks in (range(1, m, 2), range(2, m, 2)):
             total = 0.0
-            for lo in range(first, m, 2 * SAMPLE_CHUNK):
-                ts = points(np.arange(lo, min(lo + 2 * SAMPLE_CHUNK, m), 2, dtype=float))
-                values = _samples(f_many, ts, shape)
+            for ts in sample_grid(points, b, m, ks):
+                values = samples(f_many, ts, shape)
                 total = total + _batch_sum(values)
                 _check(total, values, ts)
             sums.append(total)

@@ -336,6 +336,7 @@ def _emit_run(report: dict[str, Any], output: str) -> str:
 
 
 def _emit_compare(rows: list[dict[str, Any]], output: str) -> str:
+    _finite(rows)  # so every output refuses the same rows
     if output == "json":
         return dumps_json({"schema": _SCHEMA, "rows": rows})
     if output == "csv":
@@ -358,8 +359,8 @@ def _emit_compare(rows: list[dict[str, Any]], output: str) -> str:
         lines = [header, "-" * len(header)]
         for row in rows:
             lines.append(
-                f"{row['rule']:<28} {_finite(row['constant']):>14.6e} "
-                f"{_finite(row['bound']):>14.6e} {_finite(row['actual_error']):>14.6e}"
+                f"{row['rule']:<28} {row['constant']:>14.6e} "
+                f"{row['bound']:>14.6e} {row['actual_error']:>14.6e}"
             )
         return "\n".join(lines)
     raise ValueError(f"unknown output mode {output!r}")

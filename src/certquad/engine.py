@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._simpson import _samples, simpson_element
+from ._simpson import samples, simpson_element
 from .bounds import ErrorCertificate, _certificate_rows, _certificates
 from .geometry import Interval, NormRegime, Partition
 from .rules import QuadratureRule, _cut_points
@@ -89,10 +89,10 @@ def _rule_values(fn: VectorFunction, rule: QuadratureRule, a, b) -> np.ndarray:
     nodes = _cut_points(rule, a, b)[:, 1:-1]
     shape = np.shape(space.zero())
     with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
-        samples = _samples(fn.f_many, nodes.ravel(), shape, fn.f).reshape(nodes.shape + shape)
+        values = samples(fn.f_many, nodes.ravel(), shape, fn.f).reshape(nodes.shape + shape)
         acc = space.zero()
         for j, w in enumerate(rule.weights):
-            acc = space.add(acc, space.scale(w, samples[:, j]))
+            acc = space.add(acc, space.scale(w, values[:, j]))
         lengths = (b - a).reshape((-1,) + (1,) * (acc.ndim - 1))
         return space.scale(lengths, acc)
 

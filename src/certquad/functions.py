@@ -7,11 +7,11 @@ any registered space; the others are tied to their natural space.  Each
 entry also has batched forms ``f_many`` and ``df_many`` that sample a whole
 array of points at once, and each gives its one-point form's bits.  ``f``
 of ``exp``, ``trig_circle``, ``poly_r3`` and ``matrix_path`` is row 0 of
-``f_many`` at a one-point array (:func:`_at`), so the rule pass, the
-oracle and ``f`` itself share the numpy forms.  ``df_many`` follows
-``df`` instead: numpy forms where the arithmetic is exact or one IEEE
-operation per entry, and ``math`` one point at a time for ``exp``,
-``sin`` and ``cos``, whose numpy forms do not round like libm's.
+``f_many`` at a one-point array (``_simpson.one_point``), so the rule
+pass, the oracle and ``f`` share the numpy forms.  ``df_many`` follows
+``df``: numpy forms where the arithmetic is exact or one IEEE operation
+per entry, and ``math`` one point at a time for ``exp`` (inf past the
+float range), ``sin`` and ``cos``, whose numpy forms round unlike libm's.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from ._simpson import one_point
+from .geometry import _exp as _exp_inf
 from .spaces import (
     ComplexEuclideanSpace,
     EuclideanSpace,
@@ -92,17 +94,6 @@ def _affine(space: NormedSpace) -> VectorFunction:
     )
 
 
-def _at(f_many):
-    """The one-point form of ``f_many``: row 0 of ``f_many([t])``, overflow
-    giving inf without a warning, and a Python float in the scalar space."""
-    def f(t):
-        with np.errstate(over="ignore"):
-            row = f_many(np.array([t], dtype=float))[0]
-        return float(row) if np.ndim(row) == 0 else row
-
-    return f
-
-
 def _math_many(func, ts: np.ndarray) -> np.ndarray:
     """``func`` from ``math`` at each point of ``ts``: libm's rounding,
     which numpy's own ``exp``, ``sin`` and ``cos`` do not promise."""
@@ -131,13 +122,19 @@ def _quadratic() -> VectorFunction:
 
 
 def _exp() -> VectorFunction:
+    def df_many(ts):
+        try:
+            return _math_many(math.exp, ts)
+        except OverflowError:  # math.exp raises past 709.78; exp is inf there
+            return _math_many(_exp_inf, ts)
+
     return VectorFunction(
         space=_SCALAR,
-        f=_at(np.exp),
+        f=one_point(np.exp),
         f_many=np.exp,
-        df=math.exp,
-        df_many=lambda ts: _math_many(math.exp, ts),
-        df_sup=lambda lo, hi: math.exp(hi),
+        df=_exp_inf,
+        df_many=df_many,
+        df_sup=lambda lo, hi: _exp_inf(hi),
         name="exp",
     )
 
@@ -149,7 +146,7 @@ def _trig_circle() -> VectorFunction:
 
     return VectorFunction(
         space=_R2,
-        f=_at(f_many),
+        f=one_point(f_many),
         f_many=f_many,
         df=lambda t: np.array([-math.sin(t), math.cos(t)]),
         df_many=lambda ts: np.stack([-_math_many(math.sin, ts), _math_many(math.cos, ts)], axis=-1),
@@ -173,7 +170,7 @@ def _poly_r3() -> VectorFunction:
 
     return VectorFunction(
         space=_R3,
-        f=_at(f_many),
+        f=one_point(f_many),
         f_many=f_many,
         df=lambda t: np.array([1.0, 2.0 * t, 3.0 * t * t]),
         df_many=lambda ts: np.stack([np.ones_like(ts), 2.0 * ts, (3.0 * ts) * ts], axis=-1),
@@ -198,7 +195,7 @@ def _matrix_path() -> VectorFunction:
 
     return VectorFunction(
         space=_M22,
-        f=_at(f_many),
+        f=one_point(f_many),
         f_many=f_many,
         df=df,
         df_many=df_many,

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._simpson import sample_points
+
 __all__ = [
     "INF",
     "Interval",
@@ -71,14 +73,6 @@ class Interval:
             )
 
     @property
-    def length(self) -> float:
-        return self.b - self.a
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
-
-    @property
     def is_degenerate(self) -> bool:
         return self.a == self.b
 
@@ -107,10 +101,6 @@ class Partition:
                 raise ValueError("partition breakpoints must be nondecreasing")
 
     @property
-    def panel_count(self) -> int:
-        return len(self.breakpoints) - 1
-
-    @property
     def panels(self) -> tuple[Interval, ...]:
         return tuple(
             Interval(lo, hi) for lo, hi in zip(self.breakpoints, self.breakpoints[1:])
@@ -121,18 +111,15 @@ def uniform_partition(interval: Interval, panels: int) -> Partition:
     """Split ``interval`` into ``panels`` equal panels.
 
     The last breakpoint is set to ``interval.b`` exactly rather than
-    accumulated, so the partition always validates.  When ``b - a``
-    overflows, inner breakpoint k of m is ``(a/m)(m - k) + (b/m) k``
-    instead, whose terms stay finite.
+    accumulated, so the partition always validates.  The others are the
+    points ``a + k*h`` of ``_simpson.sample_points``, which stay finite
+    where ``b - a`` overflows.
     """
     if panels < 1:
         raise ValueError(f"panel count must be >= 1, got {panels}")
     a, b = interval.a, interval.b
-    h = (b - a) / panels
-    if math.isfinite(h):
-        pts = [a + k * h for k in range(panels)]
-    else:
-        pts = [a] + [(a / panels) * (panels - k) + (b / panels) * k for k in range(1, panels)]
+    pts = sample_points(a, b, panels)[1](np.arange(panels)).tolist()
+    pts[0] = a + 0.0  # a itself, with -0.0 as 0.0, as a + 0*h gives
     pts.append(b)
     return Partition(interval, tuple(pts))
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._simpson import _samples, simpson_element
+from ._simpson import samples, simpson_element
 from .engine import _elements
 from .geometry import Interval
 from .rules import QuadratureRule, _pieces
@@ -58,9 +58,9 @@ def identity_residual(
     length = b - a
 
     with np.errstate(all="ignore"):  # an overflowing sample is inf, as in the rule pass
-        samples = _samples(fn.f_many, np.array(los[1:]), np.shape(space.zero()), fn.f)
+        values = samples(fn.f_many, np.array(los[1:]), np.shape(space.zero()), fn.f)
     rule_mean = space.zero()
-    for x, w in zip(_elements(samples), rule.weights):
+    for x, w in zip(_elements(values), rule.weights):
         rule_mean = space.add(rule_mean, space.scale(w, x))
     mean_integral = space.scale(
         1.0 / length, simpson_element(space, fn.f_many, a, b, oracle_resolution)

@@ -14,17 +14,18 @@ maximum over ``resolution + 1`` equispaced samples (not certified; the
 sample grids are nested under doubling, so estimates grow monotonically
 with resolution).
 
-Derivative samples are taken in batches of at most ``SAMPLE_CHUNK``
-points through ``VectorFunction.df_norms`` (``df_many``, then the space's
-``norms``) and folded in the one-sample loop's order, so every value is
-the one that loop gives, bit for bit; a batch that fails is redone one
-point at a time, so the error raised is the first one that loop meets.
-p-th powers for p > 1 are Python ``**`` per sample.  When one raises
-``OverflowError`` or the Simpson sum of the powers overflows to inf, the
-integral is taken again with every sample scaled by a power of two, and
-the scale is undone after the root.  Where that sum still overflows, as
-on an interval whose length passes the float range, the interval is
-scaled by a power of two as well, and that too is undone after the root.
+Derivative samples, ``VectorFunction.df_norms`` (``df_many``, then the
+space's ``norms``), go through the one sampler, ``_simpson.samples``, in
+batches of at most ``SAMPLE_CHUNK`` points, and are folded in the
+one-sample loop's order, so every value is the one that loop gives, bit
+for bit; a batch that fails is redone one point at a time, so the error
+raised is the first one that loop meets.  p-th powers for p > 1 are
+Python ``**`` per sample, inf past the float range.  When their Simpson
+sum overflows to inf, the integral is taken again with every sample
+divided by the largest on the grid, and that scale is undone after the
+root.  Where the sum still overflows, as on an interval whose length
+passes the float range, the interval is scaled by a power of two, also
+undone after the root.
 
 One estimator, :func:`segment_seminorms`, serves the segments of many
 panels at once; the level-2 kernel calls it, and :func:`seminorm` for one
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simpson import SAMPLE_CHUNK, sample_batch, sample_points, simpson_scalar
-from .geometry import LINF, Interval, NormRegime
+from ._simpson import sample_grid, sample_points, samples, simpson_scalar
+from .geometry import LINF, Interval, NormRegime, _powers
 from .rules import QuadratureRule, _cut_points
 from .spaces import VectorFunction
 
@@ -121,10 +122,6 @@ def seminorm_profile(
     ))
 
 
-def _bad_envelope(fn: VectorFunction, value: float) -> ValueError:
-    return ValueError(f"sup-envelope of {fn.name or '<anonymous>'} returned {value!r}")
-
-
 def segment_seminorms(
     fn: VectorFunction, regime: NormRegime, los: list, his: list, resolution: int
 ) -> tuple[list[float], object]:
@@ -145,7 +142,7 @@ def segment_seminorms(
                 continue
             value = float(sup(lo, hi))
             if not 0.0 <= value < inf:
-                raise _bad_envelope(fn, value)
+                raise ValueError(f"sup-envelope of {fn.name or '<anonymous>'} returned {value!r}")
             append(value)
         return values, True
     pairs = [_estimate(fn, lo, hi, regime, resolution) for lo, hi in zip(los, his)]
@@ -167,15 +164,11 @@ def _estimate(
                 f"function {fn.name or '<anonymous>'} has neither a sup-envelope "
                 "nor a derivative source for the linf seminorm"
             )
-        points = sample_points(lo, hi, resolution)[1]
         best = 0.0
+        points = sample_points(lo, hi, resolution)[1]
         with np.errstate(all="ignore"):  # df_norms raises on overflow
-            for start in range(0, resolution + 1, SAMPLE_CHUNK):
-                k = np.arange(start, min(start + SAMPLE_CHUNK, resolution + 1))
-                ts = points(k)
-                if k[-1] == resolution:
-                    ts[-1] = hi
-                best = max(best, float(np.max(sample_batch(fn.df_norms, ts))))
+            for ts in sample_grid(points, hi, resolution, range(resolution + 1)):
+                best = max(best, float(np.max(samples(fn.df_norms, ts))))
         return best, False
 
     power = regime.integral_exponent
@@ -183,21 +176,17 @@ def _estimate(
     def integrand(ts, scale=1.0):
         # x / 1.0 and x ** 1.0 are x exactly: L1 takes the norms as they are.
         # Other powers are Python's ** per sample, as the one-sample loop took
-        # them (np.power rounds differently; ** raises OverflowError past range)
+        # them (np.power rounds differently), inf past the float range
         norms = fn.df_norms(ts) / scale
-        return norms if power == 1.0 else np.array([v ** power for v in norms.tolist()])
+        return norms if power == 1.0 else _powers(norms, power)
 
     scale = 1.0
-    try:
-        integral = simpson_scalar(integrand, lo, hi, resolution)
-    except OverflowError:
-        integral = math.inf
-    if integral == math.inf:
-        # a power or the sum past the float range: scale each sample by
-        # 2**-e, e the exponent of the largest on Simpson's grid, and undo
-        # after the root
-        top = _estimate(fn, lo, hi, LINF, 2 * resolution)[0]
-        scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    integral = simpson_scalar(integrand, lo, hi, resolution)
+    if not integral < math.inf:  # nan where a step of 0 meets an inf sum
+        # a power or the sum past the float range: divide each sample by the
+        # largest on Simpson's grid, so that no scaled sample passes 1 and
+        # no power overflows, and undo after the root
+        scale = _estimate(fn, lo, hi, LINF, 2 * resolution)[0]
         integral = simpson_scalar(lambda ts: integrand(ts, scale), lo, hi, resolution)
     length = 1.0
     if integral == math.inf:

@@ -14,6 +14,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ._simpson import check_finite
+
 __all__ = [
     "Element",
     "NormedSpace",
@@ -241,9 +243,10 @@ class VectorFunction:
         ``f(ts[k])`` bit for bit (shape ``(N,)`` in the scalar space), in
         any memory layout; it is read, never written.  The rule pass
         (``apply_rule`` and both drivers), the reference oracle and
-        ``identity_residual`` sample through it; the rule pass calls ``f``
-        node by node only where a batch raises, so that the error raised is
-        the first failing node's.  Rows that differ from ``f`` move rule
+        ``identity_residual`` sample through it, by way of the one sampler,
+        ``_simpson.samples``: where a batch raises, it is redone one point
+        at a time (through ``f`` in the rule pass), so that the error raised
+        is the first failing point's.  Rows that differ from ``f`` move rule
         values by as much as the rows do.  When omitted, a fallback calls
         ``f`` once per sample.
     df : callable, optional
@@ -315,14 +318,9 @@ class VectorFunction:
     def df_norms(self, ts: np.ndarray) -> np.ndarray:
         """``norm(f'(t))`` at each point of ``ts``, from ``df_many``.  A
         value that is not finite raises ``ValueError`` naming the first
-        point that gives one."""
+        point that gives one (``_simpson.check_finite``)."""
         values = self.space.norms(self.df_many(ts))
-        finite = np.isfinite(values)
-        if not finite.all():
-            t = float(ts[np.argmin(finite)])
-            raise ValueError(
-                f"nonfinite derivative sample for {self.name or '<anonymous>'} at t={t!r}"
-            )
+        check_finite(values, ts, f"nonfinite derivative sample for {self.name or '<anonymous>'}")
         return values
 
 

@@ -23,8 +23,9 @@ from certquad import (
     seminorm,
     seminorm_profile,
 )
+import certquad.cli as cli
 from certquad.bounds import level2_certificate
-from certquad.seminorms import segment_seminorms
+from certquad.seminorms import DEFAULT_RESOLUTION, segment_seminorms
 
 UNIT = Interval(0.0, 1.0)
 
@@ -409,3 +410,39 @@ def test_lp_seminorm_on_an_overflowing_length_is_finite(name, label, p):
     value = seminorm(fn, Interval(-1e308, 1e308), lp(p), 8).value
     assert abs(value - exact) <= 1e-13 * exact
     assert seminorm(fn, Interval(-1e308, 1e308), L1, 8).value == math.inf
+
+
+@pytest.mark.parametrize("p", [2500.0, 5000.0, 1e6, 1e308])
+def test_lp_seminorm_for_large_p(capsys, p):
+    # exp' = exp on [0, 1]: the Lp seminorm is e * ((1 - e**-p) / p)**(1/p),
+    # which tends to e.  The largest sample is about e, and e**p overflows,
+    # so every sample is divided by the largest one before its power.  The
+    # estimate is e * S**(1/p) for S the Simpson sum of e**(p(t - 1)) on
+    # Simpson's points k/m; Simpson's own error, which grows with p, moves
+    # it from the exact value by under 1e-5 relative.  The CLI run ends
+    # without OverflowError's errno text
+    m = 2 * DEFAULT_RESOLUTION
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)
+        exact = mpmath.e * ((1 - mpmath.exp(-q)) / q) ** (1 / q)
+        terms = [mpmath.exp(-q * (m - k) / m) if q * (m - k) / m < 1e5 else 0
+                 for k in range(m + 1)]  # terms below e**-1e5 are dropped
+        total = terms[0] + terms[m] + 4 * sum(terms[1:m:2]) + 2 * sum(terms[2:m:2])
+        estimate = mpmath.e * (total / (3 * m)) ** (1 / q)
+    value = seminorm(make_function("exp"), UNIT, lp(p)).value
+    assert abs(value - estimate) <= 1e-13 * estimate
+    assert abs(value - exact) <= 1e-5 * exact
+    for level in ("1", "2", "3"):
+        rc = cli.main(["run", "--function", "exp", "--regime", f"lp:{p!r}", "--level", level,
+                       "--output", "json", "--no-timing"])
+        assert rc == 0 and capsys.readouterr().err == ""
+
+
+def test_overflowing_powers_on_a_subnormal_interval():
+    # norm(f')**2 overflows while Simpson's step underflows to 0, so the
+    # first sum is 0 * inf, nan: that too is taken again with the samples
+    # scaled, and the seminorm, (1e400 * 5e-324)**(1/2) rounded, is 0
+    fn = VectorFunction(space=SPACES["scalar"], f=lambda t: 1e200 * t, df=lambda t: 1e200)
+    assert seminorm(fn, Interval(0.0, 5e-324), lp(2.0)).value == 0.0
+    # on [0, 1e-300] the step is finite: (1e400 * 1e-300)**(1/2) = 1e50
+    assert seminorm(fn, Interval(0.0, 1e-300), lp(2.0)).value == pytest.approx(1e50, rel=1e-15)

@@ -2,6 +2,9 @@
 the oracle's blocked element fold, and the derivative sampling behind the
 L1/Lp and sampled sup seminorms and level 1."""
 
+import math
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from certquad import (
     make_function,
     preset,
 )
-from certquad._simpson import ROW, SAMPLE_CHUNK, sample_batch, sample_points, simpson_element
+from certquad._simpson import ROW, SAMPLE_CHUNK, sample_points, samples, simpson_element
 from certquad.seminorms import segment_seminorms
 from helpers import (
     _reference_seminorm,
@@ -297,6 +300,50 @@ def test_nonfinite_sample_in_a_later_batch_names_its_point(label, bad, overflowe
     assert calls == [2, SAMPLE_CHUNK, SAMPLE_CHUNK]
 
 
+@pytest.mark.parametrize("label", ["scalar", "r2"])
+def test_oracle_redoes_a_raising_batch_point_by_point(label):
+    # f_many raises one error on any batch holding a point in (0.6, 0.7)
+    # and another, naming it, on each such point alone: the oracle raises
+    # the first failing point's own error, in sampling order (the ends,
+    # then the odd points), as every other sampler does
+    base = make_function("affine", label)
+    panels = 2 * SAMPLE_CHUNK + 1
+    points, _ = simpson_points(0.0, 1.0, panels)
+    first = next(points[k] for k in range(1, 2 * panels, 2) if 0.6 < points[k] < 0.7)
+    calls = []
+
+    def f_many(ts):
+        calls.append(len(ts))
+        bad = (0.6 < ts) & (ts < 0.7)
+        if bad.any():
+            if len(ts) > 1:
+                raise RuntimeError("the batch failed")
+            raise ArithmeticError(f"failed at {float(ts[0])!r}")
+        return base.f_many(ts)
+
+    with pytest.raises(ArithmeticError, match=f"^failed at {re.escape(repr(first))}$"):
+        simpson_element(base.space, f_many, 0.0, 1.0, panels)
+    # the ends, the first odd batch, the second, which holds the point,
+    # then the second one point at a time up to the failing one
+    j = (points.index(first) - 1) // 2  # the point's place among the odd ones
+    assert calls == [2, SAMPLE_CHUNK, SAMPLE_CHUNK, *[1] * (j - SAMPLE_CHUNK + 1)]
+
+
+def test_exp_derivative_overflows_to_inf():
+    # past the float range exp's df, df_many and df_sup are inf, as its f
+    # is; batches that do not overflow keep math.exp's bits
+    fn = make_function("exp")
+    ts = np.array([-1.0, 0.5, 709.0, 710.0, 1e308])
+    assert fn.df(710.0) == math.inf and fn.df_sup(0.0, 800.0) == math.inf
+    assert [fn.df_sup(0.0, hi) for hi in (708.9, 709.0, 709.5)] == [
+        math.exp(hi) for hi in (708.9, 709.0, 709.5)]
+    assert fn.df_many(ts).tolist() == [math.exp(-1.0), math.exp(0.5), math.exp(709.0),
+                                       math.inf, math.inf]
+    assert fn.df_many(ts[:3]).tolist() == [math.exp(t) for t in ts[:3].tolist()]
+    with pytest.raises(ValueError, match=r"^nonfinite derivative sample for exp at t=710\.0$"):
+        fn.df_norms(ts)
+
+
 def _edge_points() -> np.ndarray:
     """21,010 points: signed zeros, subnormals, the square and float range
     edges, and random values over every scale."""
@@ -493,7 +540,7 @@ def test_nonfinite_batch_that_raises_nothing_is_kept():
     def g(ts):
         calls.append(len(ts))
         return np.array([np.inf, 1.0, 2.0])
-    assert sample_batch(g, np.array([0.0, 0.5, 1.0])).tolist() == [np.inf, 1.0, 2.0]
+    assert samples(g, np.array([0.0, 0.5, 1.0])).tolist() == [np.inf, 1.0, 2.0]
     assert calls == [3]
 
 
