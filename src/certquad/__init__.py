@@ -34,12 +34,10 @@ from .geometry import (
     mu,
     uniform_partition,
 )
-from .kernel import identity_residual
 from .rules import (
     PRESET_NAMES,
     CumulativeWeights,
     QuadratureRule,
-    corollary_condition_holds,
     cumulative,
     make_rule,
     nodes_abs,
@@ -88,14 +86,12 @@ __all__ = [
     "make_rule",
     "nodes_abs",
     "cumulative",
-    "corollary_condition_holds",
     "preset",
     "DEFAULT_RESOLUTION",
     "SeminormEstimate",
     "SeminormProfile",
     "seminorm",
     "seminorm_profile",
-    "identity_residual",
     "ErrorCertificate",
     "bound_level1",
     "bound_level2",

@@ -1,10 +1,10 @@
 """Composite Simpson quadrature with a pinned sample layout.
 
-Shared by the seminorm estimators, the level-1 bound, the kernel-identity
-check and the test oracle.  ``panels`` counts Simpson panels; each panel
-contributes two half-steps, so ``2*panels + 1`` samples are taken, at
-``a + k*h`` for ``k < 2*panels`` and at ``b`` (:func:`sample_points`), in
-batches of at most ``SAMPLE_CHUNK`` points (:func:`sample_grid`).  Every
+Shared by the seminorm estimators, the level-1 bound and the reference
+oracle.  ``panels`` counts Simpson panels; each panel contributes two
+half-steps, so ``2*panels + 1`` samples are taken, at ``a + k*h`` for
+``k < 2*panels`` and at ``b`` (:func:`sample_points`), in batches of at
+most ``SAMPLE_CHUNK`` points (:func:`sample_grid`).  Every
 batched sample of f or f', here, in the rule pass and in the sampled sup,
 goes through one sampler, :func:`samples`.  Both folds read what it
 returns without writing to it, and neither uses a pairwise sum, so results

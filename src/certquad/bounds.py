@@ -51,7 +51,7 @@ __all__ = [
 _LOG_SPACE_Q = 30.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorCertificate:
     """A rigorous-form error bound together with its provenance.
 

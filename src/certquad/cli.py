@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -283,9 +284,7 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

@@ -51,7 +51,7 @@ class _InfinityExponent:
 INF = _InfinityExponent()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval ``[a, b]`` with ``a <= b``.
 
@@ -71,10 +71,6 @@ class Interval:
             raise ValueError(
                 f"interval endpoints out of order: a={self.a!r} > b={self.b!r}"
             )
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.a == self.b
 
 
 @dataclass(frozen=True)

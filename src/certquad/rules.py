@@ -7,10 +7,9 @@ cumulative weights ``P_i`` induce the comparison points
 
     xi_i = P_i * b + (1 - P_i) * a,      i = 1..n-1,
 
-which drive every error bound in :mod:`certquad.bounds`.  When each ``xi_i``
-lies inside ``[x_i, x_{i+1}]`` the rule is called well-placed here
-(:func:`corollary_condition_holds`).  The condition is diagnostic only:
-every bound is computed the same way, and holds, either way.
+which drive every error bound in :mod:`certquad.bounds`.  A comparison
+point may lie outside its node window ``[x_i, x_{i+1}]``: every bound is
+computed the same way, and holds, either way.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "make_rule",
     "nodes_abs",
     "cumulative",
-    "corollary_condition_holds",
     "preset",
     "PRESET_NAMES",
 ]
@@ -176,16 +174,6 @@ def _pieces(rule: QuadratureRule, a, b) -> tuple[np.ndarray, np.ndarray, np.ndar
     return cuts[..., :-1], cuts[..., 1:], centers
 
 
-def corollary_condition_holds(rule: QuadratureRule, interval: Interval) -> bool:
-    """True when every comparison point xi_i lies in [x_i, x_{i+1}].
-
-    Diagnostic only: no bound reads it, and bounds are valid either way.
-    """
-    cuts = _cut_points(rule, interval.a, interval.b)
-    xi = _comparison_points(rule, interval.a, interval.b)
-    return bool(np.all((cuts[1:-2] <= xi) & (xi <= cuts[2:-1])))
-
-
 def _preset_ostrowski(s_rel: float = 0.5) -> QuadratureRule:
     return make_rule((s_rel,), (1.0,), name="ostrowski")
 
@@ -264,9 +252,8 @@ def preset(name: str, *params: float) -> QuadratureRule:
     - ``quarter_three_point(alpha=1/3, beta=1/3)``: nodes (1/4, 1/2, 3/4).
 
     Weight parameters that push a comparison point outside its node window
-    are accepted; such rules report ``corollary_condition_holds(...) ==
-    False``, which is diagnostic only: their bounds are computed, and hold,
-    as for any other rule.
+    are accepted: their bounds are computed, and hold, as for any other
+    rule.
     """
     try:
         builder = _PRESETS[name]

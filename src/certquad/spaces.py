@@ -46,7 +46,7 @@ class NormedSpace:
     """Base class for the two concrete spaces below.
 
     Subclasses define ``label`` (the name used in reports and on the
-    command line), ``zero``, ``norm``, membership, and flat real
+    command line), ``zero``, ``norm`` and ``norms``, and flat real
     coordinates (used for building sample elements and for report output).
     ``add``/``scale`` default to the numeric operators, which cover floats
     and numpy arrays alike.
@@ -80,9 +80,6 @@ class NormedSpace:
     def subtract(self, x: Element, y: Element) -> Element:
         return self.add(x, self.scale(-1.0, y))
 
-    def is_element(self, x: Element) -> bool:
-        raise NotImplementedError
-
     def from_flat(self, coords) -> Element:
         """Build an element from ``flat_dim`` real coordinates."""
         raise NotImplementedError
@@ -90,12 +87,6 @@ class NormedSpace:
     def to_components(self, x: Element):
         """Nested list of plain floats for report serialisation."""
         raise NotImplementedError
-
-
-def _is_real_scalar(x) -> bool:
-    return isinstance(x, (int, float, np.floating, np.integer)) and not isinstance(
-        x, bool
-    )
 
 
 @dataclass(frozen=True)
@@ -118,9 +109,6 @@ class ScalarSpace(NormedSpace):
 
     def norms(self, stack) -> np.ndarray:
         return np.abs(np.asarray(stack, dtype=float))
-
-    def is_element(self, x) -> bool:
-        return _is_real_scalar(x)
 
     def from_flat(self, coords) -> float:
         return float(coords[0])
@@ -191,10 +179,6 @@ class ArraySpace(NormedSpace):
             norms = np.sqrt(squares)
             return norms if exps is None else np.ldexp(norms, exps)
 
-    def is_element(self, x) -> bool:
-        return (isinstance(x, np.ndarray) and x.shape == self.shape
-                and x.dtype.kind == self.kind)
-
     def from_flat(self, coords):
         c = np.asarray(coords, dtype=float)
         if self.kind == "c":
@@ -242,21 +226,21 @@ class VectorFunction:
         to an array of shape ``(N, *element_shape)`` whose row ``k`` is
         ``f(ts[k])`` bit for bit (shape ``(N,)`` in the scalar space), in
         any memory layout; it is read, never written.  The rule pass
-        (``apply_rule`` and both drivers), the reference oracle and
-        ``identity_residual`` sample through it, by way of the one sampler,
-        ``_simpson.samples``: where a batch raises, it is redone one point
-        at a time (through ``f`` in the rule pass), so that the error raised
-        is the first failing point's.  Rows that differ from ``f`` move rule
-        values by as much as the rows do.  When omitted, a fallback calls
-        ``f`` once per sample.
+        (``apply_rule`` and both drivers) and the reference oracle sample
+        through it, by way of the one sampler, ``_simpson.samples``: where
+        a batch raises, it is redone one point at a time (through ``f`` in
+        the rule pass), so that the error raised is the first failing
+        point's.  Rows that differ from ``f`` move rule values by as much
+        as the rows do.  When omitted, a fallback calls ``f`` once per
+        sample.
     df : callable, optional
         Analytic derivative ``f'(t)``.  Preferred derivative source.
     df_many : callable, optional
         Batched form of the derivative, with ``f_many``'s shape contract:
         row ``k`` of ``df_many(ts)`` is ``df(ts[k])`` bit for bit.  The
-        L1/Lp and sampled sup seminorms, level 1 and ``identity_residual``
-        sample through it.  When omitted, a fallback takes one derivative
-        sample per point (``df``, else finite differences).
+        L1/Lp and sampled sup seminorms and level 1 sample through it.
+        When omitted, a fallback takes one derivative sample per point
+        (``df``, else finite differences).
     df_sup : callable, optional
         ``df_sup(lo, hi)`` returns an upper bound for the sup of
         ``norm(f'(t))`` over ``[lo, hi]``.  The only source that yields

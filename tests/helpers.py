@@ -16,6 +16,13 @@ against :func:`simpson_fold`, which makes the same additions one at a
 time in Python.  :func:`closed_form_constant` and :func:`interval_exponent`
 are hand-derived level-3 factors of the named rules on [0, 1] and their
 scale law.
+
+Three checks that no library code reads live here too.
+:func:`identity_residual` is the residual of the rule-error identity in
+batched form, checked bit for bit against :func:`reference_identity_residual`,
+which samples one point at a time.  :func:`corollary_condition_holds` says
+whether a rule is well-placed, and :func:`is_element` whether a value is an
+element of a space.
 """
 
 from __future__ import annotations
@@ -35,7 +42,8 @@ from certquad import (
     make_rule,
     nodes_abs,
 )
-from certquad._simpson import ROW, SAMPLE_CHUNK
+from certquad._simpson import ROW, SAMPLE_CHUNK, samples, simpson_element
+from certquad.rules import _comparison_points, _cut_points, _pieces
 
 # rules whose Peano-kernel pieces are degenerate (coincident nodes), sit
 # at both ends of the interval, or are centred outside their segment
@@ -178,8 +186,65 @@ def simpson_fold(space, values, h: float):
     return space.scale(h / 3.0, total)
 
 
+def identity_residual(fn, rule, interval, oracle_resolution):
+    """Norm of the defect of the rule-error identity at a finite reference
+    resolution.
+
+    For a rule with absolute nodes x_1 <= ... <= x_n on [a, b] and
+    comparison points xi_i, the weighted sum of the elementary kernels
+    collapses to S(t) = t - a on [a, x_1], t - xi_i on (x_i, x_{i+1}] and
+    t - b on (x_n, b], and for absolutely continuous f
+
+        sum(p_i f(x_i)) - mean(f) = mean(S * f'),
+
+    where mean(g) = (1/(b-a)) * integral of g over [a, b].  Both integrals
+    are evaluated with the oracle's composite Simpson; the rule's node
+    samples come from one ``fn.f_many`` call, as in the rule pass, and are
+    folded here in node order.  The kernel side is integrated piecewise
+    between rule nodes because S is only piecewise smooth; the
+    ``oracle_resolution`` panel budget is split across pieces
+    proportionally to length.  For smooth ``fn`` the residual decays like
+    the reference quadrature error and tends to zero under refinement.
+    """
+    if oracle_resolution < 2:
+        raise ValueError(f"oracle_resolution must be >= 2, got {oracle_resolution}")
+    if interval.a == interval.b:
+        raise ValueError("identity residual needs a nondegenerate interval")
+    space = fn.space
+    a, b = interval.a, interval.b
+    los, his, centers = (column[0].tolist() for column in _pieces(rule, [a], [b]))
+    length = b - a
+
+    with np.errstate(all="ignore"):  # an overflowing sample is inf, as in the rule pass
+        values = samples(fn.f_many, np.array(los[1:]), np.shape(space.zero()), fn.f)
+    rule_mean = space.zero()
+    for x, w in zip(values.tolist() if values.ndim == 1 else list(values), rule.weights):
+        rule_mean = space.add(rule_mean, space.scale(w, x))
+    mean_integral = space.scale(
+        1.0 / length, simpson_element(space, fn.f_many, a, b, oracle_resolution)
+    )
+    lhs = space.subtract(rule_mean, mean_integral)
+
+    kernel_side = space.zero()
+    for lo, hi, center in zip(los, his, centers):
+        if hi <= lo:
+            continue
+        panels = max(1, math.ceil(oracle_resolution * (hi - lo) / length))
+
+        def integrand(ts, c=center):
+            # S(t) f'(t): row k is scale(ts[k] - c, f'(ts[k]))
+            slopes = fn.df_many(ts)
+            return (ts - c).reshape((-1,) + (1,) * (np.ndim(slopes) - 1)) * slopes
+
+        piece = simpson_element(space, integrand, lo, hi, panels)
+        kernel_side = space.add(kernel_side, piece)
+    rhs = space.scale(1.0 / length, kernel_side)
+
+    return space.norm(space.subtract(lhs, rhs))
+
+
 def reference_identity_residual(fn, rule, interval, oracle_resolution):
-    """``identity_residual`` from :func:`simpson_fold` over samples taken
+    """:func:`identity_residual` from :func:`simpson_fold` over samples taken
     one point at a time, on pieces from :func:`reference_pieces`."""
     space = fn.space
     a, b = interval.a, interval.b
@@ -243,6 +308,17 @@ def mu_well_placed(exponent, lo: float, point: float, hi: float) -> float:
     return ((point - lo) ** r + (hi - point) ** r) / r
 
 
+def is_element(space, x) -> bool:
+    """Whether ``x`` is an element of ``space``: a real number that is not
+    a bool in the scalar space, else a numpy array of the space's shape and
+    dtype kind."""
+    if space.label == "scalar":
+        return isinstance(x, (int, float, np.floating, np.integer)) and not isinstance(
+            x, bool
+        )
+    return isinstance(x, np.ndarray) and x.shape == space.shape and x.dtype.kind == space.kind
+
+
 def linear_combination(space, terms):
     """Fold ``sum(lam_k * x_k)`` strictly left to right.
 
@@ -252,7 +328,7 @@ def linear_combination(space, terms):
     """
     acc = space.zero()
     for k, (lam, x) in enumerate(terms):
-        if not space.is_element(x):
+        if not is_element(space, x):
             raise ValueError(
                 f"term {k} is not an element of the {space.label} space: {x!r}"
             )
@@ -498,6 +574,15 @@ def reference_comparison_points(rule, interval):
         running += w
         xi.append(min(max(running * b + (1.0 - running) * a, a), b))
     return xi
+
+
+def corollary_condition_holds(rule, interval) -> bool:
+    """True when every comparison point xi_i lies in [x_i, x_{i+1}], that
+    is when the rule is well-placed on ``interval``.  No bound reads it,
+    and bounds are valid either way."""
+    cuts = _cut_points(rule, interval.a, interval.b)
+    xi = _comparison_points(rule, interval.a, interval.b)
+    return bool(np.all((cuts[1:-2] <= xi) & (xi <= cuts[2:-1])))
 
 
 def reference_rule_value(fn, rule, interval):

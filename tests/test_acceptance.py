@@ -26,7 +26,6 @@ from certquad import (
     bound_level1,
     bound_level2,
     bound_level3,
-    identity_residual,
     integrate_adaptive,
     level3_factor,
     lp,
@@ -37,7 +36,7 @@ from certquad import (
     seminorm_profile,
 )
 from certquad.cli import dumps_json
-from helpers import closed_form_constant, riemann_mu
+from helpers import closed_form_constant, identity_residual, riemann_mu
 
 UNIT = Interval(0.0, 1.0)
 RESOLUTION = 512

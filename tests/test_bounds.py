@@ -505,6 +505,14 @@ def test_level2_certificate_is_exported():
     assert "level2_certificate" in certquad.__all__
 
 
+def test_panel_objects_are_slotted():
+    # an adaptive run returns one Interval and one ErrorCertificate per
+    # panel, so neither carries a per-instance __dict__
+    cert = level2_certificate(make_function("exp"), preset("qt"), Interval(0.0, 1.0), LINF)
+    for obj in (cert.interval, cert):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
 class TestLevel3Factor:
     @pytest.mark.parametrize("regime", [LINF, lp(2.0), lp(1.01)], ids=["linf", "lp2", "lp1.01"])
     def test_overflow_gives_inf(self, regime):

@@ -18,7 +18,6 @@ from certquad import (
     LINF,
     VectorFunction,
     apply_rule,
-    corollary_condition_holds,
     integrate_adaptive,
     integrate_composite,
     level3_factor,
@@ -33,6 +32,7 @@ from certquad import engine
 
 from helpers import (
     EXACT_COMPONENTS,
+    corollary_condition_holds,
     exact_rule_sum,
     reference_adaptive,
     reference_nodes,

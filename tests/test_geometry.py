@@ -25,11 +25,11 @@ class TestInterval:
     def test_basic_properties(self):
         iv = Interval(2, 6)
         assert iv.a == 2.0 and iv.b == 6.0
-        assert not iv.is_degenerate
+        assert iv.a != iv.b
 
     def test_degenerate_allowed(self):
         iv = Interval(1.5, 1.5)
-        assert iv.is_degenerate
+        assert iv.a == iv.b
 
     def test_reversed_endpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ class TestPartition:
     def test_coincident_breakpoints_allowed(self):
         part = Partition(Interval(0.0, 1.0), (0.0, 0.5, 0.5, 1.0))
         assert len(part.panels) == 3
-        assert part.panels[1].is_degenerate
+        assert part.panels[1].a == part.panels[1].b
 
 
 class TestNormRegime:

@@ -10,13 +10,18 @@ from certquad import (
     SPACES,
     Interval,
     VectorFunction,
-    identity_residual,
     make_function,
     make_rule,
     preset,
 )
 from certquad.rules import _pieces
-from helpers import PIECE_RULES, kernel_direct_sum, reference_identity_residual, riemann_scalar
+from helpers import (
+    PIECE_RULES,
+    identity_residual,
+    kernel_direct_sum,
+    reference_identity_residual,
+    riemann_scalar,
+)
 
 UNIT = Interval(0.0, 1.0)
 

@@ -6,14 +6,13 @@ import pytest
 from certquad import (
     Interval,
     PRESET_NAMES,
-    corollary_condition_holds,
     cumulative,
     make_rule,
     nodes_abs,
     preset,
 )
 from certquad.rules import _pieces
-from helpers import PIECE_RULES
+from helpers import PIECE_RULES, corollary_condition_holds
 
 
 class TestRuleValidation:

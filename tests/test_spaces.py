@@ -18,7 +18,7 @@ from certquad import (
     space_by_label,
 )
 
-from helpers import linear_combination, reference_norm
+from helpers import is_element, linear_combination, reference_norm
 
 
 def random_element(space, rng):
@@ -111,7 +111,7 @@ def test_space_contract(label, components, zero_shape, zero_dtype, norm_hex):
         assert type(zero) is float and zero == 0.0
     else:
         assert zero.shape == zero_shape and zero.dtype == np.dtype(zero_dtype)
-        assert space.is_element(zero) and not np.any(zero)
+        assert is_element(space, zero) and not np.any(zero)
     for coords, expected in zip(CONTRACT_COORDS, norm_hex):
         x = space.from_flat(coords[: space.flat_dim])
         assert space.norm(x).hex() == expected
@@ -146,7 +146,7 @@ class TestNormAxioms:
         for _ in range(100):
             coords = rng.uniform(-2.0, 2.0, space.flat_dim)
             x = space.from_flat(coords)
-            assert space.is_element(x)
+            assert is_element(space, x)
             flat = [v for part in space.to_components(x) for v in
                     (part if isinstance(part, list) else [part])]
             assert flat == pytest.approx(list(coords), abs=0.0)
@@ -174,14 +174,14 @@ class TestSpaceRegistry:
 
     def test_membership_is_strict(self):
         r2 = SPACES["r2"]
-        assert r2.is_element(np.array([1.0, 2.0]))
-        assert not r2.is_element(np.array([1.0, 2.0, 3.0]))
-        assert not r2.is_element([1.0, 2.0])
-        assert not r2.is_element(np.array([1, 2]))  # integer dtype
+        assert is_element(r2, np.array([1.0, 2.0]))
+        assert not is_element(r2, np.array([1.0, 2.0, 3.0]))
+        assert not is_element(r2, [1.0, 2.0])
+        assert not is_element(r2, np.array([1, 2]))  # integer dtype
         scalar = SPACES["scalar"]
-        assert scalar.is_element(1.5) and scalar.is_element(2)
-        assert not scalar.is_element(True)
-        assert not scalar.is_element(np.array([1.0]))
+        assert is_element(scalar, 1.5) and is_element(scalar, 2)
+        assert not is_element(scalar, True)
+        assert not is_element(scalar, np.array([1.0]))
 
 
 class TestLinearCombination:
