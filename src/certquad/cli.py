@@ -22,13 +22,15 @@ budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
+import re
 import sys
 import time
-from dataclasses import dataclass
+from decimal import Decimal
 from typing import Any
 
 from .bounds import bound_level3, level3_factor
@@ -39,7 +41,7 @@ from .engine import (
     integrate_composite,
     oracle_integral,
 )
-from .functions import FUNCTION_NAMES, make_function
+from .functions import FUNCTION_NAMES, SPACES, make_function
 from .geometry import L1, LINF, Interval, NormRegime, lp, uniform_partition
 from .rules import PRESET_NAMES, QuadratureRule, preset
 from .seminorms import DEFAULT_RESOLUTION, seminorm
@@ -79,20 +81,22 @@ def parse_regime_spec(spec: str) -> NormRegime:
     raise ValueError(f"unknown regime {spec!r}; expected l1, lp:P or linf")
 
 
-def _oracle_resolution_from_env() -> int:
+def _oracle_resolution(value: int | None) -> int:
+    """``value`` if given, else ``QUAD_ORACLE_RESOLUTION``, else 65,536."""
+    if value is not None:
+        return value
     raw = os.environ.get(_ORACLE_ENV)
     if raw is None:
         return _DEFAULT_ORACLE_RESOLUTION
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise ValueError(f"{_ORACLE_ENV} must be an integer, got {raw!r}") from None
-    return value
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    """Everything a ``run`` needs; mirrors the CLI flags."""
+    """Everything a ``run`` needs; the CLI reads its flags' defaults from here."""
 
     function: str
     space: str | None = None
@@ -154,11 +158,7 @@ def run(config: RunConfig) -> dict[str, Any]:
 
     result = _mode_dispatch(config, fn, rule, interval, regime)
 
-    oracle_resolution = (
-        config.oracle_resolution
-        if config.oracle_resolution is not None
-        else _oracle_resolution_from_env()
-    )
+    oracle_resolution = _oracle_resolution(config.oracle_resolution)
     reference = oracle_integral(fn, interval, oracle_resolution)
     space = fn.space
     actual_error = space.norm(space.subtract(result.approximation, reference))
@@ -190,7 +190,7 @@ def run(config: RunConfig) -> dict[str, Any]:
         "certificate": {
             "bound": cert.bound,
             "level": cert.level,
-            "regime": cert.regime.label if cert.regime is not None else None,
+            "regime": cert.regime.label,
             "certified": cert.certified,
             "rule": cert.rule_name,
             "segment_contributions": list(cert.segment_contributions),
@@ -231,9 +231,7 @@ def compare_rules(
         raise ValueError("no rules to compare")
     fn = make_function(function_name, space)
     space_obj = fn.space
-    if oracle_resolution is None:
-        oracle_resolution = _oracle_resolution_from_env()
-    reference = oracle_integral(fn, interval, oracle_resolution)
+    reference = oracle_integral(fn, interval, _oracle_resolution(oracle_resolution))
     unit = Interval(0.0, 1.0)
     estimate = seminorm(fn, interval, regime, resolution)
 
@@ -323,7 +321,7 @@ def _emit_run(report: dict[str, Any], output: str) -> str:
             f"function      {report['config']['function']} in {report['config']['space']}",
             f"interval      [{report['config']['interval'][0]}, {report['config']['interval'][1]}]",
             f"rule          {report['config']['rule']}",
-            f"regime/level  {cert['regime'] or 'n/a'} / {cert['level']}",
+            f"regime/level  {cert['regime']} / {cert['level']}",
             f"mode          {report['config']['mode']}",
             f"approximation {report['approximation']}",
             f"actual error  {report['actual_error']:.6e}",
@@ -341,17 +339,10 @@ def _emit_compare(rows: list[dict[str, Any]], output: str) -> str:
     if output == "csv":
         lines = ["rule,constant,bound,actual_error,certified"]
         for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["rule"]),
-                        _format_float(row["constant"]),
-                        _format_float(row["bound"]),
-                        _format_float(row["actual_error"]),
-                        str(row["certified"]).lower(),
-                    ]
-                )
-            )
+            # a rule spec holding a comma is quoted, as the csv module reads it
+            rule = f'"{row["rule"]}"' if "," in row["rule"] else row["rule"]
+            numbers = [_format_float(row[key]) for key in ("constant", "bound", "actual_error")]
+            lines.append(",".join([rule, *numbers, str(row["certified"]).lower()]))
         return "\n".join(lines)
     if output == "table":
         header = f"{'rule':<28} {'constant':>14} {'bound':>14} {'actual':>14}"
@@ -373,72 +364,74 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="integrate one function with one rule")
-    run_p.add_argument("--function", required=True,
-                       help=f"registry function ({', '.join(FUNCTION_NAMES)})")
-    run_p.add_argument("--space", default=None,
-                       help="space label for const/affine (scalar, r2, r3, r3max, c2, m22)")
-    run_p.add_argument("--interval", nargs=2, type=float, default=(0.0, 1.0),
-                       metavar=("A", "B"))
-    run_p.add_argument("--rule", default="trapezoid",
+    # the flags run and compare share; defaults are RunConfig's
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--function", required=True,
+                        help=f"registry function ({', '.join(FUNCTION_NAMES)})")
+    shared.add_argument("--space", default=RunConfig.space,
+                        help=f"space label for const/affine ({', '.join(SPACES)})")
+    shared.add_argument("--interval", nargs=2, type=float, default=RunConfig.interval,
+                        metavar=("A", "B"))
+    shared.add_argument("--regime", default=RunConfig.regime, help="l1, lp:P or linf")
+    shared.add_argument("--resolution", type=int, default=RunConfig.resolution,
+                        help="seminorm quadrature panels / sup sample count")
+    shared.add_argument("--output", default="table", choices=("json", "csv", "table"))
+
+    run_p = sub.add_parser("run", parents=[shared], help="integrate one function with one rule")
+    run_p.add_argument("--rule", default=RunConfig.rule,
                        help=f"preset rule, NAME or NAME:params ({', '.join(PRESET_NAMES)})")
-    run_p.add_argument("--regime", default="linf", help="l1, lp:P or linf")
-    run_p.add_argument("--level", type=int, default=2, choices=(1, 2, 3),
+    run_p.add_argument("--level", type=int, default=RunConfig.level, choices=(1, 2, 3),
                        help="certificate level (adaptive mode always reports level 2)")
-    run_p.add_argument("--mode", default="single", help="single, composite:M or adaptive:TOL")
-    run_p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
-                       help="seminorm quadrature panels / sup sample count")
-    run_p.add_argument("--max-panels", type=int, default=DEFAULT_MAX_PANELS,
+    run_p.add_argument("--mode", default=RunConfig.mode, help="single, composite:M or adaptive:TOL")
+    run_p.add_argument("--max-panels", type=int, default=RunConfig.max_panels,
                        help="adaptive panel budget")
-    run_p.add_argument("--output", default="table", choices=("json", "csv", "table"))
     run_p.add_argument("--self-check", action="store_true",
                        help="assert actual error <= bound for certified certificates")
-    run_p.add_argument("--no-timing", action="store_true",
+    run_p.add_argument("--no-timing", dest="include_timing", action="store_false",
                        help="omit wall-clock timing from the report (reproducible output)")
 
-    cmp_p = sub.add_parser("compare", help="rank rules by level-3 certificate")
-    cmp_p.add_argument("--function", required=True)
-    cmp_p.add_argument("--space", default=None)
-    cmp_p.add_argument("--interval", nargs=2, type=float, default=(0.0, 1.0),
-                       metavar=("A", "B"))
-    cmp_p.add_argument("--regime", default="linf")
+    cmp_p = sub.add_parser("compare", parents=[shared], help="rank rules by level-3 certificate")
     cmp_p.add_argument("--rules", required=True,
                        help="comma-separated rule specs, e.g. trapezoid,qt,simpson")
-    cmp_p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
-    cmp_p.add_argument("--output", default="table", choices=("json", "csv", "table"))
     return parser
+
+
+def _rule_specs(text: str) -> list[str]:
+    """The specs in ``--rules``: rule names start with a letter, so a part that
+    starts like a number continues the ``NAME:p1,...`` spec before it."""
+    specs: list[str] = []
+    for part in filter(None, (s.strip() for s in text.split(","))):
+        if specs and ":" in specs[-1] and part[0] in "+-.0123456789":
+            specs[-1] += "," + part
+        else:
+            specs.append(part)
+    return specs
+
+
+# a negative number in exponent form, which argparse takes for an option;
+# main writes it in positional notation, which reads back as the same float
+# (three exponent digits cover the doubles and keep that notation short)
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][+-]?\d{1,3}")
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
         argv.insert(0, "run")  # bare flag style defaults to the run command
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = [format(Decimal(s), "f") if _NEGATIVE_EXPONENT.fullmatch(s) else s for s in argv]
+    args = _build_parser().parse_args(argv)
 
     try:
         if args.command == "run":
-            config = RunConfig(
-                function=args.function,
-                space=args.space,
-                interval=(args.interval[0], args.interval[1]),
-                rule=args.rule,
-                regime=args.regime,
-                level=args.level,
-                mode=args.mode,
-                resolution=args.resolution,
-                max_panels=args.max_panels,
-                self_check=args.self_check,
-                include_timing=not args.no_timing,
-            )
-            report = run(config)
+            names = {field.name for field in dataclasses.fields(RunConfig)}
+            report = run(RunConfig(**{k: v for k, v in vars(args).items() if k in names}))
             print(_emit_run(report, args.output))
             return 0 if report["panels"]["converged"] else 3
         rows = compare_rules(
             args.function,
             Interval(args.interval[0], args.interval[1]),
             parse_regime_spec(args.regime),
-            [s.strip() for s in args.rules.split(",") if s.strip()],
+            _rule_specs(args.rules),
             space=args.space,
             resolution=args.resolution,
         )

@@ -47,9 +47,9 @@ class QuadratureResult:
     ``panel_values`` holds the rule's value on each panel in the same
     order; ``certificate`` aggregates them (its segment contributions are
     the per-panel bounds, summed in panel order).  ``panels`` is read-only
-    and compares equal to its tuple; an adaptive run builds all its pairs
-    on the first read that needs them.  ``evaluations`` counts the samples
-    of f taken for the returned approximation (derivative samples for the
+    and compares equal to its tuple; it builds all its pairs on the first
+    read that needs them.  ``evaluations`` counts the samples of f taken
+    for the returned approximation (derivative samples for the
     certificates are not included).  ``converged`` is always True for
     single/composite runs; adaptive runs clear it when the panel budget ran
     out before the requested tolerance was met.
@@ -116,16 +116,18 @@ def oracle_integral(fn: VectorFunction, interval: Interval, resolution: int) -> 
 
 
 class _PanelTable(Sequence):
-    """An adaptive run's final panels as columns (ends, kernel rows): a caller
+    """A run's final panels as columns (ends, certificate rows): a caller
     that reads no pair never builds one; the first read builds them all."""
 
-    def __init__(self, rule, regime, lo, hi, rows) -> None:
-        self._rule, self._regime, self._lo, self._hi, self._rows = rule, regime, lo, hi, rows
+    def __init__(self, rule, regime, level, lo, hi, rows) -> None:
+        self._rule, self._regime, self._level = rule, regime, level
+        self._lo, self._hi, self._rows = lo, hi, rows
 
     @cached_property
     def _pairs(self) -> tuple[tuple[Interval, ErrorCertificate], ...]:
         panels = [Interval(a, b) for a, b in zip(self._lo.tolist(), self._hi.tolist())]
-        return tuple(zip(panels, _certificates(self._rule, self._regime, 2, panels, self._rows)))
+        certs = _certificates(self._rule, self._regime, self._level, panels, self._rows)
+        return tuple(zip(panels, certs))
 
     def __len__(self) -> int:
         return len(self._lo)
@@ -140,9 +142,10 @@ class _PanelTable(Sequence):
         return repr(self._pairs)
 
 
-def _aggregate(fn, rule, interval, regime, level, panels, values, bounds, certified, tol=None):
-    """The result over ``panels``, their stacked rule ``values``, ``bounds``
-    and whether all are ``certified``; sums run left to right from zero."""
+def _aggregate(fn, rule, interval, regime, level, lo, hi, rows, values, tol=None):
+    """The result over the panels ``[lo[k], hi[k]]``, their certificate
+    ``rows`` and stacked rule ``values``; sums run left to right from zero."""
+    _, bounds, certified = rows
     with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
         approx = np.add.accumulate(np.concatenate(([fn.space.zero()], values)))[-1:].copy()
         total = np.add.accumulate(np.concatenate(([0.0], bounds)))[-1].item()
@@ -151,18 +154,18 @@ def _aggregate(fn, rule, interval, regime, level, panels, values, bounds, certif
         bound=total,
         level=level,
         regime=regime,
-        segment_contributions=tuple(bounds),
+        segment_contributions=tuple(bounds.tolist()),
         # a bound says nothing about an approximation that is not finite
-        certified=bool(certified and np.isfinite(approx).all()),
+        certified=bool(certified.all() and np.isfinite(approx).all()),
         rule_name=rule.name,
         interval=interval,
     )
     return QuadratureResult(
         approximation=approx,
         certificate=certificate,
-        panels=panels,
+        panels=_PanelTable(rule, regime, level, lo, hi, rows),
         panel_values=tuple(_elements(values)),
-        evaluations=rule.n * len(panels),
+        evaluations=rule.n * len(lo),
         converged=tol is None or total <= tol,
     )
 
@@ -180,22 +183,20 @@ def integrate_composite(
     The rule values and then the certificates of all panels are computed
     at once, the certificates by one call of the level's array form.
     """
-    panels = partition.panels
-    los, his = partition.breakpoints[:-1], partition.breakpoints[1:]
+    ends = np.array(partition.breakpoints)
+    lo, hi = ends[:-1], ends[1:]
     try:
-        values = _rule_values(fn, rule, los, his)
-        rows = _certificate_rows(fn, rule, regime, level, los, his, resolution)
+        values = _rule_values(fn, rule, lo, hi)
+        rows = _certificate_rows(fn, rule, regime, level, lo, hi, resolution)
     except Exception:
         # all rule values come before any certificate here: redo the work
         # panel by panel, so that the error raised is the first one met
         # when each panel's value and then its certificate are computed
-        for panel in panels:
+        for panel in partition.panels:
             apply_rule(fn, rule, panel)
             _certificate_rows(fn, rule, regime, level, [panel.a], [panel.b], resolution)
         raise
-    certs = _certificates(rule, regime, level, panels, rows)
-    return _aggregate(fn, rule, partition.interval, regime, level, tuple(zip(panels, certs)),
-                      values, [c.bound for c in certs], all(c.certified for c in certs))
+    return _aggregate(fn, rule, partition.interval, regime, level, lo, hi, rows, values)
 
 
 def _worst(heap: list, k: int) -> list:
@@ -348,5 +349,5 @@ def integrate_adaptive(
         _rule_values(fn, rule, lo[k:k + _BATCH], hi[k:k + _BATCH])
         for k in range(0, len(lo), _BATCH)
     ])
-    table = _PanelTable(rule, regime, lo, hi, (contribs, np.array(bounds), certified))
-    return _aggregate(fn, rule, interval, regime, 2, table, values, bounds, certified.all(), tol)
+    columns = (contribs, np.array(bounds), certified)
+    return _aggregate(fn, rule, interval, regime, 2, lo, hi, columns, values, tol)

@@ -227,8 +227,7 @@ _FIXED_SPACE_BUILDERS = {
 
 _DEFAULT_SPACE = {"const": "r3", "affine": "r2"}
 
-FUNCTION_NAMES = ("const", "affine", "quadratic", "exp", "trig_circle",
-                  "poly_r3", "matrix_path", "abs_kink")
+FUNCTION_NAMES = (*_DEFAULT_SPACE, *_FIXED_SPACE_BUILDERS)
 
 
 def make_function(name: str, space_label: str | None = None) -> VectorFunction:

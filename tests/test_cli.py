@@ -1,5 +1,7 @@
 """CLI contract: spec parsing, report content, serialisation, exit codes."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -64,6 +66,12 @@ class TestSpecParsing:
         assert parse_regime_spec(" LINF ").label == "linf"
         assert parse_regime_spec("lp:2").label == "lp:2"
         assert parse_regime_spec("lp:2.5").p == 2.5
+
+    def test_rules_list_keeps_rule_parameters(self):
+        specs = "qt, endpoints_midpoint:0.1,0.3,,simpson,three_point:.2,+.5,-0.1,0.4,9e-1"
+        assert cli._rule_specs(specs) == [
+            "qt", "endpoints_midpoint:0.1,0.3", "simpson", "three_point:.2,+.5,-0.1,0.4,9e-1"
+        ]
 
     def test_regime_malformed(self):
         with pytest.raises(ValueError, match="malformed regime"):
@@ -413,6 +421,31 @@ class TestMainInProcess:
         assert len(lines) == 3
         assert lines[1].endswith("true") or lines[1].endswith("false")
 
+    def test_compare_rule_with_two_parameters(self, capsys):
+        argv = ["compare", "--function", "exp", "--rules", "qt,endpoints_midpoint:0.1,0.3"]
+        out = {}
+        for output in ("json", "csv", "table"):
+            assert main([*argv, "--output", output]) == 0
+            out[output] = capsys.readouterr().out
+        rules = ["endpoints_midpoint:0.1,0.3", "qt"]
+        assert sorted(row["rule"] for row in json.loads(out["json"])["rows"]) == rules
+        rows = list(csv.reader(io.StringIO(out["csv"])))
+        assert [len(row) for row in rows] == [5, 5, 5]
+        assert sorted(row[0] for row in rows[1:]) == rules
+        assert sorted(line.split()[0] for line in out["table"].splitlines()[2:]) == rules
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("a", ["-1e-3", "-1E-3", "-.1e-2", "-1.e-3", "-0.01e-1"])
+    def test_negative_endpoint_in_exponent_form(self, capsys, a, command):
+        # argparse alone reads these as options: "expected 2 arguments"
+        extra = ["--rules", "qt"] if command == "compare" else ["--no-timing"]
+        rc = main([command, "--function", "exp", "--interval", a, "1e0", "--output", "json",
+                   *extra])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        if command == "run":
+            assert data["config"]["interval"] == [-1e-3, 1.0]
+
     def test_compare_table(self, capsys):
         rc = main(
             ["compare", "--function", "exp", "--rules", "simpson,trapezoid"]
@@ -542,15 +575,6 @@ class TestSubprocess:
         assert len(data["rows"]) == 3
 
 
-def _endpoint(x: float) -> str:
-    """``x`` as a command-line argument.  argparse takes ``-1e308`` for an
-    option, so a negative endpoint is written in positional notation,
-    which reads back as the same float."""
-    text = str(int(x)) if x < 0 else repr(x)
-    assert float(text) == x
-    return text
-
-
 class TestExtremeGrid:
     """A seeded grid of ``main`` calls on extreme intervals: every command
     ends with exit code 0, 2 or 3, never with an ``OverflowError`` or its
@@ -575,7 +599,7 @@ class TestExtremeGrid:
             for level in (1, 2, 3):
                 for mode in self.MODES:
                     argv = ["run", "--function", function,
-                            "--interval", *map(_endpoint, interval),
+                            "--interval", *map(repr, interval),
                             "--rule", rng.choice(self.RULES), "--regime", regime,
                             "--level", str(level), "--mode", mode, "--resolution", "64",
                             "--max-panels", "16", "--no-timing"]

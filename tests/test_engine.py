@@ -29,6 +29,7 @@ from certquad import (
     uniform_partition,
 )
 from certquad import engine
+from certquad.bounds import _certificates
 
 from helpers import (
     EXACT_COMPONENTS,
@@ -471,13 +472,18 @@ class TestAdaptiveMatchesReference:
 
 
 class TestPanelSequence:
-    """An adaptive run's ``panels`` is a read-only sequence that builds its
-    ``(Interval, ErrorCertificate)`` pairs on first read."""
+    """A run's ``panels`` is a read-only sequence that builds its
+    ``(Interval, ErrorCertificate)`` pairs on first read; checked on an
+    adaptive result here and on a composite one by the subclass below."""
 
-    def setup_method(self):
-        self.result = integrate_adaptive(
+    @staticmethod
+    def make():
+        return integrate_adaptive(
             make_function("exp"), preset("qt"), UNIT, LINF, tol=1e-4, max_panels=64
         )
+
+    def setup_method(self):
+        self.result = self.make()
         self.panels = self.result.panels
 
     def test_length_and_indices(self):
@@ -491,9 +497,7 @@ class TestPanelSequence:
         assert self.panels[3] == self.panels[3]
 
     def test_equal_to_its_tuple(self):
-        again = integrate_adaptive(
-            make_function("exp"), preset("qt"), UNIT, LINF, tol=1e-4, max_panels=64
-        ).panels
+        again = self.make().panels
         pairs = tuple(self.panels)
         assert self.panels == pairs and pairs == self.panels and self.panels == again
         assert self.panels != pairs[1:] and self.panels != list(pairs)
@@ -507,6 +511,29 @@ class TestPanelSequence:
     def test_read_only(self):
         with pytest.raises(TypeError):
             self.panels[0] = self.panels[1]
+
+
+class TestCompositePanelSequence(TestPanelSequence):
+    @staticmethod
+    def make():
+        return integrate_composite(
+            make_function("exp"), preset("qt"), uniform_partition(UNIT, 8), LINF, level=3
+        )
+
+    def test_built_on_first_read(self, monkeypatch):
+        # the count reads no certificate; the first pair read builds them all
+        built = []
+
+        def certificates(*args):
+            built.append(args)
+            return _certificates(*args)
+
+        monkeypatch.setattr(engine, "_certificates", certificates)
+        result = self.make()
+        assert len(result.panels) == 8 and not built
+        first = list(result.panels)
+        assert len(built) == 1 and all(a is b for a, b in zip(first, result.panels))
+        assert [cert.level for _, cert in first] == [3] * 8
 
 
 @pytest.mark.parametrize("seed", range(6))
