@@ -199,12 +199,7 @@ def _level2_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple
     Interval(a[k], b[k]), regime, resolution)`` bit for bit.
     """
     cuts = _cut_points(rule, a, b)
-    los, his = cuts[:, :-1].ravel().tolist(), cuts[:, 1:].ravel().tolist()
-    values, exact = segment_seminorms(fn, regime, los, his, resolution)
-    shape = (len(cuts), rule.n + 1)
-    values = np.array(values, dtype=float).reshape(shape)
-    if exact is not True:
-        exact = np.array(exact, dtype=bool).reshape(shape)
+    values, exact = segment_seminorms(fn, regime, cuts[:, :-1], cuts[:, 1:], resolution)
     return _level2(rule, regime, cuts, values, exact)
 
 
@@ -344,11 +339,8 @@ def _level3_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple
     the arrays of :func:`_level3`.  Row k equals the fields of
     ``bound_level3(seminorm(fn, panel, regime, resolution), rule, panel)``
     bit for bit, ``panel`` being ``Interval(a[k], b[k])``."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    values, exact = segment_seminorms(fn, regime, a.tolist(), b.tolist(), resolution)
-    if exact is not True:
-        exact = np.array(exact, dtype=bool)
-    return _level3(_level3_factors(rule, regime, a, b), np.array(values, dtype=float), exact)
+    values, exact = segment_seminorms(fn, regime, a, b, resolution)
+    return _level3(_level3_factors(rule, regime, a, b), values, exact)
 
 
 def _certificate_rows(fn, rule, regime, level, a, b, resolution) -> tuple:

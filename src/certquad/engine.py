@@ -293,6 +293,7 @@ def integrate_adaptive(
     # panels are certified ahead, with the worst panel's, in one batch
     width = _BATCH if regime.kind == "linf" and fn.df_sup is not None else 1
     children: dict = {}
+    heapreplace, heappush, ulp = heapq.heapreplace, heapq.heappush, math.ulp
 
     def above_tol() -> bool:
         hi = running + slack
@@ -331,12 +332,15 @@ def integrate_adaptive(
                 children = _halves(fn, rule, regime, resolution, batch[:1], store)
             pair = children[(lo, hi)]
         left, right = pair
-        heapq.heapreplace(heap, left)
-        heapq.heappush(heap, right)
+        heapreplace(heap, left)
+        heappush(heap, right)
         count += 1
-        for term in (left[3], right[3], -bound):
-            running += term
-            slack += math.ulp(running)
+        running += left[3]
+        slack += ulp(running)
+        running += right[3]
+        slack += ulp(running)
+        running -= bound
+        slack += ulp(running)
         if left[3] < 0.0 or right[3] < 0.0:
             running = math.nan  # the error bar assumes nonnegative terms
 

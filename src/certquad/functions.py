@@ -12,6 +12,7 @@ pass, the oracle and ``f`` share the numpy forms.  ``df_many`` follows
 ``df``: numpy forms where the arithmetic is exact or one IEEE operation
 per entry, and ``math`` one point at a time for ``exp`` (inf past the
 float range), ``sin`` and ``cos``, whose numpy forms round unlike libm's.
+``df_sup_many`` gives ``df_sup``'s bits, in numpy or through ``df_many``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from ._simpson import one_point
-from .geometry import _exp as _exp_inf
+from .geometry import _exp as _exp_inf, _pow, _powers
 from .spaces import (
     ComplexEuclideanSpace,
     EuclideanSpace,
@@ -73,6 +74,7 @@ def _const(space: NormedSpace) -> VectorFunction:
         df=lambda t: space.zero(),
         df_many=lambda ts: np.broadcast_to(zero, (len(ts),) + np.shape(zero)),
         df_sup=lambda lo, hi: 0.0,
+        df_sup_many=lambda lo, hi: np.zeros_like(lo),
         name="const",
     )
 
@@ -90,6 +92,7 @@ def _affine(space: NormedSpace) -> VectorFunction:
         df=lambda t: slope,
         df_many=lambda ts: np.broadcast_to(slope, (len(ts),) + np.shape(slope)),
         df_sup=lambda lo, hi: slope_norm,
+        df_sup_many=lambda lo, hi: np.full_like(lo, slope_norm),
         name="affine",
     )
 
@@ -110,6 +113,10 @@ _KINK = 0.5  # kink location of abs_kink; the derivative takes the
 
 
 def _quadratic() -> VectorFunction:
+    def sup_many(lo, hi):
+        with np.errstate(over="ignore"):
+            return 2.0 * np.maximum(np.abs(lo), np.abs(hi))
+
     return VectorFunction(
         space=_SCALAR,
         f=lambda t: t * t,
@@ -117,6 +124,7 @@ def _quadratic() -> VectorFunction:
         df=lambda t: 2.0 * t,
         df_many=lambda ts: 2.0 * ts,
         df_sup=lambda lo, hi: 2.0 * max(abs(lo), abs(hi)),
+        df_sup_many=sup_many,
         name="quadratic",
     )
 
@@ -135,6 +143,7 @@ def _exp() -> VectorFunction:
         df=_exp_inf,
         df_many=df_many,
         df_sup=lambda lo, hi: _exp_inf(hi),
+        df_sup_many=lambda lo, hi: df_many(hi),
         name="exp",
     )
 
@@ -151,6 +160,7 @@ def _trig_circle() -> VectorFunction:
         df=lambda t: np.array([-math.sin(t), math.cos(t)]),
         df_many=lambda ts: np.stack([-_math_many(math.sin, ts), _math_many(math.cos, ts)], axis=-1),
         df_sup=lambda lo, hi: 1.0,
+        df_sup_many=lambda lo, hi: np.ones_like(lo),
         name="trig_circle",
     )
 
@@ -160,10 +170,12 @@ def _poly_r3() -> VectorFunction:
     # so the sup over [lo, hi] sits at the endpoint of largest magnitude
     def sup(lo: float, hi: float) -> float:
         m = max(abs(lo), abs(hi))
-        try:
-            return math.sqrt(1.0 + 4.0 * m * m + 9.0 * m ** 4)
-        except OverflowError:  # m ** 4 past the float range
-            return math.inf
+        return math.sqrt(1.0 + 4.0 * m * m + 9.0 * _pow(m, 4.0))  # inf past the float range
+
+    def sup_many(lo, hi):
+        m = np.maximum(np.abs(lo), np.abs(hi))
+        with np.errstate(over="ignore"):
+            return np.sqrt(1.0 + 4.0 * m * m + 9.0 * _powers(m, 4.0))
 
     def f_many(ts):
         return np.array([ts, ts * ts, (ts * ts) * ts]).T
@@ -175,6 +187,7 @@ def _poly_r3() -> VectorFunction:
         df=lambda t: np.array([1.0, 2.0 * t, 3.0 * t * t]),
         df_many=lambda ts: np.stack([np.ones_like(ts), 2.0 * ts, (3.0 * ts) * ts], axis=-1),
         df_sup=sup,
+        df_sup_many=sup_many,
         name="poly_r3",
     )
 
@@ -200,6 +213,7 @@ def _matrix_path() -> VectorFunction:
         df=df,
         df_many=df_many,
         df_sup=lambda lo, hi: math.sqrt(2.0),
+        df_sup_many=lambda lo, hi: np.full_like(lo, math.sqrt(2.0)),
         name="matrix_path",
     )
 
@@ -212,6 +226,7 @@ def _abs_kink() -> VectorFunction:
         df=lambda t: 1.0 if t >= _KINK else -1.0,
         df_many=lambda ts: np.where(ts >= _KINK, 1.0, -1.0),
         df_sup=lambda lo, hi: 1.0,
+        df_sup_many=lambda lo, hi: np.ones_like(lo),
         name="abs_kink",
     )
 

@@ -279,7 +279,11 @@ def _mu_log(q: float, a: float, c: float, b: float) -> float:
 
 def _powers(x: np.ndarray, y: float) -> np.ndarray:
     """``x ** y`` element by element through Python floats, overflowing to
-    inf: numpy's ``power`` does not round like libm's ``pow``."""
+    inf: numpy's ``power`` does not round like libm's ``pow``.  Squares are
+    ``x * x``, correctly rounded as ``pow`` is not always; callers silence
+    numpy's overflow warning."""
+    if y == 2.0:
+        return x * x
     values = x.ravel().tolist()
     try:
         out = [v ** y for v in values]

@@ -20,16 +20,16 @@ batches of at most ``SAMPLE_CHUNK`` points, and are folded in the
 one-sample loop's order, so every value is the one that loop gives, bit
 for bit; a batch that fails is redone one point at a time, so the error
 raised is the first one that loop meets.  p-th powers for p > 1 are
-Python ``**`` per sample, inf past the float range.  When their Simpson
-sum overflows to inf, the integral is taken again with every sample
-divided by the largest on the grid, and that scale is undone after the
-root.  Where the sum still overflows, as on an interval whose length
-passes the float range, the interval is scaled by a power of two, also
-undone after the root.
+``geometry._powers``, inf past the float range.  When their Simpson sum
+overflows to inf, the integral is taken again with every sample divided
+by the largest on the grid, and that scale is undone after the root.
+Where the sum still overflows, as on an interval whose length passes the
+float range, the interval is scaled by a power of two, also undone.
 
 One estimator, :func:`segment_seminorms`, serves the segments of many
-panels at once; the level-2 kernel calls it, and :func:`seminorm` for one
-interval.  Only it calls and checks the sup-envelope.
+panels at once; the level-2 and level-3 kernels call it, and
+:func:`seminorm` for one interval.  Only it reads and checks the
+sup-envelope, ``VectorFunction.df_sup_many``, once for all its segments.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def seminorm(
     intervals yield 0 for every regime (certified; the exact value).
     """
     values, exact = segment_seminorms(fn, regime, [interval.a], [interval.b], resolution)
-    return SeminormEstimate(values[0], regime, interval, exact is True or exact[0], resolution)
+    certified = exact is True or bool(exact[0])
+    return SeminormEstimate(float(values[0]), regime, interval, certified, resolution)
 
 
 def seminorm_profile(
@@ -123,30 +124,32 @@ def seminorm_profile(
 
 
 def segment_seminorms(
-    fn: VectorFunction, regime: NormRegime, los: list, his: list, resolution: int
-) -> tuple[list[float], object]:
+    fn: VectorFunction, regime: NormRegime, los, his, resolution: int
+) -> tuple[np.ndarray, object]:
     """``(values, exact)``: the seminorm on each segment ``[los[k],
-    his[k]]`` (Python floats), with the certified flags as a list, or True
-    when every value is certified.  Segments are visited in order, so a
-    failing segment raises what it raises when met alone.
-    """
+    his[k]]``, a float array of their shape, and the certified flags as a
+    bool array, or True when all are.  Envelopes come from one
+    ``df_sup_many`` call; other segments are visited in order, so a
+    failing segment raises what it raises when met alone."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    sup = fn.df_sup
-    if regime.kind == "linf" and sup is not None:
-        values = []
-        append, inf = values.append, math.inf
-        for lo, hi in zip(los, his):
-            if lo == hi:
-                append(0.0)
-                continue
-            value = float(sup(lo, hi))
-            if not 0.0 <= value < inf:
-                raise ValueError(f"sup-envelope of {fn.name or '<anonymous>'} returned {value!r}")
-            append(value)
+    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    name = fn.name or "<anonymous>"
+    if regime.kind == "linf" and fn.df_sup_many is not None:
+        values = np.asarray(fn.df_sup_many(los.ravel(), his.ravel()), dtype=float)
+        if values.shape != (los.size,):
+            raise ValueError(f"df_sup_many of {name} gave shape {values.shape}, not {(los.size,)}")
+        values = np.where(los == his, 0.0, values.reshape(los.shape))
+        bad = ~((values >= 0.0) & (values < math.inf))
+        if bad.any():
+            raise ValueError(f"sup-envelope of {name} returned {float(values[bad][0])!r}")
         return values, True
-    pairs = [_estimate(fn, lo, hi, regime, resolution) for lo, hi in zip(los, his)]
-    return [value for value, _ in pairs], [exact for _, exact in pairs]
+    # (value, certified) per segment, the flag read back from 1.0 or 0.0
+    pairs = np.array([
+        _estimate(fn, lo, hi, regime, resolution)
+        for lo, hi in zip(los.ravel().tolist(), his.ravel().tolist())
+    ], dtype=float).reshape(los.shape + (2,))
+    return pairs[..., 0], pairs[..., 1] == 1.0
 
 
 def _estimate(
@@ -175,8 +178,8 @@ def _estimate(
 
     def integrand(ts, scale=1.0):
         # x / 1.0 and x ** 1.0 are x exactly: L1 takes the norms as they are.
-        # Other powers are Python's ** per sample, as the one-sample loop took
-        # them (np.power rounds differently), inf past the float range
+        # Other powers are _powers': a square is one multiply, the rest Python's
+        # ** per sample (np.power rounds differently), inf past the float range
         norms = fn.df_norms(ts) / scale
         return norms if power == 1.0 else _powers(norms, power)
 

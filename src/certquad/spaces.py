@@ -245,6 +245,11 @@ class VectorFunction:
         ``df_sup(lo, hi)`` returns an upper bound for the sup of
         ``norm(f'(t))`` over ``[lo, hi]``.  The only source that yields
         certified sup-norm seminorms.
+    df_sup_many : callable, optional
+        Batched ``df_sup`` over arrays ``lo``, ``hi`` of shape ``(N,)``:
+        entry ``k`` is ``df_sup(lo[k], hi[k])`` bit for bit (unread where
+        ``lo[k] == hi[k]``).  When omitted, a fallback calls ``df_sup`` once
+        per segment in order; giving it without ``df_sup`` is an error.
     fd_step : float, optional
         Step for the central finite-difference fallback used when no
         analytic derivative is supplied.  Samples from this source are not
@@ -262,12 +267,19 @@ class VectorFunction:
     name: str = ""
     f_many: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     df_many: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    df_sup_many: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.f_many is None:
             self.f_many = self._f_many_fallback
         if self.df_many is None:
             self.df_many = self._df_many_fallback
+        if self.df_sup is None and self.df_sup_many is not None:
+            raise ValueError("df_sup_many needs df_sup, its one-segment form")
+        if self.df_sup is not None and self.df_sup_many is None:
+            self.df_sup_many = self._df_sup_many_fallback
         if self.fd_step is not None:
             step = float(self.fd_step)
             if not math.isfinite(step) or step <= 0.0:
@@ -279,6 +291,16 @@ class VectorFunction:
 
     def _df_many_fallback(self, ts: np.ndarray) -> np.ndarray:
         return _stacked([self.df_at(t) for t in ts.tolist()])
+
+    def _df_sup_many_fallback(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # one call per segment in order, each value checked as it is met
+        values = []
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            value = 0.0 if a == b else float(self.df_sup(a, b))
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"sup-envelope of {self.name or '<anonymous>'} returned {value!r}")
+            values.append(value)
+        return np.array(values, dtype=float)
 
     @property
     def has_derivative_source(self) -> bool:

@@ -15,7 +15,8 @@ panel bounds before every split.  The oracle's blocked sum is checked
 against :func:`simpson_fold`, which makes the same additions one at a
 time in Python.  :func:`closed_form_constant` and :func:`interval_exponent`
 are hand-derived level-3 factors of the named rules on [0, 1] and their
-scale law.
+scale law.  Squares in these references are :func:`correctly_rounded_square`,
+the exact square rounded once, as the library's ``x * x`` is.
 
 Three checks that no library code reads live here too.
 :func:`identity_residual` is the residual of the rule-error identity in
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -365,7 +367,7 @@ def _reference_seminorm(fn, lo, hi, regime, resolution):
         return best, False
     power = regime.integral_exponent
     integral = reference_simpson_scalar(
-        lambda t: df_norm_at(fn, t) ** power, lo, hi, resolution
+        lambda t: _reference_pow(df_norm_at(fn, t), power), lo, hi, resolution
     )
     integral = max(integral, 0.0)
     return (integral if power == 1.0 else integral ** (1.0 / power)), False
@@ -404,7 +406,19 @@ def reference_level1(fn, rule, interval, resolution):
     return bound, tuple(contribs)
 
 
+def correctly_rounded_square(x: float) -> float:
+    """``x**2`` rounded once from the exact square of ``x``, inf past the
+    float range: the library's squares, formed here without a float
+    multiply or libm's ``pow``."""
+    try:
+        return float(Fraction(x) ** 2)
+    except OverflowError:
+        return math.inf
+
+
 def _reference_pow(x, y):
+    if y == 2.0:
+        return correctly_rounded_square(x)
     try:
         return x ** y
     except OverflowError:
@@ -665,7 +679,7 @@ def reference_level2(fn, rule, interval, regime, resolution):
     elif regime.kind == "lp":
         outer, inner = _reference_lp_factors(regime.q)
     else:
-        outer = lambda length: 0.5 * length ** 2  # noqa: E731
+        outer = lambda length: 0.5 * correctly_rounded_square(length)  # noqa: E731
         inner = lambda lo, point, hi: reference_mu(1.0, lo, point, hi)  # noqa: E731
     contribs = [outer(xs[0] - a) * values[0]]
     for i in range(rule.n - 1):

@@ -40,7 +40,7 @@ class TestClosedFormValues:
         # integral of |2t| over [0, 1]; the integrand is linear, Simpson exact
         est = seminorm(self.fn, UNIT, L1)
         assert est.value == pytest.approx(1.0, rel=1e-14)
-        assert not est.certified
+        assert type(est.value) is float and est.certified is False
 
     def test_l2(self):
         # (integral of 4t^2)^(1/2) = sqrt(4/3)
@@ -197,8 +197,28 @@ class TestSampledSup:
             return
         values, exact = segment_seminorms(fn, LINF, [0.0, 0.5], [0.5, 1.0], 8)
         assert exact is True
-        assert [type(v) for v in values] == [float, float]
-        assert values == [expected, expected]
+        assert values.dtype == np.float64 and values.tolist() == [expected, expected]
+        value = seminorm(fn, UNIT, LINF).value
+        assert type(value) is float and value == expected
+
+    @pytest.mark.parametrize("row, outcome", [
+        ([1.0, 2.0, math.nan], [1.0, 2.0, 0.0]),
+        ([1.0, -1.0, math.nan], "ValueError: sup-envelope of batched returned -1.0"),
+        ([math.inf, math.nan, 1.0], "ValueError: sup-envelope of batched returned inf"),
+        ([1.0, 2.0], "ValueError: df_sup_many of batched gave shape (2,), not (3,)"),
+    ])
+    def test_batched_envelope_check(self, row, outcome):
+        # one df_sup_many call; degenerate segments are 0 whatever it gives
+        # there, and the first value outside [0, inf) raises
+        fn = VectorFunction(space=SPACES["scalar"], f=lambda t: t, df=lambda t: 1.0,
+                            df_sup=lambda lo, hi: 1.0,
+                            df_sup_many=lambda lo, hi: np.array(row), name="batched")
+        try:
+            values, exact = segment_seminorms(fn, LINF, [0.0, 0.5, 1.0], [0.5, 1.0, 1.0], 8)
+        except ValueError as exc:
+            assert f"ValueError: {exc}" == outcome
+        else:
+            assert exact is True and values.tolist() == outcome
 
     def test_fd_sampling_without_analytic_derivative(self):
         scalar = SPACES["scalar"]

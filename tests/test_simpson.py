@@ -16,6 +16,7 @@ from certquad import (
     Interval,
     VectorFunction,
     bound_level1,
+    integrate_adaptive,
     lp,
     make_function,
     preset,
@@ -342,6 +343,52 @@ def test_exp_derivative_overflows_to_inf():
     assert fn.df_many(ts[:3]).tolist() == [math.exp(t) for t in ts[:3].tolist()]
     with pytest.raises(ValueError, match=r"^nonfinite derivative sample for exp at t=710\.0$"):
         fn.df_norms(ts)
+
+
+def _envelope_segments() -> tuple[np.ndarray, np.ndarray]:
+    """Seeded segments ``[lo, hi]`` over every scale: degenerate ones, the
+    whole float range, [1e15, 1e15 + 1] and exp past 709.78."""
+    rng = np.random.default_rng(18)
+    special = [(0.0, 0.0), (0.7, 0.7), (800.0, 800.0), (-1e308, 1e308), (1e15, 1e15 + 1.0),
+               (709.0, 709.78), (709.5, 709.8), (700.0, 1e3), (-3.0, -1.0), (1e154, 1e155),
+               (-1e155, 1e77), (-5e-324, 5e-324)]
+    lo = np.concatenate([[a for a, _ in special], rng.uniform(-10.0, 10.0, 400),
+                         -np.exp(rng.uniform(-700.0, 700.0, 200)), rng.uniform(-1e3, 1e3, 50)])
+    width = np.concatenate([[b - a for a, b in special], rng.exponential(1.0, 400),
+                            np.exp(rng.uniform(-700.0, 700.0, 200)), np.zeros(50)])
+    with np.errstate(over="ignore"):
+        hi = np.minimum(lo + width, 1e308)
+    hi[:len(special)] = [b for _, b in special]
+    return lo, hi
+
+
+@pytest.mark.parametrize("name,label", REGISTRY)
+def test_registry_df_sup_many_is_df_sup_per_segment(name, label):
+    # entry k of the batched envelope is df_sup(lo[k], hi[k]), hex for hex,
+    # degenerate segments and envelopes past the float range included
+    fn = make_function(name, label)
+    lo, hi = _envelope_segments()
+    expected = [float(fn.df_sup(a, b)).hex() for a, b in zip(lo.tolist(), hi.tolist())]
+    values = fn.df_sup_many(lo, hi)
+    assert values.dtype == np.float64 and values.shape == lo.shape
+    assert [v.hex() for v in values.tolist()] == expected
+
+
+def test_df_sup_many_needs_df_sup():
+    with pytest.raises(ValueError, match="^df_sup_many needs df_sup"):
+        VectorFunction(space=SPACES["scalar"], f=lambda t: t, df=lambda t: 1.0,
+                       df_sup_many=lambda lo, hi: np.ones_like(lo))
+
+
+def test_registry_adaptive_run_never_calls_df_sup():
+    # registry envelopes are read in batches through df_sup_many alone
+    fn = make_function("exp")
+    calls = []
+    envelope = fn.df_sup
+    fn.df_sup = lambda lo, hi: calls.append((lo, hi)) or envelope(lo, hi)
+    result = integrate_adaptive(fn, preset("qt"), Interval(0.0, 1.0), LINF, 1e-6, 256)
+    assert len(result.panels) > 1 and result.certificate.certified
+    assert calls == []
 
 
 def _edge_points() -> np.ndarray:
