@@ -215,6 +215,13 @@ def MatrixSpace(rows: int, cols: int) -> ArraySpace:
 class VectorFunction:
     """A function ``f: R -> space`` with optional derivative information.
 
+    Each batched form left out gets a fallback that reads the one-point
+    form of its own instance, in a copy made by ``dataclasses.replace``
+    too.  An explicit batched form is copied as it is: a copy that replaces
+    a one-point form (``f``, ``df`` or ``df_sup``) of a function given
+    with batched forms, such as a registry function, replaces the matching
+    batched form too (``None`` installs the fallback).
+
     Parameters
     ----------
     space : NormedSpace
@@ -272,6 +279,12 @@ class VectorFunction:
     )
 
     def __post_init__(self) -> None:
+        # a fallback copied from another instance (dataclasses.replace) would
+        # read that instance's one-point forms: this instance installs its own
+        for name in ("f_many", "df_many", "df_sup_many"):
+            fallback = getattr(VectorFunction, f"_{name}_fallback")
+            if getattr(getattr(self, name), "__func__", None) is fallback:
+                setattr(self, name, None)
         if self.f_many is None:
             self.f_many = self._f_many_fallback
         if self.df_many is None:

@@ -2,6 +2,7 @@
 the oracle's blocked element fold, and the derivative sampling behind the
 L1/Lp and sampled sup seminorms and level 1."""
 
+import dataclasses
 import math
 import re
 
@@ -15,11 +16,13 @@ from certquad import (
     SPACES,
     Interval,
     VectorFunction,
+    apply_rule,
     bound_level1,
     integrate_adaptive,
     lp,
     make_function,
     preset,
+    seminorm,
 )
 from certquad._simpson import ROW, SAMPLE_CHUNK, sample_points, samples, simpson_element
 from certquad.seminorms import segment_seminorms
@@ -378,6 +381,24 @@ def test_df_sup_many_needs_df_sup():
     with pytest.raises(ValueError, match="^df_sup_many needs df_sup"):
         VectorFunction(space=SPACES["scalar"], f=lambda t: t, df=lambda t: 1.0,
                        df_sup_many=lambda lo, hi: np.ones_like(lo))
+
+
+def test_replace_rebinds_the_fallbacks():
+    # dataclasses.replace passes the fallbacks on as bound to the original;
+    # the copy installs its own, which read the copy's one-point forms
+    base = make_function("exp")
+    user = VectorFunction(space=base.space, f=base.f, df=base.df, df_sup=base.df_sup,
+                          name="user")
+    iv = Interval(0.0, 1.0)
+    assert seminorm(dataclasses.replace(user, df_sup=lambda lo, hi: 5.0), iv, LINF).value == 5.0
+    zero = dataclasses.replace(user, f=lambda t: 0.0, df=lambda t: 0.0)
+    assert apply_rule(zero, preset("qt"), iv) == 0.0
+    assert zero.df_many(np.array([0.5])).tolist() == [0.0]
+    assert seminorm(zero, iv, L1).value == 0.0
+    # with the envelope gone, so is its batched form
+    assert dataclasses.replace(user, df_sup=None).df_sup_many is None
+    # an explicit batched form is copied as it is
+    assert dataclasses.replace(base, df_sup=lambda lo, hi: 5.0).df_sup_many is base.df_sup_many
 
 
 def test_registry_adaptive_run_never_calls_df_sup():
