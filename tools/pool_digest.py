@@ -1,10 +1,11 @@
 """One SHA-256 per benchmark workload over every operation of its input pool,
 and one per registry function over that function's operations.
 
-    python3 tools/pool_digest.py --seed N [--root DIR]
+    python3 tools/pool_digest.py --seed N [--root DIR] [--workload NAME]
 
 Builds the input pools of the three workloads of ``bench/workloads.py``
-(the rounds ``bench/run.py`` generates, at seed N) and runs each
+(the rounds ``bench/run.py`` generates, at seed N), or of the one named
+by ``--workload``, and runs each
 operation once, untimed, with ``bench/`` and ``src/`` read from DIR (by
 default the checkout holding this file).  Engine results are hashed in
 full: the approximation, the certificate, every panel and its
@@ -68,11 +69,15 @@ def _load(root: Path):
     return cq, workloads.WORKLOADS, run.POOL_ROUNDS
 
 
-def digests(root: Path, seed: int) -> dict[str, tuple[int, str, dict[str, tuple[int, str]]]]:
-    """``{workload: (ops, digest, {function: (ops, digest)})}``."""
+def digests(root: Path, seed: int, names=None) -> dict[str, tuple[int, str, dict]]:
+    """``{workload: (ops, digest, {function: (ops, digest)})}`` for the
+    workloads ``names`` (all of them if None)."""
     cq, workloads, rounds = _load(root)
+    unknown = sorted(set(names or ()) - set(workloads))
+    if unknown:
+        raise ValueError(f"unknown workload {unknown[0]!r}; known: {', '.join(sorted(workloads))}")
     out = {}
-    for name in sorted(workloads):
+    for name in sorted(workloads) if names is None else names:
         workload = workloads[name](cq)
         pool = workload.inputs(random.Random(seed), rounds)
         h, per = hashlib.sha256(), {}
@@ -95,9 +100,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose bench/ and src/ are run (default: this one)")
+    parser.add_argument("--workload", action="append",
+                        help="digest only this workload (repeatable; default: all three)")
     args = parser.parse_args(argv)
-    root = args.root.resolve()
-    for name, (count, digest, functions) in digests(root, args.seed).items():
+    try:
+        table = digests(args.root.resolve(), args.seed, args.workload)
+    except ValueError as exc:
+        parser.error(str(exc))
+    for name, (count, digest, functions) in table.items():
         print(f"{name:<14} seed {args.seed} {count:>5} ops  {digest}")
         for function, (count, digest) in functions.items():
             print(f"  {function:<19} {count:>5} ops  {digest}")
