@@ -226,15 +226,22 @@ def _entries(fn, rule, regime, resolution, ends: list, store: list) -> list:
     return list(zip((-bounds).tolist(), a, b, bounds.tolist(), rows))
 
 
-def _halves(fn, rule, regime, resolution, parents, store: list) -> dict:
+def _halves(fn, rule, regime, resolution, parents, depth: int, store: list) -> dict:
     """Heap entries of both halves of each panel ``(lo, hi)`` in
-    ``parents``, keyed by the panel, from one kernel call."""
-    ends = []
-    for lo, hi in parents:
-        mid = 0.5 * (lo + hi)
-        ends += ((lo, mid), (mid, hi))
+    ``parents`` and of theirs, to ``depth`` levels, keyed by the panel,
+    from one kernel call; a panel too narrow to split has none."""
+    ends, keys = [], []
+    for _ in range(depth):
+        level = []
+        for lo, hi in parents:
+            mid = 0.5 * (lo + hi)
+            if lo < mid < hi:
+                keys.append((lo, hi))
+                level += ((lo, mid), (mid, hi))
+        ends += level
+        parents = level
     entries = _entries(fn, rule, regime, resolution, ends, store)
-    return dict(zip(parents, zip(entries[::2], entries[1::2])))
+    return dict(zip(keys, zip(entries[::2], entries[1::2])))
 
 
 def integrate_adaptive(
@@ -259,10 +266,11 @@ def integrate_adaptive(
 
     Under linf with a sup-envelope, the worst panel, if its halves are not yet
     certified, has them certified in one kernel call together with the
-    halves of up to ``_BATCH - 1`` next-worst panels, never more panels
-    than splits are left in the budget.  Each row is what that panel alone
-    gives, and if the call raises, the worst panel is certified alone, so
-    results and errors are those of certifying one panel at a time.
+    panels to depth d below it and below the next-worst panels without
+    halves, k panels in all, with k (2**d - 1) splits at most ``_BATCH``
+    and the splits left in the budget.  Each row is what that panel alone
+    gives, and if the call raises, the worst panel's halves are certified
+    alone, so results and errors are those of certifying one panel at a time.
 
     The stop test costs O(1) per split and decides exactly as the ordered
     sum would.  A running total of the n panel bounds is updated at each
@@ -317,19 +325,22 @@ def integrate_adaptive(
             break  # panel too narrow to split; no further refinement possible
         pair = children.get((lo, hi))
         if pair is None:
-            # never more panels than the splits left in the budget
-            ahead = _worst(heap, min(width, max_panels - count))[1:]
+            # the subtrees to depth d below the worst k panels without
+            # halves, for k (2**d - 1) splits at most those left
+            splits = min(width, max_panels - count)
             batch = [(lo, hi)] + [
-                (e[1], e[2]) for e in ahead if e[1] < 0.5 * (e[1] + e[2]) < e[2]
+                (e[1], e[2]) for e in _worst(heap, splits)[1:]
+                if e[1] < 0.5 * (e[1] + e[2]) < e[2] and (e[1], e[2]) not in children
             ]
+            depth = (splits // len(batch) + 1).bit_length() - 1
             try:
-                children = _halves(fn, rule, regime, resolution, batch, store)
+                children.update(_halves(fn, rule, regime, resolution, batch, depth, store))
             except Exception:
                 # a speculative panel failed; the worst one raises alone
                 # if it raises at all, as it would without speculation
-                if len(batch) == 1:
+                if len(batch) == 1 and depth == 1:
                     raise
-                children = _halves(fn, rule, regime, resolution, batch[:1], store)
+                children.update(_halves(fn, rule, regime, resolution, batch[:1], 1, store))
             pair = children[(lo, hi)]
         left, right = pair
         heapreplace(heap, left)

@@ -775,20 +775,27 @@ class TestSpeculation:
         assert str(got.value) == str(ref.value)
 
     def test_budget_bounds_the_batch(self):
-        # exp on [0, 2] splits its panels in batches of 1, 2 and 4 parents;
-        # with max_panels 8 only one split is left for the fourth batch,
-        # so it certifies the popped panel's halves alone
-        calls = []
+        # the call after the root's certifies the subtree below it to the
+        # depth d with 2**d - 1 splits at most those left: d = 3, 2, 1 and
+        # 8 for max_panels 8, 5, 2 and 4096; with a budget of 8 or 5 the
+        # last split is of a panel below that depth, alone
         base = make_function("exp")
+        batches = []
 
-        def envelope(lo, hi):
-            calls.append((lo, hi))
-            return base.df_sup(lo, hi)
+        def envelopes(lo, hi):
+            batches.append(len(lo) // 3)  # qt cuts a panel into 3 segments
+            return base.df_sup_many(lo, hi)
 
-        fn = _with_envelope(base, envelope)
-        result = integrate_adaptive(fn, preset("qt"), Interval(0.0, 2.0), LINF, 1e-9, 8, 64)
-        assert len(result.panels) == 8
-        assert len(calls) == 3 * (1 + 2 * (1 + 2 + 4 + 1))
+        fn = VectorFunction(space=base.space, f=base.f, df=base.df, df_sup=base.df_sup,
+                            df_sup_many=envelopes, name="exp")
+        for max_panels, expected in ((8, [1, 14, 2]), (5, [1, 6, 2]), (2, [1, 2]),
+                                     (4096, [1, 510])):
+            batches.clear()
+            result = integrate_adaptive(fn, preset("qt"), Interval(0.0, 2.0), LINF, 1e-9,
+                                        max_panels, 64)
+            assert len(result.panels) == max_panels
+            assert batches[:len(expected)] == expected
+            assert max_panels < 4096 or max(batches[1:]) == 2 * engine._BATCH
 
 
 class TestOverflow:
