@@ -215,12 +215,11 @@ def MatrixSpace(rows: int, cols: int) -> ArraySpace:
 class VectorFunction:
     """A function ``f: R -> space`` with optional derivative information.
 
-    Each batched form left out gets a fallback that reads the one-point
-    form of its own instance, in a copy made by ``dataclasses.replace``
-    too.  An explicit batched form is copied as it is: a copy that replaces
-    a one-point form (``f``, ``df`` or ``df_sup``) of a function given
-    with batched forms, such as a registry function, replaces the matching
-    batched form too (``None`` installs the fallback).
+    A batched form left out gets a fallback that reads this instance's
+    one-point form, in a copy made by ``dataclasses.replace`` too.  A copy
+    keeps an explicit batched form, so one that replaces ``f``, ``df`` or
+    ``df_sup`` of, say, a registry function replaces its batched form too
+    (``None`` installs the fallback).
 
     Parameters
     ----------
@@ -279,8 +278,7 @@ class VectorFunction:
     )
 
     def __post_init__(self) -> None:
-        # a fallback copied from another instance (dataclasses.replace) would
-        # read that instance's one-point forms: this instance installs its own
+        # a fallback copied by dataclasses.replace reads the original's forms
         for name in ("f_many", "df_many", "df_sup_many"):
             fallback = getattr(VectorFunction, f"_{name}_fallback")
             if getattr(getattr(self, name), "__func__", None) is fallback:
