@@ -7,7 +7,6 @@ so two runs with identical inputs produce bit-identical output.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from collections.abc import Sequence
@@ -37,6 +36,9 @@ _EPS = 2.0**-52  # twice the unit roundoff u
 # rule pass: large enough to spread each call's fixed cost, small enough
 # that the arrays and speculative rows stay a small part of peak memory
 _BATCH = 256
+# states of a node in the adaptive driver's table: a panel of the current
+# division, a certified half of an unsplit panel, a panel split in two
+_FRONTIER, _SPECULATED, _SPLIT = 0, 1, 2
 
 
 @dataclass(eq=False)
@@ -148,7 +150,7 @@ def _aggregate(fn, rule, interval, regime, level, lo, hi, rows, values, tol=None
     _, bounds, certified = rows
     with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
         approx = np.add.accumulate(np.concatenate(([fn.space.zero()], values)))[-1:].copy()
-        total = np.add.accumulate(np.concatenate(([0.0], bounds)))[-1].item()
+    total = _total(bounds)
     approx = _elements(approx)[0]
     certificate = ErrorCertificate(
         bound=total,
@@ -199,49 +201,46 @@ def integrate_composite(
     return _aggregate(fn, rule, partition.interval, regime, level, lo, hi, rows, values)
 
 
-def _worst(heap: list, k: int) -> list:
-    """The ``k`` smallest entries of ``heap`` (all of them if it is shorter),
-    walking down from its root in O(k log k) by their first two fields."""
-    found: list = []
-    n, pop, push = len(heap), heapq.heappop, heapq.heappush
-    frontier = [(heap[0][0], heap[0][1], 0)] if heap and k > 0 else []
-    while frontier and len(found) < k:
-        i = pop(frontier)[2]
-        found.append(heap[i])
-        if (j := 2 * i + 1) < n:
-            push(frontier, ((e := heap[j])[0], e[1], j))
-            if (j := j + 1) < n:
-                push(frontier, ((e := heap[j])[0], e[1], j))
-    return found
+def _total(bounds: np.ndarray) -> float:
+    """``bounds`` summed left to right from zero, as a certificate sums them."""
+    with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
+        return np.add.accumulate(np.concatenate(([0.0], bounds)))[-1].item()
 
 
-def _entries(fn, rule, regime, resolution, ends: list, store: list) -> list:
-    """Heap entries of the panels ``ends`` from one kernel call, whose
-    ``(rows made so far, contributions, certified)`` goes onto ``store``."""
-    a, b = zip(*ends)
-    contribs, bounds, certified = _certificate_rows(fn, rule, regime, 2, a, b, resolution)
-    first = store[-1][0] if store else 0
-    store.append((first + len(bounds), contribs, certified))
-    rows = range(first, first + len(bounds))
-    return list(zip((-bounds).tolist(), a, b, bounds.tolist(), rows))
+def _panels(lo: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """The node table's panels of the current division, left to right."""
+    panels = np.flatnonzero(state == _FRONTIER)
+    return panels[np.lexsort((lo[panels],))]
 
 
-def _halves(fn, rule, regime, resolution, parents, depth: int, store: list) -> dict:
-    """Heap entries of both halves of each panel ``(lo, hi)`` in
-    ``parents`` and of theirs, to ``depth`` levels, keyed by the panel,
-    from one kernel call; a panel too narrow to split has none."""
-    ends, keys = [], []
+def _split(state: np.ndarray, left: np.ndarray, parents: np.ndarray) -> None:
+    """Replace each of ``parents``, a prefix of a round's order, by its halves."""
+    state[left[parents]] = state[left[parents] + 1] = _FRONTIER
+    state[parents] = _SPLIT
+
+
+def _grow(fn, rule, regime, resolution, store: list, table: list, roots, depth: int) -> list:
+    """``table`` with the nodes to ``depth`` levels below ``roots`` appended by
+    level (halves side by side, none below a panel too narrow to split), certified
+    by one kernel call whose ``(contributions, certified)`` goes onto ``store``."""
+    first = end = len(table[0])
+    ids, a, b, levels = roots, table[0][roots], table[1][roots], []
     for _ in range(depth):
-        level = []
-        for lo, hi in parents:
-            mid = 0.5 * (lo + hi)
-            if lo < mid < hi:
-                keys.append((lo, hi))
-                level += ((lo, mid), (mid, hi))
-        ends += level
-        parents = level
-    entries = _entries(fn, rule, regime, resolution, ends, store)
-    return dict(zip(keys, zip(entries[::2], entries[1::2])))
+        with np.errstate(over="ignore"):  # a midpoint past the range is inf
+            mid = 0.5 * (a + b)
+        wide = (a < mid) & (mid < b)
+        a, mid, b, ids = a[wide], mid[wide], b[wide], ids[wide]
+        a, b = np.stack((a, mid), 1).ravel(), np.stack((mid, b), 1).ravel()
+        levels.append((a, b, ids.repeat(2)))
+        ids = np.arange(end, end + len(a))
+        end += len(a)
+    a, b, parents = (np.concatenate(column) for column in zip(*levels))
+    contribs, bounds, certified = _certificate_rows(fn, rule, regime, 2, a, b, resolution)
+    store.append((contribs, certified))
+    new = (a, b, bounds, parents, np.full(len(a), -1), np.full(len(a), _SPECULATED))
+    table = [np.concatenate(pair) for pair in zip(table, new)]
+    table[4][parents[::2]] = np.arange(first, end, 2)
+    return table
 
 
 def integrate_adaptive(
@@ -260,109 +259,128 @@ def integrate_adaptive(
     panel bounds (left to right by panel, the sum the returned certificate
     carries) is at most ``tol`` or ``max_panels`` is reached; running out of
     panels returns a partial result with ``converged=False`` rather than
-    raising.  A heap entry holds a panel's bound, ends and row in the kernel
-    calls' arrays; the final panels become columns in panel order, rule values
-    are evaluated in chunks, and ``panels`` is built from the columns on first read.
+    raising.  The final panels become columns in panel order, rule values
+    are evaluated in chunks, and ``panels`` is built from the columns on
+    first read.
 
-    Under linf with a sup-envelope, the worst panel, if its halves are not yet
-    certified, has them certified in one kernel call together with the
-    panels to depth d below it and below the next-worst panels without
-    halves, k panels in all, with k (2**d - 1) splits at most ``_BATCH``
-    and the splits left in the budget.  Each row is what that panel alone
-    gives, and if the call raises, the worst panel's halves are certified
-    alone, so results and errors are those of certifying one panel at a time.
+    Each certified panel is a node of a table (ends, bound, parent, first
+    half, state), numbered by its row in the kernel calls' arrays.  A round
+    sorts the unsplit nodes by (-bound, left end), a heap's key, and splits
+    them in that order while each is the next pop (in the division or a
+    half of a panel split earlier in the round, with certified halves, wide
+    enough, within the budget, and the stop test saying go on).  A node
+    without halves ends the round with one kernel call, which under linf
+    with a sup-envelope also certifies the nodes to depth d below the worst
+    k nodes without halves, k (2**d - 1) at most ``_BATCH`` and the splits
+    left.  Each row is what its panel alone gives, and if the call raises,
+    the first node's halves are certified alone, so results and errors are
+    those of splitting one panel at a time.
 
-    The stop test costs O(1) per split and decides exactly as the ordered
-    sum would.  A running total of the n panel bounds is updated at each
-    split, and ``slack`` adds one ulp of every update's result, at least
-    twice that update's rounding error.  The ordered float sum of n nonnegative terms
-    lies within gamma_(n-1) of their exact sum (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., section 4.2), so when
-    ``tol`` falls outside ``[running - slack, running + slack]`` widened by
-    a relative ``2 (n + 2) u`` (u = 2**-53, which also covers the rounding
-    of the test itself) the side it falls on decides.  Only inside that
-    band, or once the total is not finite or a bound is negative, is the
-    ordered sum formed.
+    The stop test decides exactly as the ordered sum would.  A running
+    total of the n panel bounds gains both halves' bounds and loses the
+    parent's at each split, and ``slack`` adds one ulp of each update's
+    result, at least twice its rounding error; a round forms both as
+    sequential accumulations, so they hold the bits of one split at a time.
+    The ordered float sum of n nonnegative terms lies within gamma_(n-1) of
+    their exact sum (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 4.2), so when ``tol`` falls outside
+    ``[running - slack, running + slack]`` widened by a relative
+    ``2 (n + 2) u`` (u = 2**-53, which also covers the rounding of the test
+    itself) the side it falls on decides.  Only inside that band, or once
+    the total is not finite or a bound is negative, is the ordered sum
+    formed.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     if max_panels < 1:
         raise ValueError(f"max_panels must be >= 1, got {max_panels}")
 
-    # heap entries are (-bound, lo, hi, bound, row), row numbering the kernel
-    # rows in store; left endpoints are unique, so entries never compare past lo
-    store: list = []
-    heap = _entries(fn, rule, regime, resolution, [(interval.a, interval.b)], store)
-    count = 1
-    running, slack = heap[0][3], 0.0
-    # a lower bound computed above this is normal, so its rounding is relative
-    floor = max(tol, sys.float_info.min)
-    # envelope certificates are cheap, so the children of the next-worst
-    # panels are certified ahead, with the worst panel's, in one batch
-    width = _BATCH if regime.kind == "linf" and fn.df_sup is not None else 1
-    children: dict = {}
-    heapreplace, heappush, ulp = heapq.heapreplace, heapq.heappush, math.ulp
-
-    def above_tol() -> bool:
-        hi = running + slack
-        if math.isfinite(hi):
-            g = (count + 2) * _EPS
-            if (running - slack) * (1.0 - g) > floor:
-                return True
-            if hi * (1.0 + g) <= tol:
-                return False
-        total = 0.0
-        for entry in sorted(heap, key=lambda e: e[1]):
-            total += entry[3]
-        return total > tol
-
-    while count < max_panels and above_tol():
-        # the worst panel is replaced by its halves; only the order of the
-        # entries matters, never where the heap keeps them
-        _, lo, hi, bound, _ = heap[0]
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # panel too narrow to split; no further refinement possible
-        pair = children.get((lo, hi))
-        if pair is None:
-            # the subtrees to depth d below the worst k panels without
-            # halves, for k (2**d - 1) splits at most those left
-            splits = min(width, max_panels - count)
-            batch = [(lo, hi)] + [
-                (e[1], e[2]) for e in _worst(heap, splits)[1:]
-                if e[1] < 0.5 * (e[1] + e[2]) < e[2] and (e[1], e[2]) not in children
-            ]
-            depth = (splits // len(batch) + 1).bit_length() - 1
-            try:
-                children.update(_halves(fn, rule, regime, resolution, batch, depth, store))
-            except Exception:
-                # a speculative panel failed; the worst one raises alone
-                # if it raises at all, as it would without speculation
-                if len(batch) == 1 and depth == 1:
-                    raise
-                children.update(_halves(fn, rule, regime, resolution, batch[:1], 1, store))
-            pair = children[(lo, hi)]
-        left, right = pair
-        heapreplace(heap, left)
-        heappush(heap, right)
-        count += 1
-        running += left[3]
-        slack += ulp(running)
-        running += right[3]
-        slack += ulp(running)
-        running -= bound
-        slack += ulp(running)
-        if left[3] < 0.0 or right[3] < 0.0:
-            running = math.nan  # the error bar assumes nonnegative terms
-
+    table, store = _refine(fn, rule, interval, regime, tol, max_panels, resolution)
     # the final panels as columns, in panel order; rule values in chunks
-    lo, hi, bounds, rows = list(zip(*sorted(heap, key=lambda e: e[1])))[1:]
-    heap.clear()
-    lo, hi, rows = np.array(lo), np.array(hi), np.array(rows)
-    contribs, certified = (np.concatenate(column)[rows] for column in list(zip(*store))[1:])
+    panels = _panels(table[0], table[5])
+    lo, hi, bounds = (column[panels] for column in table[:3])
+    contribs, certified = (np.concatenate(column)[panels] for column in zip(*store))
+    del table, store
     values = np.concatenate([
         _rule_values(fn, rule, lo[k:k + _BATCH], hi[k:k + _BATCH])
         for k in range(0, len(lo), _BATCH)
     ])
-    columns = (contribs, np.array(bounds), certified)
+    columns = (contribs, bounds, certified)
     return _aggregate(fn, rule, interval, regime, 2, lo, hi, columns, values, tol)
+
+
+def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
+    """The node table and kernel rows of :func:`integrate_adaptive`'s rounds."""
+    lo, hi = np.array([interval.a]), np.array([interval.b])
+    contribs, bound, certified = _certificate_rows(fn, rule, regime, 2, lo, hi, resolution)
+    store = [(contribs, certified)]
+    table = [lo, hi, bound, np.array([-1]), np.array([-1]), np.array([_FRONTIER])]
+    count, running, slack, tested = 1, bound[0].item(), 0.0, False
+    # a lower bound computed above this is normal, so its rounding is relative
+    floor = max(tol, sys.float_info.min)
+    # envelope certificates are cheap, so whole subtrees are certified ahead
+    width = _BATCH if regime.kind == "linf" and fn.df_sup is not None else 1
+
+    while count < max_panels:
+        lo, hi, bound, parent, left, state = table
+        live = np.flatnonzero(state != _SPLIT)
+        order = live[np.lexsort((lo[live], -bound[live]))]
+        # with all nodes before it popped, a node is the next pop if it is in
+        # the division or its parent came earlier (a tied parent, numbered first)
+        ready = state[order] == _FRONTIER
+        if ready[0]:
+            rank = np.full(len(lo), len(lo))
+            rank[order] = np.arange(len(order))
+            ready |= rank[parent[order]] < np.arange(len(order))
+        else:
+            # a half outranks its unsplit parent: the worst panel of the
+            # division is the next pop, alone
+            order, ready = order[ready.argmax(), None], ready[:1] | True
+        with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
+            mid = 0.5 * (lo[order] + hi[order])
+            wide = (lo[order] < mid) & (mid < hi[order])
+            ok = ready & wide & (left[order] >= 0)
+            m = min(len(order) if ok.all() else int(ok.argmin()), max_panels - count)
+            # running total and slack after each split of the round, in order
+            pops = order[:m]
+            l, r = bound[left[pops]], bound[left[pops] + 1]
+            partial = np.add.accumulate(np.append(running, np.stack((l, r, -bound[pops]), 1)))
+            slacks = np.add.accumulate([slack] + [math.ulp(x) for x in partial[1:].tolist()])
+            runs, slacks = partial[::3], slacks[::3]
+            if (negative := (l < 0.0) | (r < 0.0)).any():
+                runs[1 + negative.argmax():] = math.nan
+            # stop tests before each split and after the last; a spent budget stops
+            counts = count + np.arange(m + 1)
+            tops, g = runs + slacks, (counts + 2) * _EPS
+            go = (counts < max_panels) & np.isfinite(tops) & ((runs - slacks) * (1.0 - g) > floor)
+            stop = (counts == max_panels) | np.isfinite(tops) & ~go & (tops * (1.0 + g) <= tol)
+        go[0] |= tested
+        end = None
+        for j in np.flatnonzero(~go).tolist():
+            _split(state, left, order[:j])
+            if stop[j] or _total(bound[_panels(lo, state)]) <= tol:
+                end = j
+                break
+        s = m if end is None else end
+        _split(state, left, order[:s])
+        count, running, slack, tested = count + s, runs[s].item(), slacks[s].item(), True
+        if end is not None:
+            break
+        if m == len(order) or not ready[m]:
+            continue
+        if not wide[m]:
+            break  # panel too narrow to split; no further refinement possible
+        # the worst k nodes without halves, for k (2**d - 1) splits at most
+        splits = min(width, max_panels - count)
+        roots = order[m:][wide[m:] & (left[order[m:]] < 0)][:splits]
+        depth = (splits // len(roots) + 1).bit_length() - 1
+        try:
+            table = _grow(fn, rule, regime, resolution, store, table, roots, depth)
+        except Exception:
+            # a speculative node failed; the failing node's halves raise
+            # alone if they raise at all, as they would without speculation
+            if depth == 1 and len(roots) == 1:
+                raise
+            table = _grow(fn, rule, regime, resolution, store, table, roots[:1], 1)
+
+    return table, store

@@ -1,10 +1,11 @@
 """Rule application, composite/adaptive drivers, and the reference oracle."""
 
 import dataclasses
-import heapq
 import math
 import random
 import re
+import struct
+import zlib
 
 import mpmath
 import numpy as np
@@ -30,6 +31,7 @@ from certquad import (
 )
 from certquad import engine
 from certquad.bounds import _certificates
+from certquad.rules import _cut_points
 
 from helpers import (
     EXACT_COMPONENTS,
@@ -347,17 +349,19 @@ EQUIVALENCE_CASES = [
 ]
 
 
-class _SortedCounter:
-    """Counts the driver's calls to ``sorted``: one orders the final
-    panels, each further one is a stop test formed from the ordered sum."""
+class _SumCounter:
+    """Counts the ordered sums of panel bounds formed (``engine._total``):
+    one totals the returned certificate, each further one is a stop test
+    formed from the ordered sum."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        monkeypatch.setattr(engine, "sorted", self, raising=False)
+        self._total = engine._total
+        monkeypatch.setattr(engine, "_total", self)
 
-    def __call__(self, *args, **kwargs):
+    def __call__(self, bounds):
         self.calls += 1
-        return sorted(*args, **kwargs)
+        return self._total(bounds)
 
 
 def assert_same_run(result, reference):
@@ -396,7 +400,7 @@ class TestAdaptiveMatchesReference:
         fn = make_function(name)
         rule = EQUIVALENCE_RULES[rule_name]
         for tol in tols:
-            counter = _SortedCounter(monkeypatch)
+            counter = _SumCounter(monkeypatch)
             result = integrate_adaptive(
                 fn, rule, Interval(a, b), regime, tol, max_panels, resolution
             )
@@ -442,7 +446,7 @@ class TestAdaptiveMatchesReference:
         total = finished.certificate.bound
         runs = {}
         for tol in (total, math.nextafter(total, 0.0)):
-            counter = _SortedCounter(monkeypatch)
+            counter = _SumCounter(monkeypatch)
             runs[tol] = integrate_adaptive(fn, rule, iv, regime, tol, 4096, resolution)
             assert counter.calls >= 2
             reference = reference_adaptive(fn, rule, iv, regime, tol, 4096, resolution)
@@ -462,7 +466,7 @@ class TestAdaptiveMatchesReference:
         iv = Interval(0.0, 100.0)
         assert math.isinf(integrate_adaptive(fn, preset("qt"), iv, LINF, 1.0, 1).certificate.bound)
         for tol in (1.0, math.inf):
-            counter = _SortedCounter(monkeypatch)
+            counter = _SumCounter(monkeypatch)
             result = integrate_adaptive(fn, preset("qt"), iv, LINF, tol, 64)
             reference = reference_adaptive(fn, preset("qt"), iv, LINF, tol, 64, 64)
             assert_same_run(result, reference)
@@ -534,21 +538,6 @@ class TestCompositePanelSequence(TestPanelSequence):
         first = list(result.panels)
         assert len(built) == 1 and all(a is b for a, b in zip(first, result.panels))
         assert [cert.level for _, cert in first] == [3] * 8
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_worst_matches_sorted(seed):
-    # few distinct bounds, so many entries tie on the bound and the left
-    # end decides; every heap size around the walk's k is covered
-    rng = random.Random(seed)
-    size = rng.randrange(1, 300)
-    heap = []
-    for row, lo in enumerate(rng.sample(range(10_000), size)):
-        bound = rng.choice((0.0, 0.5, 1.0, 2.0, 1e300))
-        heap.append((-bound, lo / 7.0, lo / 7.0 + 1.0, bound, row))
-    heapq.heapify(heap)
-    for k in (0, 1, 2, size // 2, size - 1, size, size + 5):
-        assert engine._worst(heap, k) == sorted(heap)[:k]
 
 
 def _same_bits(value, expected) -> bool:
@@ -796,6 +785,93 @@ class TestSpeculation:
             assert len(result.panels) == max_panels
             assert batches[:len(expected)] == expected
             assert max_panels < 4096 or max(batches[1:]) == 2 * engine._BATCH
+
+
+def _hashed_envelope(lo, hi):
+    # far from monotone in the width: halves often outrank their parent
+    return float(zlib.crc32(struct.pack("<2d", lo, hi)) & 0xFFFF)
+
+
+def _inverse_cube_envelope(lo, hi):
+    # grows as segments shrink: every half outranks its parent
+    return (hi - lo) ** -3.0 if hi > lo else 0.0
+
+
+class TestAdaptiveProperty:
+    """Seeded runs against ``reference_adaptive`` where popping panels in
+    rounds could go astray: envelopes under which halves outrank their
+    parent, bounds that tie at every depth, panels too narrow to split,
+    budgets of 1 to 9 panels, and speculation that fails below its first
+    level."""
+
+    KINDS = ("registry", "hashed", "inverse_cube", "affine", "narrow")
+
+    @staticmethod
+    def case(seed):
+        rng = random.Random(seed)
+        kind = TestAdaptiveProperty.KINDS[seed % 5]
+        rule = _random_rule(1000 + seed, rng.randint(1, 5))
+        a = rng.uniform(-2.0, 1.0)
+        iv = Interval(a, a + rng.uniform(0.1, 3.0))
+        tol, regime = 10.0 ** rng.uniform(-6.0, -1.0), LINF
+        if kind == "registry":
+            fn = make_function(rng.choice(("exp", "trig_circle", "poly_r3", "matrix_path")))
+            regime = rng.choice((LINF, LINF, L1))
+        elif kind == "affine":
+            fn = make_function("affine", rng.choice(sorted(SPACES)))
+        elif kind == "narrow":
+            fn, iv, tol = make_function("exp"), Interval(1.0, 1.0 + 2.0**-45), 1e-300
+        else:
+            envelope = {"hashed": _hashed_envelope, "inverse_cube": _inverse_cube_envelope}[kind]
+            fn = _envelope_function(envelope)
+        return fn, rule, iv, regime, tol
+
+    # every kind meets every budget from 1 to 9
+    @pytest.mark.parametrize("seed", range(45))
+    def test_matches_reference(self, seed):
+        fn, rule, iv, regime, tol = self.case(seed)
+        for max_panels in (1 + seed % 9, 64):
+            args = (fn, rule, iv, regime, tol, max_panels, 16)
+            assert_same_run(integrate_adaptive(*args), reference_adaptive(*args))
+
+    def test_narrow_panels_end_the_run(self):
+        # 2**-45 above 1.0 splits seven times before halves stop being wider
+        # than their parent's ulp: the run ends unconverged at 128 panels
+        fn, rule, iv, regime, tol = self.case(4)
+        result = integrate_adaptive(fn, rule, iv, regime, tol, 4096, 16)
+        assert not result.converged and len(result.panels) == 128
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_speculation_failing_below_its_first_level(self, seed):
+        # the envelope raises on every segment of a panel two or more levels
+        # below the reference's final panels, which only speculation reaches
+        rng = random.Random(seed)
+        base = make_function(("exp", "trig_circle", "poly_r3")[seed % 3])
+        rule = _random_rule(2000 + seed, rng.randint(2, 5))
+        a = rng.uniform(-1.0, 1.0)
+        iv = Interval(a, a + rng.uniform(0.5, 2.0))
+        args = (rule, iv, LINF, 10.0 ** rng.uniform(-2.0, -1.0), 4096, 64)
+        reference = reference_adaptive(base, *args)
+        finals = {(panel.a, panel.b) for panel, _ in reference.panels}
+        panels, stack = [], [(iv.a, iv.b)]
+        while stack:
+            lo, hi = stack.pop()
+            mid = 0.5 * (lo + hi)
+            panels.append((lo, hi))
+            (panels if (lo, hi) in finals else stack).extend([(lo, mid), (mid, hi)])
+        cuts = _cut_points(rule, *np.array(panels).T)
+        allowed = set(zip(cuts[:, :-1].ravel().tolist(), cuts[:, 1:].ravel().tolist()))
+        failed = []
+
+        def envelope(lo, hi):
+            if (lo, hi) not in allowed:
+                failed.append((lo, hi))
+                raise ZeroDivisionError("deep in a speculated subtree")
+            return base.df_sup(lo, hi)
+
+        result = integrate_adaptive(_with_envelope(base, envelope), *args)
+        assert failed
+        assert_same_run(result, reference)
 
 
 class TestOverflow:
