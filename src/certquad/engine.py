@@ -335,7 +335,7 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
         else:
             # a half outranks its unsplit parent: the worst panel of the
             # division is the next pop, alone
-            order, ready = order[ready.argmax(), None], ready[:1] | True
+            order, ready = order[ready.argmax(), None], np.ones(1, bool)
         with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
             mid = 0.5 * (lo[order] + hi[order])
             wide = (lo[order] < mid) & (mid < hi[order])

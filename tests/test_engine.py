@@ -806,10 +806,10 @@ class TestAdaptiveProperty:
 
     KINDS = ("registry", "hashed", "inverse_cube", "affine", "narrow")
 
-    @staticmethod
-    def case(seed):
+    @classmethod
+    def case(cls, seed):
         rng = random.Random(seed)
-        kind = TestAdaptiveProperty.KINDS[seed % 5]
+        kind = cls.KINDS[seed % len(cls.KINDS)]
         rule = _random_rule(1000 + seed, rng.randint(1, 5))
         a = rng.uniform(-2.0, 1.0)
         iv = Interval(a, a + rng.uniform(0.1, 3.0))
