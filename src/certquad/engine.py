@@ -210,37 +210,39 @@ def _total(bounds: np.ndarray) -> float:
 def _panels(lo: np.ndarray, state: np.ndarray) -> np.ndarray:
     """The node table's panels of the current division, left to right."""
     panels = np.flatnonzero(state == _FRONTIER)
-    return panels[np.lexsort((lo[panels],))]
+    return panels[np.argsort(lo[panels])]
 
 
-def _split(state: np.ndarray, left: np.ndarray, parents: np.ndarray) -> None:
+def _split(state: np.ndarray, left: np.ndarray, parents: np.ndarray) -> np.ndarray:
     """Replace each of ``parents``, a prefix of a round's order, by its halves."""
     state[left[parents]] = state[left[parents] + 1] = _FRONTIER
     state[parents] = _SPLIT
+    return state
 
 
-def _grow(fn, rule, regime, resolution, store: list, table: list, roots, depth: int) -> list:
-    """``table`` with the nodes to ``depth`` levels below ``roots`` appended by
-    level (halves side by side, none below a panel too narrow to split), certified
-    by one kernel call whose ``(contributions, certified)`` goes onto ``store``."""
-    first = end = len(table[0])
-    ids, a, b, levels = roots, table[0][roots], table[1][roots], []
-    for _ in range(depth):
-        with np.errstate(over="ignore"):  # a midpoint past the range is inf
+def _grow(fn, rule, regime, resolution, store: list, table: list, n: int, roots, depth: int) -> int:
+    """Write into ``table`` after its ``n`` nodes (doubling full columns) those to
+    ``depth`` levels below ``roots`` by level, halves side by side, none below a panel
+    too narrow to split, certified by one kernel call; returns the node count."""
+    end, ids, a, b, levels = n, roots, table[0][roots], table[1][roots], []
+    with np.errstate(over="ignore"):  # a midpoint past the range is inf
+        for _ in range(depth):
             mid = 0.5 * (a + b)
-        wide = (a < mid) & (mid < b)
-        a, mid, b, ids = a[wide], mid[wide], b[wide], ids[wide]
-        a, b = np.stack((a, mid), 1).ravel(), np.stack((mid, b), 1).ravel()
-        levels.append((a, b, ids.repeat(2)))
-        ids = np.arange(end, end + len(a))
-        end += len(a)
+            wide = (a < mid) & (mid < b)
+            a, mid, b, ids = a[wide], mid[wide], b[wide], ids[wide]
+            a, b = np.stack((a, mid), 1).ravel(), np.stack((mid, b), 1).ravel()
+            levels.append((a, b, ids.repeat(2)))
+            ids = np.arange(end, end + len(a))
+            end += len(a)
     a, b, parents = (np.concatenate(column) for column in zip(*levels))
     contribs, bounds, certified = _certificate_rows(fn, rule, regime, 2, a, b, resolution)
     store.append((contribs, certified))
-    new = (a, b, bounds, parents, np.full(len(a), -1), np.full(len(a), _SPECULATED))
-    table = [np.concatenate(pair) for pair in zip(table, new)]
-    table[4][parents[::2]] = np.arange(first, end, 2)
-    return table
+    if end > len(table[0]):
+        table[:] = [np.concatenate((c, np.empty(max(len(c), end), c.dtype))) for c in table]
+    for column, new in zip(table, (a, b, bounds, parents, -1, _SPECULATED, -bounds + 1j * a)):
+        column[n:end] = new
+    table[4][parents[::2]] = np.arange(n, end, 2)
+    return end
 
 
 def integrate_adaptive(
@@ -264,31 +266,31 @@ def integrate_adaptive(
     first read.
 
     Each certified panel is a node of a table (ends, bound, parent, first
-    half, state), numbered by its row in the kernel calls' arrays.  A round
-    sorts the unsplit nodes by (-bound, left end), a heap's key, and splits
-    them in that order while each is the next pop (in the division or a
-    half of a panel split earlier in the round, with certified halves, wide
-    enough, within the budget, and the stop test saying go on).  A node
-    without halves ends the round with one kernel call, which under linf
+    half, state, key) numbered by its kernel row; the unsplit nodes stay
+    sorted by (-bound, left end), a heap's key.  A round splits them in that
+    order while each is the next pop (in the division or a half of a panel
+    split earlier in the round, with certified halves, wide enough, within
+    the budget, the stop test saying go on), so its work grows with its pops.
+    A node without halves ends it with one kernel call, which under linf
     with a sup-envelope also certifies the nodes to depth d below the worst
-    k nodes without halves, k (2**d - 1) at most ``_BATCH`` and the splits
-    left.  Each row is what its panel alone gives, and if the call raises,
-    the first node's halves are certified alone, so results and errors are
-    those of splitting one panel at a time.
+    k nodes without halves: k (2**d - 1) at most ``_BATCH`` and the splits
+    left, d at most the halvings from the running total to ``tol`` (under
+    linf halves bound at most half their parent, so that many levels suffice).
+    Rows are what each panel alone gives; if the call raises, the first
+    node's halves are certified alone, as one split at a time would.
 
     The stop test decides exactly as the ordered sum would.  A running
     total of the n panel bounds gains both halves' bounds and loses the
     parent's at each split, and ``slack`` adds one ulp of each update's
     result, at least twice its rounding error; a round forms both as
-    sequential accumulations, so they hold the bits of one split at a time.
-    The ordered float sum of n nonnegative terms lies within gamma_(n-1) of
+    sequential accumulations, with the bits of one split at a time.  The
+    ordered float sum of n nonnegative terms lies within gamma_(n-1) of
     their exact sum (Higham, *Accuracy and Stability of Numerical
     Algorithms*, 2nd ed., section 4.2), so when ``tol`` falls outside
     ``[running - slack, running + slack]`` widened by a relative
     ``2 (n + 2) u`` (u = 2**-53, which also covers the rounding of the test
     itself) the side it falls on decides.  Only inside that band, or once
-    the total is not finite or a bound is negative, is the ordered sum
-    formed.
+    the total is not finite or a bound is negative, is the sum formed.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -314,37 +316,37 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
     lo, hi = np.array([interval.a]), np.array([interval.b])
     contribs, bound, certified = _certificate_rows(fn, rule, regime, 2, lo, hi, resolution)
     store = [(contribs, certified)]
-    table = [lo, hi, bound, np.array([-1]), np.array([-1]), np.array([_FRONTIER])]
-    count, running, slack, tested = 1, bound[0].item(), 0.0, False
-    # a lower bound computed above this is normal, so its rounding is relative
-    floor = max(tol, sys.float_info.min)
-    # envelope certificates are cheap, so whole subtrees are certified ahead
     width = _BATCH if regime.kind == "linf" and fn.df_sup is not None else 1
+    # the order: unsplit nodes by key -bound + 1j * lo, which sorts as (-bound,
+    # lo) does (nan bounds last), ties to the lower number
+    table = [lo, hi, bound, np.array([-1]), np.array([-1]), np.array([_FRONTIER], np.int8)]
+    table, order = table + [-bound + 1j * lo], np.zeros(1, int)
+    n, count, running, slack, tested = 1, 1, bound[0].item(), 0.0, False
+    floor = max(tol, sys.float_info.min)  # lower bounds above it round relatively
 
     while count < max_panels:
-        lo, hi, bound, parent, left, state = table
-        live = np.flatnonzero(state != _SPLIT)
-        order = live[np.lexsort((lo[live], -bound[live]))]
-        # with all nodes before it popped, a node is the next pop if it is in
-        # the division or its parent came earlier (a tied parent, numbered first)
-        ready = state[order] == _FRONTIER
-        if ready[0]:
-            rank = np.full(len(lo), len(lo))
-            rank[order] = np.arange(len(order))
-            ready |= rank[parent[order]] < np.arange(len(order))
-        else:
-            # a half outranks its unsplit parent: the worst panel of the
-            # division is the next pop, alone
-            order, ready = order[ready.argmax(), None], np.ones(1, bool)
+        lo, hi, bound, parent, left, state = (column[:n] for column in table[:6])
+        # a round ends within the H + 1 first, H the unsplit nodes with halves
+        head, at = order[:(n - 1) // 2 - count + 2 + width], 0
+        ready = state[head] == _FRONTIER
         with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
-            mid = 0.5 * (lo[order] + hi[order])
-            wide = (lo[order] < mid) & (mid < hi[order])
-            ok = ready & wide & (left[order] >= 0)
-            m = min(len(order) if ok.all() else int(ok.argmin()), max_panels - count)
+            if ready[0]:
+                # a half is the next pop if its parent, numbered first, precedes
+                # it: unless the half has the larger bound or only the parent's is nan
+                b, pb = bound[head], bound[parent[head]]
+                ready |= ~((b > pb) | np.isnan(pb) & ~np.isnan(b))
+            else:  # a half outranks its unsplit parent: the division's worst is next, alone
+                at = int((state[order] == _FRONTIER).argmax())
+                head, ready = order[at, None], np.ones(1, bool)
+            a, b = lo[head], hi[head]
+            mid = 0.5 * (a + b)
+            wide = (a < mid) & (mid < b)
+            ok = ready & wide & (left[head] >= 0)
+            m = min(len(head) if ok.all() else int(ok.argmin()), max_panels - count)
             # running total and slack after each split of the round, in order
-            pops = order[:m]
+            pops = head[:m]
             l, r = bound[left[pops]], bound[left[pops] + 1]
-            partial = np.add.accumulate(np.append(running, np.stack((l, r, -bound[pops]), 1)))
+            partial = np.add.accumulate(np.append(running, np.array((l, r, -bound[pops])).T))
             slacks = np.add.accumulate([slack] + [math.ulp(x) for x in partial[1:].tolist()])
             runs, slacks = partial[::3], slacks[::3]
             if (negative := (l < 0.0) | (r < 0.0)).any():
@@ -355,32 +357,35 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
             go = (counts < max_panels) & np.isfinite(tops) & ((runs - slacks) * (1.0 - g) > floor)
             stop = (counts == max_panels) | np.isfinite(tops) & ~go & (tops * (1.0 + g) <= tol)
         go[0] |= tested
-        end = None
-        for j in np.flatnonzero(~go).tolist():
-            _split(state, left, order[:j])
-            if stop[j] or _total(bound[_panels(lo, state)]) <= tol:
-                end = j
-                break
+        # the first state that stops, the ordered sum deciding where the test did not
+        end = next((j for j in np.flatnonzero(~go).tolist() if stop[j]
+                    or _total(bound[_panels(lo, _split(state, left, head[:j]))]) <= tol), None)
         s = m if end is None else end
-        _split(state, left, order[:s])
+        _split(state, left, head[:s])
         count, running, slack, tested = count + s, runs[s].item(), slacks[s].item(), True
         if end is not None:
             break
-        if m == len(order) or not ready[m]:
+        order = np.delete(order, at) if at and s else order[s:]
+        if m == len(head) or not ready[m]:
             continue
         if not wide[m]:
             break  # panel too narrow to split; no further refinement possible
-        # the worst k nodes without halves, for k (2**d - 1) splits at most
+        # envelope rows are cheap: the nodes to depth d below the worst k without
+        # halves, k (2**d - 1) splits at most, d at most the halvings to tol
         splits = min(width, max_panels - count)
-        roots = order[m:][wide[m:] & (left[order[m:]] < 0)][:splits]
-        depth = (splits // len(roots) + 1).bit_length() - 1
+        roots = head[m:][wide[m:] & (left[head[m:]] < 0)][:splits]
+        depth = min((splits // len(roots) + 1).bit_length() - 1,
+                    max(1, math.frexp(min(2.0**8, running / tol))[1]))
         try:
-            table = _grow(fn, rule, regime, resolution, store, table, roots, depth)
+            new = _grow(fn, rule, regime, resolution, store, table, n, roots, depth)
         except Exception:
-            # a speculative node failed; the failing node's halves raise
-            # alone if they raise at all, as they would without speculation
+            # a speculative node failed: the failing node's halves alone, as without it
             if depth == 1 and len(roots) == 1:
                 raise
-            table = _grow(fn, rule, regime, resolution, store, table, roots[:1], 1)
+            new = _grow(fn, rule, regime, resolution, store, table, n, roots[:1], 1)
+        # the new nodes join the order after the old nodes they tie with
+        ranks = np.argsort(table[6][n:new], kind="stable")
+        at = np.searchsorted(table[6][order], table[6][n + ranks], "right")
+        order, n = np.insert(order, at, n + ranks), new
 
-    return table, store
+    return [column[:n] for column in table], store

@@ -216,10 +216,9 @@ class VectorFunction:
     """A function ``f: R -> space`` with optional derivative information.
 
     A batched form left out gets a fallback that reads this instance's
-    one-point form, in a copy made by ``dataclasses.replace`` too.  A copy
-    keeps an explicit batched form, so one that replaces ``f``, ``df`` or
-    ``df_sup`` of, say, a registry function replaces its batched form too
-    (``None`` installs the fallback).
+    one-point form, in a ``dataclasses.replace`` copy too.  A copy keeps an
+    explicit batched form, so one replacing ``f``, ``df`` or ``df_sup`` of a
+    registry function replaces its batched form too (``None`` for the fallback).
 
     Parameters
     ----------
@@ -278,19 +277,15 @@ class VectorFunction:
     )
 
     def __post_init__(self) -> None:
-        # a fallback copied by dataclasses.replace reads the original's forms
         for name in ("f_many", "df_many", "df_sup_many"):
-            fallback = getattr(VectorFunction, f"_{name}_fallback")
-            if getattr(getattr(self, name), "__func__", None) is fallback:
+            fallback = getattr(self, f"_{name}_fallback")
+            # one copied by dataclasses.replace reads the original's forms
+            if getattr(getattr(self, name), "__func__", None) is fallback.__func__:
                 setattr(self, name, None)
-        if self.f_many is None:
-            self.f_many = self._f_many_fallback
-        if self.df_many is None:
-            self.df_many = self._df_many_fallback
+            if getattr(self, name) is None and (name != "df_sup_many" or self.df_sup is not None):
+                setattr(self, name, fallback)
         if self.df_sup is None and self.df_sup_many is not None:
             raise ValueError("df_sup_many needs df_sup, its one-segment form")
-        if self.df_sup is not None and self.df_sup_many is None:
-            self.df_sup_many = self._df_sup_many_fallback
         if self.fd_step is not None:
             step = float(self.fd_step)
             if not math.isfinite(step) or step <= 0.0:
