@@ -210,7 +210,7 @@ def _total(bounds: np.ndarray) -> float:
 def _panels(lo: np.ndarray, state: np.ndarray) -> np.ndarray:
     """The node table's panels of the current division, left to right."""
     panels = np.flatnonzero(state == _FRONTIER)
-    return panels[np.argsort(lo[panels])]
+    return panels[np.argsort(lo[panels] + 0j, kind="stable")]
 
 
 def _split(state: np.ndarray, left: np.ndarray, parents: np.ndarray) -> np.ndarray:
@@ -303,10 +303,8 @@ def integrate_adaptive(
     lo, hi, bounds = (column[panels] for column in table[:3])
     contribs, certified = (np.concatenate(column)[panels] for column in zip(*store))
     del table, store
-    values = np.concatenate([
-        _rule_values(fn, rule, lo[k:k + _BATCH], hi[k:k + _BATCH])
-        for k in range(0, len(lo), _BATCH)
-    ])
+    values = np.concatenate([_rule_values(fn, rule, lo[k:k + _BATCH], hi[k:k + _BATCH])
+                             for k in range(0, len(lo), _BATCH)])
     columns = (contribs, bounds, certified)
     return _aggregate(fn, rule, interval, regime, 2, lo, hi, columns, values, tol)
 
@@ -315,12 +313,14 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
     """The node table and kernel rows of :func:`integrate_adaptive`'s rounds."""
     lo, hi = np.array([interval.a]), np.array([interval.b])
     contribs, bound, certified = _certificate_rows(fn, rule, regime, 2, lo, hi, resolution)
-    store = [(contribs, certified)]
+    store, order = [(contribs, certified)], np.zeros(1, int)
     width = _BATCH if regime.kind == "linf" and fn.df_sup is not None else 1
-    # the order: unsplit nodes by key -bound + 1j * lo, which sorts as (-bound,
-    # lo) does (nan bounds last), ties to the lower number
-    table = [lo, hi, bound, np.array([-1]), np.array([-1]), np.array([_FRONTIER], np.int8)]
-    table, order = table + [-bound + 1j * lo], np.zeros(1, int)
+    # node columns lo, hi, bound, parent, first half, state and a key that sorts
+    # as (-bound, lo) does, nan bounds last; sized for a run that spends its budget
+    table = [np.empty(min(2 * max_panels, 1 << 16) + 2 * width, dtype)
+             for dtype in (float, float, float, int, int, np.int8, complex)]
+    for column, root in zip(table, (lo, hi, bound, -1, -1, _FRONTIER, -bound + 1j * lo)):
+        column[:1] = root
     n, count, running, slack, tested = 1, 1, bound[0].item(), 0.0, False
     floor = max(tol, sys.float_info.min)  # lower bounds above it round relatively
 
@@ -365,7 +365,7 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
         count, running, slack, tested = count + s, runs[s].item(), slacks[s].item(), True
         if end is not None:
             break
-        order = np.delete(order, at) if at and s else order[s:]
+        order = np.concatenate((order[:at], order[at + s:])) if at else order[s:]
         if m == len(head) or not ready[m]:
             continue
         if not wide[m]:
@@ -383,9 +383,9 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
             if depth == 1 and len(roots) == 1:
                 raise
             new = _grow(fn, rule, regime, resolution, store, table, n, roots[:1], 1)
-        # the new nodes join the order after the old nodes they tie with
-        ranks = np.argsort(table[6][n:new], kind="stable")
-        at = np.searchsorted(table[6][order], table[6][n + ranks], "right")
-        order, n = np.insert(order, at, n + ranks), new
+        # the order holds the unsplit nodes by key, ties to the lower number: a
+        # stable sort (a timsort, one pass over a sorted run) merges the new ones in
+        order, n = np.concatenate((order, np.arange(n, new))), new
+        order = order[np.argsort(table[6][order], kind="stable")]
 
     return [column[:n] for column in table], store
