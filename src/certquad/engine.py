@@ -32,9 +32,8 @@ __all__ = [
 
 DEFAULT_MAX_PANELS = 1024
 _EPS = 2.0**-52  # twice the unit roundoff u
-# panels per kernel call in the adaptive driver, and per chunk of its final
-# rule pass: large enough to spread each call's fixed cost, small enough
-# that the arrays and speculative rows stay a small part of peak memory
+# panels per adaptive kernel call and per chunk of the final rule pass: enough to
+# spread a call's fixed cost, few enough to keep the arrays small in peak memory
 _BATCH = 256
 # states of a node in the adaptive driver's table: a panel of the current
 # division, a certified half of an unsplit panel, a panel split in two
@@ -210,7 +209,7 @@ def _total(bounds: np.ndarray) -> float:
 def _panels(lo: np.ndarray, state: np.ndarray) -> np.ndarray:
     """The node table's panels of the current division, left to right."""
     panels = np.flatnonzero(state == _FRONTIER)
-    return panels[np.argsort(lo[panels] + 0j, kind="stable")]
+    return panels[np.argsort(lo[panels] + 0j, kind="stable")]  # the order's sort routine
 
 
 def _split(state: np.ndarray, left: np.ndarray, parents: np.ndarray) -> np.ndarray:
@@ -265,32 +264,31 @@ def integrate_adaptive(
     are evaluated in chunks, and ``panels`` is built from the columns on
     first read.
 
-    Each certified panel is a node of a table (ends, bound, parent, first
-    half, state, key) numbered by its kernel row; the unsplit nodes stay
-    sorted by (-bound, left end), a heap's key.  A round splits them in that
-    order while each is the next pop (in the division or a half of a panel
-    split earlier in the round, with certified halves, wide enough, within
-    the budget, the stop test saying go on), so its work grows with its pops.
-    A node without halves ends it with one kernel call, which under linf
-    with a sup-envelope also certifies the nodes to depth d below the worst
-    k nodes without halves: k (2**d - 1) at most ``_BATCH`` and the splits
-    left, d at most the halvings from the running total to ``tol`` (under
-    linf halves bound at most half their parent, so that many levels suffice).
-    Rows are what each panel alone gives; if the call raises, the first
-    node's halves are certified alone, as one split at a time would.
+    Each certified panel is a node of a table (ends, bound, parent, first half,
+    state, key) numbered by its kernel row; the unsplit nodes stay sorted by
+    (-bound, left end), a heap's key, and a round splits them in that order
+    while each is the next pop (in the division or a half of a panel split
+    earlier in the round, with certified halves, wide enough, within the
+    budget, the stop test saying go on). A node without halves ends it with one
+    kernel call.  Under linf with a sup-envelope the call certifies the nodes
+    to depth d below the worst k nodes without halves, k (2**d - 1) at most
+    ``_BATCH`` and the splits left, d at most the halvings from the running
+    total to ``tol`` (linf halves bound at most half their parent); otherwise
+    the halves of up to 16 of them that the run splits whatever their halves
+    bound, which are all it would certify.  Rows are what each panel alone
+    gives; a call that raises is redone on the first node's halves alone.
 
-    The stop test decides exactly as the ordered sum would.  A running
-    total of the n panel bounds gains both halves' bounds and loses the
-    parent's at each split, and ``slack`` adds one ulp of each update's
-    result, at least twice its rounding error; a round forms both as
-    sequential accumulations, with the bits of one split at a time.  The
-    ordered float sum of n nonnegative terms lies within gamma_(n-1) of
-    their exact sum (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 4.2), so when ``tol`` falls outside
-    ``[running - slack, running + slack]`` widened by a relative
+    The stop test decides exactly as the ordered sum would.  A running total of
+    the n panel bounds gains both halves' bounds and loses the parent's at each
+    split, and ``slack`` adds one ulp of each update's result, at least twice
+    its rounding error; a round forms both as sequential accumulations, with
+    the bits of one split at a time.  The ordered float sum of n nonnegative
+    terms lies within gamma_(n-1) of their exact sum (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 4.2), so when ``tol``
+    falls outside ``[running - slack, running + slack]`` widened by a relative
     ``2 (n + 2) u`` (u = 2**-53, which also covers the rounding of the test
-    itself) the side it falls on decides.  Only inside that band, or once
-    the total is not finite or a bound is negative, is the sum formed.
+    itself) the side it falls on decides.  Only inside that band, or once the
+    total is not finite or a bound is negative, is the sum formed.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
@@ -298,8 +296,7 @@ def integrate_adaptive(
         raise ValueError(f"max_panels must be >= 1, got {max_panels}")
 
     table, store = _refine(fn, rule, interval, regime, tol, max_panels, resolution)
-    # the final panels as columns, in panel order; rule values in chunks
-    panels = _panels(table[0], table[5])
+    panels = _panels(table[0], table[5])  # the final panels as columns, in panel order
     lo, hi, bounds = (column[panels] for column in table[:3])
     contribs, certified = (np.concatenate(column)[panels] for column in zip(*store))
     del table, store
@@ -314,7 +311,7 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
     lo, hi = np.array([interval.a]), np.array([interval.b])
     contribs, bound, certified = _certificate_rows(fn, rule, regime, 2, lo, hi, resolution)
     store, order = [(contribs, certified)], np.zeros(1, int)
-    width = _BATCH if regime.kind == "linf" and fn.df_sup is not None else 1
+    width = _BATCH if (cheap := regime.kind == "linf" and fn.df_sup is not None) else 16
     # node columns lo, hi, bound, parent, first half, state and a key that sorts
     # as (-bound, lo) does, nan bounds last; sized for a run that spends its budget
     table = [np.empty(min(2 * max_panels, 1 << 16) + 2 * width, dtype)
@@ -331,8 +328,7 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
         ready = state[head] == _FRONTIER
         with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
             if ready[0]:
-                # a half is the next pop if its parent, numbered first, precedes
-                # it: unless the half has the larger bound or only the parent's is nan
+                # a half is next if its parent precedes it: numbered first, it does unless outranked
                 b, pb = bound[head], bound[parent[head]]
                 ready |= ~((b > pb) | np.isnan(pb) & ~np.isnan(b))
             else:  # a half outranks its unsplit parent: the division's worst is next, alone
@@ -373,7 +369,12 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
         # envelope rows are cheap: the nodes to depth d below the worst k without
         # halves, k (2**d - 1) splits at most, d at most the halvings to tol
         splits = min(width, max_panels - count)
-        roots = head[m:][wide[m:] & (left[head[m:]] < 0)][:splits]
+        at = np.flatnonzero(wide[m:] & (left[head[m:]] < 0))[:splits]
+        if not cheap:  # sampled rows cost: only nodes split whatever their halves bound
+            with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
+                reach = running * (1.0 - 1e-9) - np.add.accumulate(bound[head[m:]])[at]
+            splits = len(at := at[:max(1, int((reach > tol).sum()))])
+        roots = head[m:][at]
         depth = min((splits // len(roots) + 1).bit_length() - 1,
                     max(1, math.frexp(min(2.0**8, running / tol))[1]))
         try:
@@ -383,8 +384,7 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
             if depth == 1 and len(roots) == 1:
                 raise
             new = _grow(fn, rule, regime, resolution, store, table, n, roots[:1], 1)
-        # the order holds the unsplit nodes by key, ties to the lower number: a
-        # stable sort (a timsort, one pass over a sorted run) merges the new ones in
+        # one stable sort (a timsort: a pass over the sorted run) merges the new nodes in
         order, n = np.concatenate((order, np.arange(n, new))), new
         order = order[np.argsort(table[6][order], kind="stable")]
 

@@ -787,6 +787,31 @@ class TestSpeculation:
             assert max_panels < 4096 or max(batches[1:]) == 2 * engine._BATCH
 
 
+    @pytest.mark.parametrize("regime, tol", [(L1, 1e-3), (lp(2.0), 1e-3), (LINF, 1e-3)],
+                             ids=["l1", "lp2", "linf-no-envelope"])
+    def test_sampled_rows_only_for_panels_the_run_splits(self, regime, tol, monkeypatch):
+        # without an envelope a call certifies the halves of up to 16 panels,
+        # only those the run splits whatever their halves bound: every row is
+        # used, in fewer calls than splits
+        base = make_function("exp")
+        fn = VectorFunction(space=base.space, f=base.f, f_many=base.f_many, df=base.df,
+                            df_many=base.df_many, name="exp")
+        rows, kernel = [], engine._certificate_rows
+
+        def counted(fn, rule, regime, level, a, b, resolution):
+            rows.append(len(a))
+            return kernel(fn, rule, regime, level, a, b, resolution)
+
+        monkeypatch.setattr(engine, "_certificate_rows", counted)
+        args = (fn, preset("qt"), Interval(0.0, 2.0), regime, tol, 4096, 16)
+        result = integrate_adaptive(*args)
+        monkeypatch.undo()
+        assert result.converged and len(result.panels) > 32
+        assert sum(rows) == 2 * len(result.panels) - 1
+        assert max(rows) > 2 and len(rows) < len(result.panels) // 2
+        assert_same_run(result, reference_adaptive(*args))
+
+
 def _hashed_envelope(lo, hi):
     # far from monotone in the width: halves often outrank their parent
     return float(zlib.crc32(struct.pack("<2d", lo, hi)) & 0xFFFF)
