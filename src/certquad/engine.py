@@ -269,7 +269,7 @@ def integrate_adaptive(
     (-bound, left end), a heap's key, and a round splits them in that order
     while each is the next pop (in the division or a half of a panel split
     earlier in the round, with certified halves, wide enough, within the
-    budget, the stop test saying go on). A node without halves ends it with one
+    budget, the stop test saying go on).  A node without halves ends it with one
     kernel call.  Under linf with a sup-envelope the call certifies the nodes
     to depth d below the worst k nodes without halves, k (2**d - 1) at most
     ``_BATCH`` and the splits left, d at most the halvings from the running
