@@ -144,8 +144,8 @@ def _level2(
     """The level-2 arithmetic for N panels at once.
 
     Row k of ``cuts`` holds panel k's segment ends ``[a, x_1, ..., x_n,
-    b]`` and row k of ``values`` its n+1 segment seminorms; ``exact`` is
-    an array of their certified flags, or True when all are certified.
+    b]``, row k of ``values`` its n+1 segment seminorms and row k of
+    ``exact`` their certified flags.
     Returns ``(contributions, bounds, certified)``: one geometry factor per
     segment times its seminorm, and their sum left to right.  Every
     operation is the scalar formula's, element by element, so each row is
@@ -185,9 +185,7 @@ def _level2(
         # that same zero
         contribs = np.where(values == 0.0, values, factors * values)
         bounds = _row_sums(contribs)
-    certified = bounds == bounds  # a nan bound certifies nothing
-    if exact is not True:
-        certified &= exact.all(axis=1)
+    certified = (bounds == bounds) & exact.all(axis=1)  # a nan bound certifies nothing
     return contribs, bounds, certified
 
 
@@ -309,18 +307,14 @@ def _log_collapse(q: float, lo: list, c: list, hi: list) -> float:
     return _exp((top + math.log(acc)) / q)
 
 
-def _level3(factors: np.ndarray, values: np.ndarray, exact) -> tuple:
+def _level3(factors: np.ndarray, values: np.ndarray, exact: np.ndarray) -> tuple:
     """The level-3 arithmetic for N panels at once, as :func:`_level2`'s
     arrays: each panel's factor times its global seminorm in ``values``,
-    certified where ``exact`` (flags, or True) is and the bound is not nan;
-    no contributions."""
+    certified where ``exact`` is and the bound is not nan; no contributions."""
     with np.errstate(all="ignore"):
         # a seminorm 0 bounds the error by 0 even where the factor overflowed
         bounds = np.where(values == 0.0, values, factors * values)
-    certified = bounds == bounds
-    if exact is not True:
-        certified &= exact
-    return np.zeros((len(bounds), 0)), bounds, certified
+    return np.zeros((len(bounds), 0)), bounds, (bounds == bounds) & exact
 
 
 def bound_level3(
@@ -330,7 +324,8 @@ def bound_level3(
     _check_alignment(global_estimate.interval, interval.a, interval.b, "global seminorm")
     regime = global_estimate.regime
     factors = _level3_factors(rule, regime, [interval.a], [interval.b])
-    rows = _level3(factors, np.array([global_estimate.value]), global_estimate.certified)
+    exact = np.array([global_estimate.certified], dtype=bool)
+    rows = _level3(factors, np.array([global_estimate.value]), exact)
     return _certificates(rule, regime, 3, [interval], rows)[0]
 
 

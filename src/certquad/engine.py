@@ -343,7 +343,7 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
             pops = head[:m]
             l, r = bound[left[pops]], bound[left[pops] + 1]
             partial = np.add.accumulate(np.append(running, np.array((l, r, -bound[pops])).T))
-            slacks = np.add.accumulate([slack] + [math.ulp(x) for x in partial[1:].tolist()])
+            slacks = np.add.accumulate(np.append(slack, np.spacing(np.abs(partial[1:]))))
             runs, slacks = partial[::3], slacks[::3]
             if (negative := (l < 0.0) | (r < 0.0)).any():
                 runs[1 + negative.argmax():] = math.nan

@@ -174,59 +174,21 @@ def _pieces(rule: QuadratureRule, a, b) -> tuple[np.ndarray, np.ndarray, np.ndar
     return cuts[..., :-1], cuts[..., 1:], centers
 
 
-def _preset_ostrowski(s_rel: float = 0.5) -> QuadratureRule:
-    return make_rule((s_rel,), (1.0,), name="ostrowski")
-
-
-def _preset_weighted_endpoints(t: float = 0.5) -> QuadratureRule:
-    return make_rule((0.0, 1.0), (1.0 - t, t), name="weighted_endpoints")
-
-
-def _preset_trapezoid() -> QuadratureRule:
-    return make_rule((0.0, 1.0), (0.5, 0.5), name="trapezoid")
-
-
-def _preset_quarter_points(t: float = 0.5) -> QuadratureRule:
-    return make_rule((0.25, 0.75), (t, 1.0 - t), name="quarter_points")
-
-
-def _preset_qt() -> QuadratureRule:
-    return make_rule((0.25, 0.75), (0.5, 0.5), name="qt")
-
-
-def _preset_endpoints_midpoint(alpha: float = 0.25, beta: float = 0.5) -> QuadratureRule:
-    return make_rule((0.0, 0.5, 1.0), (alpha, beta, 1.0 - alpha - beta), name="endpoints_midpoint")
-
-
-def _preset_qs() -> QuadratureRule:
-    return make_rule((0.0, 0.5, 1.0), (0.25, 0.5, 0.25), name="qs")
-
-
-def _preset_simpson() -> QuadratureRule:
-    return make_rule((0.0, 0.5, 1.0), (1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0), name="simpson")
-
-
-def _preset_three_point(alpha, beta, u1, u2, u3) -> QuadratureRule:
-    return make_rule((u1, u2, u3), (alpha, beta, 1.0 - alpha - beta), name="three_point")
-
-
-def _preset_quarter_three_point(alpha: float = 1.0 / 3.0, beta: float = 1.0 / 3.0) -> QuadratureRule:
-    return make_rule(
-        (0.25, 0.5, 0.75), (alpha, beta, 1.0 - alpha - beta), name="quarter_three_point"
-    )
-
-
+# name -> (nodes, weights) from the preset's parameters; defaults give the named best member
 _PRESETS = {
-    "ostrowski": _preset_ostrowski,
-    "weighted_endpoints": _preset_weighted_endpoints,
-    "trapezoid": _preset_trapezoid,
-    "quarter_points": _preset_quarter_points,
-    "qt": _preset_qt,
-    "endpoints_midpoint": _preset_endpoints_midpoint,
-    "qs": _preset_qs,
-    "simpson": _preset_simpson,
-    "three_point": _preset_three_point,
-    "quarter_three_point": _preset_quarter_three_point,
+    "ostrowski": lambda s_rel=0.5: ((s_rel,), (1.0,)),
+    "weighted_endpoints": lambda t=0.5: ((0.0, 1.0), (1.0 - t, t)),
+    "trapezoid": lambda: ((0.0, 1.0), (0.5, 0.5)),
+    "quarter_points": lambda t=0.5: ((0.25, 0.75), (t, 1.0 - t)),
+    "qt": lambda: ((0.25, 0.75), (0.5, 0.5)),
+    "endpoints_midpoint": lambda alpha=0.25, beta=0.5: (
+        (0.0, 0.5, 1.0), (alpha, beta, 1.0 - alpha - beta)),
+    "qs": lambda: ((0.0, 0.5, 1.0), (0.25, 0.5, 0.25)),
+    "simpson": lambda: ((0.0, 0.5, 1.0), (1.0 / 6.0, 4.0 / 6.0, 1.0 / 6.0)),
+    "three_point": lambda alpha, beta, u1, u2, u3: (
+        (u1, u2, u3), (alpha, beta, 1.0 - alpha - beta)),
+    "quarter_three_point": lambda alpha=1.0 / 3.0, beta=1.0 / 3.0: (
+        (0.25, 0.5, 0.75), (alpha, beta, 1.0 - alpha - beta)),
 }
 
 PRESET_NAMES = tuple(sorted(_PRESETS))
@@ -256,13 +218,13 @@ def preset(name: str, *params: float) -> QuadratureRule:
     rule.
     """
     try:
-        builder = _PRESETS[name]
+        family = _PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown preset rule {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
     try:
-        return builder(*params)
+        return make_rule(*family(*params), name)
     except TypeError:
         raise ValueError(
             f"wrong number of parameters for preset {name!r}: {params!r}"

@@ -104,8 +104,7 @@ def seminorm(
     intervals yield 0 for every regime (certified; the exact value).
     """
     values, exact = segment_seminorms(fn, regime, [interval.a], [interval.b], resolution)
-    certified = exact is True or bool(exact[0])
-    return SeminormEstimate(float(values[0]), regime, interval, certified, resolution)
+    return SeminormEstimate(float(values[0]), regime, interval, bool(exact[0]), resolution)
 
 
 def seminorm_profile(
@@ -125,12 +124,13 @@ def seminorm_profile(
 
 def segment_seminorms(
     fn: VectorFunction, regime: NormRegime, los, his, resolution: int
-) -> tuple[np.ndarray, object]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``(values, exact)``: the seminorm on each segment ``[los[k],
-    his[k]]``, a float array of their shape, and the certified flags as a
-    bool array, or True when all are.  Envelopes come from one
-    ``df_sup_many`` call; other segments are visited in order, so a
-    failing segment raises what it raises when met alone."""
+    his[k]]`` and its certified flag, a float and a bool array of their
+    shape.  Envelopes come from one ``df_sup_many`` call and are all
+    certified; other segments are visited in order, so a failing segment
+    raises what it raises when met alone, and only the degenerate ones,
+    exactly 0, are certified."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
@@ -143,23 +143,22 @@ def segment_seminorms(
         bad = ~((values >= 0.0) & (values < math.inf))
         if bad.any():
             raise ValueError(f"sup-envelope of {name} returned {float(values[bad][0])!r}")
-        return values, True
-    # (value, certified) per segment, the flag read back from 1.0 or 0.0
-    pairs = np.array([
+        return values, np.ones(los.shape, dtype=bool)
+    values = np.array([
         _estimate(fn, lo, hi, regime, resolution)
         for lo, hi in zip(los.ravel().tolist(), his.ravel().tolist())
-    ], dtype=float).reshape(los.shape + (2,))
-    return pairs[..., 0], pairs[..., 1] == 1.0
+    ], dtype=float).reshape(los.shape)
+    return values, los == his
 
 
 def _estimate(
     fn: VectorFunction, lo: float, hi: float, regime: NormRegime, resolution: int
-) -> tuple[float, bool]:
-    """``(value, certified)`` of the seminorm on [lo, hi] from derivative
-    samples, for finite ``lo <= hi``, ``resolution >= 2`` and no
-    sup-envelope under linf."""
+) -> float:
+    """The seminorm on [lo, hi] from derivative samples, for finite ``lo
+    <= hi``, ``resolution >= 2`` and no sup-envelope under linf; exact only
+    where ``lo == hi``."""
     if lo == hi:
-        return 0.0, True
+        return 0.0
 
     if regime.kind == "linf":
         if not fn.has_derivative_source:
@@ -172,7 +171,7 @@ def _estimate(
         with np.errstate(all="ignore"):  # df_norms raises on overflow
             for ts in sample_grid(points, hi, resolution, range(resolution + 1)):
                 best = max(best, float(np.max(samples(fn.df_norms, ts))))
-        return best, False
+        return best
 
     power = regime.integral_exponent
 
@@ -189,7 +188,7 @@ def _estimate(
         # a power or the sum past the float range: divide each sample by the
         # largest on Simpson's grid, so that no scaled sample passes 1 and
         # no power overflows, and undo after the root
-        scale = _estimate(fn, lo, hi, LINF, 2 * resolution)[0]
+        scale = _estimate(fn, lo, hi, LINF, 2 * resolution)
         integral = simpson_scalar(lambda ts: integrand(ts, scale), lo, hi, resolution)
     length = 1.0
     if integral == math.inf:
@@ -203,4 +202,4 @@ def _estimate(
     # tiny negative values can appear for an identically-zero integrand
     integral = max(integral, 0.0)
     value = integral if power == 1.0 else integral ** (1.0 / power)
-    return value * scale * length ** (1.0 / power), False
+    return value * scale * length ** (1.0 / power)

@@ -17,7 +17,6 @@ import numpy as np
 from ._simpson import check_finite
 
 __all__ = [
-    "Element",
     "NormedSpace",
     "ScalarSpace",
     "EuclideanSpace",

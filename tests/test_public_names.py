@@ -42,3 +42,8 @@ def test_tracer_lists_are_not_empty():
 @pytest.mark.parametrize("name", certquad.__all__)
 def test_exported_name_resolves(name):
     assert hasattr(certquad, name)
+
+
+def test_exported_names_are_unique():
+    # a name two modules export would shadow the other under ``import *``
+    assert len(set(certquad.__all__)) == len(certquad.__all__)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from certquad import cli
+from certquad import FUNCTION_NAMES, cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -37,3 +37,8 @@ def test_cli_lines_exit_zero(line, capsys):
     program, *argv = shlex.split(line)
     assert program == "certquad"
     assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+def test_cli_section_lists_the_registry_functions():
+    listed = re.search(r"Registry functions: (.*?)\.\n", CLI_SECTION, flags=re.S).group(1)
+    assert tuple(re.findall(r"`(\w+)`", listed)) == FUNCTION_NAMES

@@ -199,14 +199,46 @@ class TestPresets:
         assert preset("ostrowski").nodes_rel == (0.5,)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown preset"):
+        with pytest.raises(ValueError) as info:
             preset("gauss")
+        assert str(info.value) == (
+            "unknown preset rule 'gauss'; available: endpoints_midpoint, ostrowski, qs, qt, "
+            "quarter_points, quarter_three_point, simpson, three_point, trapezoid, "
+            "weighted_endpoints")
 
     def test_wrong_parameter_count(self):
-        with pytest.raises(ValueError, match="parameters"):
-            preset("trapezoid", 0.3)
-        with pytest.raises(ValueError, match="parameters"):
-            preset("three_point", 0.5)
+        # a parameter the rule cannot take as a float reads as a wrong count too
+        for name, params in (("trapezoid", (0.3,)), ("three_point", (0.5,)),
+                             ("ostrowski", (None,))):
+            with pytest.raises(ValueError) as info:
+                preset(name, *params)
+            assert str(info.value) == f"wrong number of parameters for preset {name!r}: {params!r}"
+
+    # (name, parameters) -> (rule.name, nodes_rel, weights) of every preset at its
+    # defaults; three_point has none
+    CATALOGUE = {
+        ("endpoints_midpoint", ()): ("endpoints_midpoint", (0.0, 0.5, 1.0), (0.25, 0.5, 0.25)),
+        ("ostrowski", ()): ("ostrowski", (0.5,), (1.0,)),
+        ("qs", ()): ("qs", (0.0, 0.5, 1.0), (0.25, 0.5, 0.25)),
+        ("qt", ()): ("qt", (0.25, 0.75), (0.5, 0.5)),
+        ("quarter_points", ()): ("quarter_points", (0.25, 0.75), (0.5, 0.5)),
+        ("quarter_three_point", ()): (
+            "quarter_three_point", (0.25, 0.5, 0.75),
+            (0.3333333333333333, 0.3333333333333333, 0.3333333333333334)),
+        ("simpson", ()): (
+            "simpson", (0.0, 0.5, 1.0),
+            (0.16666666666666666, 0.6666666666666666, 0.16666666666666666)),
+        ("three_point", (0.2, 0.3, 0.1, 0.5, 0.9)): (
+            "three_point", (0.1, 0.5, 0.9), (0.2, 0.3, 0.5)),
+        ("trapezoid", ()): ("trapezoid", (0.0, 1.0), (0.5, 0.5)),
+        ("weighted_endpoints", ()): ("weighted_endpoints", (0.0, 1.0), (0.5, 0.5)),
+    }
+
+    def test_table_gives_the_catalogue(self):
+        assert tuple(name for name, _ in self.CATALOGUE) == PRESET_NAMES
+        for (name, params), expected in self.CATALOGUE.items():
+            r = preset(name, *params)
+            assert (r.name, r.nodes_rel, r.weights) == expected
 
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -196,7 +196,7 @@ class TestSampledSup:
                 segment_seminorms(fn, LINF, [0.0, 0.5], [0.5, 1.0], 8)
             return
         values, exact = segment_seminorms(fn, LINF, [0.0, 0.5], [0.5, 1.0], 8)
-        assert exact is True
+        assert exact.all()
         assert values.dtype == np.float64 and values.tolist() == [expected, expected]
         value = seminorm(fn, UNIT, LINF).value
         assert type(value) is float and value == expected
@@ -218,7 +218,7 @@ class TestSampledSup:
         except ValueError as exc:
             assert f"ValueError: {exc}" == outcome
         else:
-            assert exact is True and values.tolist() == outcome
+            assert exact.all() and values.tolist() == outcome
 
     def test_fd_sampling_without_analytic_derivative(self):
         scalar = SPACES["scalar"]

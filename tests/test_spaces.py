@@ -1,4 +1,4 @@
-"""Normed spaces, norm axioms, ordered folds, and derivative sampling."""
+"""Normed spaces, norm axioms, ordered folds, derivative sampling and the function registry."""
 
 import math
 import zlib
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from certquad import (
+    FUNCTION_NAMES,
     SPACES,
     ComplexEuclideanSpace,
     EuclideanSpace,
@@ -15,6 +16,7 @@ from certquad import (
     MaxNormSpace,
     ScalarSpace,
     VectorFunction,
+    make_function,
     space_by_label,
 )
 
@@ -182,6 +184,38 @@ class TestSpaceRegistry:
         assert is_element(scalar, 1.5) and is_element(scalar, 2)
         assert not is_element(scalar, True)
         assert not is_element(scalar, np.array([1.0]))
+
+
+class TestFunctionRegistry:
+    SPACE_LABELS = {"const": "r3", "affine": "r2", "quadratic": "scalar", "exp": "scalar",
+                    "trig_circle": "r2", "poly_r3": "r3", "matrix_path": "m22",
+                    "abs_kink": "scalar"}
+
+    def test_names_and_default_spaces(self):
+        assert FUNCTION_NAMES == tuple(self.SPACE_LABELS)
+        for name, label in self.SPACE_LABELS.items():
+            fn = make_function(name)
+            assert fn.name == name and fn.space is SPACES[label]
+
+    def test_spaces_by_label(self):
+        assert make_function(" Const ", " M22 ").space is SPACES["m22"]
+        assert make_function("affine", "").space is SPACES["r2"]
+        assert make_function("EXP", " Scalar ").name == "exp"
+
+    @pytest.mark.parametrize("name, label, message", [
+        ("nope", None, "unknown function 'nope'; available: const, affine, quadratic, exp, "
+         "trig_circle, poly_r3, matrix_path, abs_kink"),
+        ("nope", "r2", "unknown function 'nope'; available: const, affine, quadratic, exp, "
+         "trig_circle, poly_r3, matrix_path, abs_kink"),
+        ("exp", "r2", "function 'exp' lives in the 'scalar' space, not 'r2'"),
+        ("Exp", " BOGUS ", "function 'Exp' lives in the 'scalar' space, not ' BOGUS '"),
+        ("matrix_path", "", "function 'matrix_path' lives in the 'm22' space, not ''"),
+        (" Const ", " BOGUS ", "unknown space 'bogus'; available: c2, m22, r2, r3, r3max, scalar"),
+    ])
+    def test_error_messages(self, name, label, message):
+        with pytest.raises(ValueError) as info:
+            make_function(name, label)
+        assert str(info.value) == message
 
 
 class TestLinearCombination:
