@@ -10,8 +10,9 @@ of ``exp``, ``trig_circle``, ``poly_r3`` and ``matrix_path`` is row 0 of
 ``f_many`` at a one-point array (``_simpson.one_point``), so the rule
 pass, the oracle and ``f`` share the numpy forms.  ``df_many`` follows
 ``df``: numpy forms where the arithmetic is exact or one IEEE operation
-per entry, and ``math`` one point at a time for ``exp`` (inf past the
-float range), ``sin`` and ``cos``, whose numpy forms round unlike libm's.
+per entry, and ``math`` for ``exp`` (inf past the float range), ``sin``
+and ``cos``, whose numpy forms round unlike libm's: mapped over one
+``tolist()`` per batch into ``np.fromiter``, rows filled by column.
 ``df_sup_many`` gives ``df_sup``'s bits, in numpy or through ``df_many``.
 """
 
@@ -93,10 +94,10 @@ def _affine(space: NormedSpace) -> dict:
     )
 
 
-def _math_many(func, ts: np.ndarray) -> np.ndarray:
-    """``func`` from ``math`` at each point of ``ts``: libm's rounding,
+def _math_many(func, values: list) -> np.ndarray:
+    """``func`` from ``math`` at each float of ``values``: libm's rounding,
     which numpy's own ``exp``, ``sin`` and ``cos`` do not promise."""
-    return np.array(list(map(func, ts.tolist())))
+    return np.fromiter(map(func, values), float, len(values))
 
 
 _KINK = 0.5  # kink location of abs_kink; the derivative takes the
@@ -121,9 +122,9 @@ def _quadratic(space: NormedSpace) -> dict:
 def _exp(space: NormedSpace) -> dict:
     def df_many(ts):
         try:
-            return _math_many(math.exp, ts)
+            return _math_many(math.exp, ts.tolist())
         except OverflowError:  # math.exp raises past 709.78; exp is inf there
-            return _math_many(_exp_inf, ts)
+            return _math_many(_exp_inf, ts.tolist())
 
     return dict(
         f=one_point(np.exp),
@@ -140,11 +141,16 @@ def _trig_circle(space: NormedSpace) -> dict:
     def f_many(ts):
         return np.array([np.cos(ts), np.sin(ts)]).T
 
+    def df_many(ts):
+        values, rows = ts.tolist(), np.empty((len(ts), 2))
+        rows[:, 0], rows[:, 1] = -_math_many(math.sin, values), _math_many(math.cos, values)
+        return rows
+
     return dict(
         f=one_point(f_many),
         f_many=f_many,
         df=lambda t: np.array([-math.sin(t), math.cos(t)]),
-        df_many=lambda ts: np.stack([-_math_many(math.sin, ts), _math_many(math.cos, ts)], axis=-1),
+        df_many=df_many,
         df_sup=lambda lo, hi: 1.0,
         df_sup_many=lambda lo, hi: np.ones_like(lo),
     )
@@ -186,8 +192,11 @@ def _matrix_path(space: NormedSpace) -> dict:
         return np.array([[-s, -c], [c, -s]])
 
     def df_many(ts):
-        c, s = _math_many(math.cos, ts), _math_many(math.sin, ts)
-        return np.stack([-s, -c, c, -s], axis=-1).reshape(-1, 2, 2)
+        values, rows = ts.tolist(), np.empty((len(ts), 4))
+        rows[:, 0] = rows[:, 3] = -_math_many(math.sin, values)
+        rows[:, 2] = _math_many(math.cos, values)
+        rows[:, 1] = -rows[:, 2]
+        return rows.reshape(-1, 2, 2)
 
     return dict(
         f=one_point(f_many),

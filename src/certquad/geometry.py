@@ -15,6 +15,7 @@ to inf.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -278,18 +279,18 @@ def _mu_log(q: float, a: float, c: float, b: float) -> float:
 
 
 def _powers(x: np.ndarray, y: float) -> np.ndarray:
-    """``x ** y`` element by element through Python floats, overflowing to
-    inf: numpy's ``power`` does not round like libm's ``pow``.  Squares are
-    ``x * x``, correctly rounded as ``pow`` is not always; callers silence
-    numpy's overflow warning."""
+    """``x ** y`` element by element for ``x >= 0`` or nan, by ``math.pow``:
+    Python's ``**`` bit for bit, overflowing to inf; numpy's ``power`` does
+    not round like libm's ``pow``.  Squares are ``x * x``, correctly rounded
+    as ``pow`` is not always; callers silence numpy's overflow warning."""
     if y == 2.0:
         return x * x
     values = x.ravel().tolist()
     try:
-        out = [v ** y for v in values]
+        out = np.fromiter(map(math.pow, values, itertools.repeat(y)), float, len(values))
     except OverflowError:  # rare, so only then a call per element
-        out = [_pow(v, y) for v in values]
-    return np.array(out, dtype=float).reshape(x.shape)
+        out = np.array([_pow(v, y) for v in values], dtype=float)
+    return out.reshape(x.shape)
 
 
 def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:

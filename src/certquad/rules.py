@@ -223,9 +223,9 @@ def preset(name: str, *params: float) -> QuadratureRule:
         raise ValueError(
             f"unknown preset rule {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
-    try:
-        return make_rule(*family(*params), name)
-    except TypeError:
-        raise ValueError(
-            f"wrong number of parameters for preset {name!r}: {params!r}"
-        ) from None
+    # the count alone, from the code object (inspect.signature costs twice
+    # the rule): a parameter the rule rejects raises its own error
+    most = family.__code__.co_argcount
+    if not most - len(family.__defaults__ or ()) <= len(params) <= most:
+        raise ValueError(f"wrong number of parameters for preset {name!r}: {params!r}")
+    return make_rule(*family(*params), name)

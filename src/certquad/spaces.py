@@ -8,6 +8,7 @@ runs are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -157,7 +158,10 @@ class ArraySpace(NormedSpace):
         rows = np.asarray(stack).reshape(len(stack), -1)
         if rows.dtype.kind not in "fc":
             rows = rows.astype(float)
-        tops = np.max(np.abs(rows), axis=1)
+        if rows.strides[1] != rows.itemsize:  # as in a component-major stack: the
+            rows = np.ascontiguousarray(rows)  # matmul would add in another order
+        # each row's largest modulus: np.max's bits at a tenth of its cost on short rows
+        tops = functools.reduce(np.maximum, np.abs(rows).T)
         if self.sup:
             return tops
         # np.linalg.norm flattens and takes sqrt(dot(x, x)), or for complex

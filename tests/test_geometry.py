@@ -325,6 +325,29 @@ class TestMu:
         expected = [correctly_rounded_square(v).hex() for v in x.tolist()]
         assert [v.hex() for v in squares.tolist()] == expected
 
+    @pytest.mark.parametrize("y", [1.5, 1.0 / 3.0, 1.0 + 1.0 / 3.0, 3.0, 4.0, 101.0, 1.01])
+    def test_other_powers_are_pythons(self, y):
+        # every power but the square is Python's v ** y, bit for bit, with
+        # inf where ** raises OverflowError (1e300 here, for y > 1.03); x >= 0
+        # or nan, as every caller passes
+        rng = np.random.default_rng(21)
+        special = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1.0, 1e300,
+                   1.7976931348623157e308, math.inf, math.nan]
+        x = np.concatenate([special, rng.uniform(0.0, 10.0, 3000),
+                            np.exp(rng.uniform(-745.0, 709.0, 3000))])
+
+        def expected(v):
+            try:
+                return v ** y
+            except OverflowError:
+                return math.inf
+        with np.errstate(over="ignore"):
+            for xs in (x, x[:len(special) + 500], x[len(special):].reshape(2, -1)):
+                out = _powers(xs, y)
+                assert out.dtype == np.float64 and out.shape == xs.shape
+                assert [v.hex() for v in out.ravel().tolist()] == [
+                    expected(v).hex() for v in xs.ravel().tolist()]
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             mu(0.5, 0.0, 0.5, 1.0)  # exponent below 1

@@ -207,12 +207,20 @@ class TestPresets:
             "weighted_endpoints")
 
     def test_wrong_parameter_count(self):
-        # a parameter the rule cannot take as a float reads as a wrong count too
         for name, params in (("trapezoid", (0.3,)), ("three_point", (0.5,)),
-                             ("ostrowski", (None,))):
+                             ("ostrowski", (0.3, 0.4)), ("qs", (1,))):
             with pytest.raises(ValueError) as info:
                 preset(name, *params)
             assert str(info.value) == f"wrong number of parameters for preset {name!r}: {params!r}"
+
+    def test_bad_parameter_keeps_its_error(self):
+        # the count is right, so the rule's own error comes through
+        with pytest.raises(TypeError, match="NoneType"):
+            preset("ostrowski", None)
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            preset("ostrowski", "x")
+        with pytest.raises(ValueError, match="outside"):
+            preset("ostrowski", 1.5)
 
     # (name, parameters) -> (rule.name, nodes_rel, weights) of every preset at its
     # defaults; three_point has none

@@ -590,6 +590,46 @@ def test_df_many_rows_are_df_samples():
         assert fn.df_norms(ts).tolist() == [df_norm_at(fn, t) for t in ts.tolist()]
 
 
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+def test_exp_df_many_is_math_exp_point_by_point():
+    # libm's exp one point at a time; past 709.78 math.exp raises and the
+    # batch is redone with inf there
+    fn = make_function("exp")
+    rng = np.random.default_rng(21)
+    special = [0.0, -0.0, 5e-324, -745.2, -746.0, 709.782712893384,
+               math.nextafter(709.782712893384, math.inf), 710.0, 1e308, -math.inf, math.inf]
+
+    def expected(t):
+        try:
+            return math.exp(t)
+        except OverflowError:
+            return math.inf
+    for ts in (np.array(special), rng.uniform(-745.0, 709.78, 5000),
+               np.concatenate([rng.uniform(-20.0, 20.0, 300), [710.5], rng.uniform(0.0, 1.0, 300)])):
+        out = fn.df_many(ts)
+        assert out.shape == ts.shape
+        assert _bits(out) == _bits([expected(t) for t in ts.tolist()])
+        assert _bits(fn.df_sup_many(ts - 1.0, ts)) == _bits(out)
+    assert fn.df_many(np.array([709.9, 1.0])).tolist() == [math.inf, math.e]
+
+
+@pytest.mark.parametrize("name", ["trig_circle", "matrix_path"])
+def test_libm_rows_equal_df_at_each_point(name):
+    # each row of df_many is df's array at that point, bit for bit, signed
+    # zeros and nan included
+    fn = make_function(name)
+    rng = np.random.default_rng(22)
+    special = [0.0, -0.0, 5e-324, math.pi, -math.pi / 2, 1e22, -1e300, math.nan]
+    for ts in (np.array(special), rng.uniform(-50.0, 50.0, 3000),
+               rng.standard_normal(700) * 10.0 ** rng.uniform(-300, 300, 700), np.array([])):
+        rows = fn.df_many(ts)
+        assert rows.shape == (len(ts),) + np.shape(fn.space.zero())
+        assert _bits(rows) == _bits([fn.df(t) for t in ts.tolist()] or np.empty(rows.shape))
+
+
 def test_fallback_samples_df_once_per_point():
     calls = []
 

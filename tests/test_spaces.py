@@ -317,6 +317,30 @@ class TestBatchedNorms:
         assert norms.tolist() == expected
         assert [space.norm(x) for x in stack] == expected
 
+    @pytest.mark.parametrize("label", sorted(SPACES))
+    def test_rows_of_any_layout_equal_the_norm(self, label):
+        # broadcast stacks (stride 0, as const and affine return them),
+        # row-strided and component-major stacks, and rows holding nan, -0.0,
+        # inf and entries far outside the square range give norm's bits row by row
+        space = SPACES[label]
+        rng = np.random.default_rng(23)
+        d = space.flat_dim
+        odd = [[math.nan] + [1.0] * (d - 1), [-0.0] * d, [math.inf] + [math.nan] * (d - 1),
+               [-0.0, math.nan][:d] + [-2.0] * (d - 2), [1e300] + [-0.0] * (d - 1),
+               [-5e-324] * d, [1.0] * (d - 1) + [math.nan]]
+        elements = [space.from_flat(c) for c in odd] + [
+            space.from_flat(rng.standard_normal(d) * 10.0 ** rng.uniform(-200, 200))
+            for _ in range(1200)]
+        stack = np.array(elements)
+        wide = np.repeat(stack, 3, axis=0)[::3]  # rows three apart in memory
+        columns = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+        assert not wide.flags.c_contiguous
+        layouts = [stack, wide, columns] + [
+            np.broadcast_to(x, (5,) + np.shape(x)) for x in elements[:len(odd) + 3]]
+        for layout in layouts:
+            expected = [space.norm(x).hex() for x in layout]
+            assert [v.hex() for v in space.norms(layout).tolist()] == expected
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("label", ["r2", "r3", "c2", "m22"])
     @pytest.mark.parametrize("size", [1e155, 1e300, 1e-160, 5e-324])
