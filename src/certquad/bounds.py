@@ -33,7 +33,7 @@ import numpy as np
 
 from ._simpson import simpson_scalar
 from .geometry import INF, Interval, NormRegime, _exp, _mu_arrays, _mu_log, _powers
-from .rules import QuadratureRule, _comparison_points, _cut_points, _pieces
+from .rules import QuadratureRule, _pieces
 from .seminorms import DEFAULT_RESOLUTION, SeminormEstimate, SeminormProfile, segment_seminorms
 from .spaces import VectorFunction
 
@@ -139,23 +139,22 @@ def _level1_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple
 
 
 def _level2(
-    rule: QuadratureRule, regime: NormRegime, cuts: np.ndarray, values: np.ndarray, exact
+    regime: NormRegime, pieces: tuple, values: np.ndarray, exact
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The level-2 arithmetic for N panels at once.
 
-    Row k of ``cuts`` holds panel k's segment ends ``[a, x_1, ..., x_n,
-    b]``, row k of ``values`` its n+1 segment seminorms and row k of
-    ``exact`` their certified flags.
+    ``pieces`` is ``(lo, hi, center)`` from ``rules._pieces``: row k holds
+    panel k's n+1 Peano-kernel pieces.  Row k of ``values`` holds their
+    seminorms and row k of ``exact`` their certified flags.
     Returns ``(contributions, bounds, certified)``: one geometry factor per
     segment times its seminorm, and their sum left to right.  Every
     operation is the scalar formula's, element by element, so each row is
     what the formula gives for that panel alone.
     """
+    los, his, centers = pieces
+    lo, hi, c = los[:, 1:-1], his[:, 1:-1], centers[:, 1:-1]
     with np.errstate(all="ignore"):
-        a, b = cuts[:, 0], cuts[:, -1]
-        lo, hi = cuts[:, 1:-2], cuts[:, 2:-1]
-        c = _comparison_points(rule, a, b)
-        ends = np.concatenate((cuts[:, 1:2] - cuts[:, :1], cuts[:, -1:] - cuts[:, -2:-1]), axis=1)
+        ends = (his - los)[:, [0, -1]]  # the two end pieces' lengths
         if regime.kind == "l1":
             outer = ends
             inner = _mu_arrays(INF, lo, c, hi)
@@ -196,9 +195,9 @@ def _level2_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple
     Row k equals the fields of ``level2_certificate(fn, rule,
     Interval(a[k], b[k]), regime, resolution)`` bit for bit.
     """
-    cuts = _cut_points(rule, a, b)
-    values, exact = segment_seminorms(fn, regime, cuts[:, :-1], cuts[:, 1:], resolution)
-    return _level2(rule, regime, cuts, values, exact)
+    pieces = _pieces(rule, a, b)
+    values, exact = segment_seminorms(fn, regime, pieces[0], pieces[1], resolution)
+    return _level2(regime, pieces, values, exact)
 
 
 def _certificates(rule, regime, level, intervals, rows) -> list[ErrorCertificate]:
@@ -226,17 +225,16 @@ def bound_level2(
       ``mu(q, ...)**(1/q)`` inside.
     - linf: ``len**2 / 2`` outside, ``mu(1, ...)`` inside.
     """
-    cuts = _cut_points(rule, [interval.a], [interval.b])
+    pieces = _pieces(rule, [interval.a], [interval.b])
     if len(profile.segments) != rule.n + 1:
         raise ValueError(
             f"profile has {len(profile.segments)} segments, rule needs {rule.n + 1}"
         )
-    ends = cuts[0].tolist()
-    for seg, lo, hi in zip(profile.segments, ends, ends[1:]):
+    for seg, lo, hi in zip(profile.segments, pieces[0][0].tolist(), pieces[1][0].tolist()):
         _check_alignment(seg.interval, lo, hi, "profile segment")
     values = np.array([[seg.value for seg in profile.segments]], dtype=float)
     exact = np.array([[seg.certified for seg in profile.segments]], dtype=bool)
-    rows = _level2(rule, profile.regime, cuts, values, exact)
+    rows = _level2(profile.regime, pieces, values, exact)
     return _certificates(rule, profile.regime, 2, [interval], rows)[0]
 
 

@@ -273,37 +273,18 @@ def _format_float(x: float) -> str:
 
 def dumps_json(obj: Any, indent: int = 0) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         return _format_float(obj)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)  # None, bools, strings, ints, empty containers
+    pad, inner = "  " * indent, "  " * (indent + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f'{inner}"{key}": {dumps_json(value, indent + 1)}'
-            for key, value in obj.items()
-        ]
+        parts = [f'{inner}"{key}": {dumps_json(v, indent + 1)}' for key, v in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rendered = [dumps_json(v, indent + 1) for v in obj]
-        if all(not isinstance(v, (dict, list, tuple)) for v in obj):
-            return "[" + ", ".join(rendered) + "]"
-        parts = [f"{inner}{r}" for r in rendered]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialise {type(obj).__name__}")
+    rendered = [dumps_json(v, indent + 1) for v in obj]
+    if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+        return "[" + ", ".join(rendered) + "]"
+    return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
 
 
 def _emit_run(report: dict[str, Any], output: str) -> str:

@@ -3,8 +3,8 @@
 ``mu`` is the single geometric primitive behind every certificate in this
 package: for an exponent s in [1, inf] it measures the distance function
 |t - c| over an interval [a, b], integrated for finite s and maximised for
-s = inf. All values come from closed forms; nothing here integrates
-numerically.
+s = inf (``INF``, which is ``float("inf")``). All values come from closed
+forms; nothing here integrates numerically.
 
 Every form of ``mu`` lives here: ``_mu_arrays``, which the certificate
 levels call on many segments at once, :func:`mu`, which validates one
@@ -37,19 +37,9 @@ __all__ = [
 ]
 
 
-class _InfinityExponent:
-    """Marker type for the sup-norm exponent accepted by :func:`mu`."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INF"
-
-
-#: Sentinel selecting the max(|t - c|) branch of :func:`mu`.  ``float("inf")``
-#: is accepted as an alias and normalised to this marker on entry, so no
-#: floating-point infinity ever takes part in arithmetic.
-INF = _InfinityExponent()
+#: The exponent selecting the max(|t - c|) branch of :func:`mu`: it is
+#: ``float("inf")``, and no arithmetic is done with it.
+INF = math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,15 +177,11 @@ def conjugate_exponent(p: float) -> float:
 
 
 def _validate_mu_exponent(exponent):
-    if isinstance(exponent, _InfinityExponent):
-        return INF
     try:
         p = float(exponent)
     except (TypeError, ValueError):
         raise ValueError(f"mu exponent must be a real >= 1 or INF, got {exponent!r}")
-    if math.isinf(p) and p > 0:
-        return INF
-    if not math.isfinite(p) or p < 1.0:
+    if not p >= 1.0:  # nan, -inf and p < 1
         raise ValueError(f"mu exponent must be >= 1, got {exponent!r}")
     return p
 
@@ -210,9 +196,9 @@ def mu(exponent, a: float, c: float, b: float) -> float:
         (1/(p+1)) * ((c-a)**(p+1) + (b-c)**(p+1))   if a <= c <= b
         (1/(p+1)) * ((c-a)**(p+1) - (c-b)**(p+1))   if c > b
 
-    For ``INF`` (``float("inf")`` is accepted as an alias) it is the maximum
-    of ``|t - c|`` over [a, b]: ``b - c`` below the interval, ``c - a`` above
-    it, and ``(b-a)/2 + |c - (a+b)/2|`` inside.
+    For ``INF``, which is ``float("inf")``, it is the maximum of ``|t - c|``
+    over [a, b]: ``b - c`` below the interval, ``c - a`` above it, and
+    ``(b-a)/2 + |c - (a+b)/2|`` inside.
 
     The degenerate interval ``a == b`` returns 0 for every exponent.  The
     branch boundaries ``c == a`` and ``c == b`` resolve to the middle form;
@@ -301,7 +287,7 @@ def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:
     exactly, so each branch's powers are those of the distances)."""
     below, above = c < lo, c > hi
     left, right = c - lo, hi - c
-    if p is INF:
+    if p == INF:
         inside = 0.5 * (hi - lo) + np.abs(c - 0.5 * (lo + hi))
         out = np.where(below, right, np.where(above, left, inside))
     else:

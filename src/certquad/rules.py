@@ -128,12 +128,6 @@ def _cuts(rule: QuadratureRule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate((a,) * (1 + at_a) + (x,) + (b,) * (1 + at_b), axis=-1)
 
 
-def _xi(rule: QuadratureRule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # _comparison_points on columns from _columns, under np.errstate(all="ignore")
-    x = rule._s * b + rule._sbar * a
-    return np.where(x < a, a, np.where(x > b, b, x))
-
-
 def _cut_points(rule: QuadratureRule, a, b) -> np.ndarray:
     """``[a, x_1, ..., x_n, b]`` along a new last axis: the ends of the
     rule's n+1 segments, for endpoints ``a <= b`` of any (equal) shape.
@@ -143,14 +137,6 @@ def _cut_points(rule: QuadratureRule, a, b) -> np.ndarray:
         return _cuts(rule, a, b)
 
 
-def _comparison_points(rule: QuadratureRule, a, b) -> np.ndarray:
-    """The n-1 interior comparison points ``xi_i`` along a new last axis,
-    clamped into [a, b]."""
-    a, b = _columns(a, b)
-    with np.errstate(all="ignore"):
-        return _xi(rule, a, b)
-
-
 def nodes_abs(rule: QuadratureRule, interval: Interval) -> tuple[float, ...]:
     """Absolute node positions ``x_i = a + u_i*(b - a)``, clamped into [a, b]."""
     return tuple(_cut_points(rule, interval.a, interval.b)[1:-1].tolist())
@@ -158,7 +144,7 @@ def nodes_abs(rule: QuadratureRule, interval: Interval) -> tuple[float, ...]:
 
 def cumulative(rule: QuadratureRule, interval: Interval) -> CumulativeWeights:
     """Cumulative weights ``P_i`` and comparison points ``xi_i`` on ``interval``."""
-    xi = _comparison_points(rule, interval.a, interval.b).tolist()
+    xi = _pieces(rule, interval.a, interval.b)[2][1:-1].tolist()
     return CumulativeWeights(rule._P, tuple(1.0 - s for s in rule._P), tuple(xi))
 
 
@@ -166,11 +152,14 @@ def _pieces(rule: QuadratureRule, a, b) -> tuple[np.ndarray, np.ndarray, np.ndar
     """The n+1 pieces of the rule's Peano kernel on the panels ``[a[k],
     b[k]]``, as the arrays ``(lo, hi, center)`` of shape (N, n+1): on each
     piece the kernel is ``t - center``, [a, x_1] about a, [x_i, x_{i+1}]
-    about xi_i, [x_n, b] about b.  The endpoints are converted once."""
+    about xi_i, [x_n, b] about b.  The endpoints are converted once, and
+    the xi_i are clamped into [a, b]: this is the one place they are formed."""
     a, b = _columns(a, b)
     with np.errstate(all="ignore"):
         cuts = _cuts(rule, a, b)
-        centers = np.concatenate((a, _xi(rule, a, b), b), axis=-1)
+        xi = rule._s * b + rule._sbar * a
+        xi = np.where(xi < a, a, np.where(xi > b, b, xi))
+        centers = np.concatenate((a, xi, b), axis=-1)
     return cuts[..., :-1], cuts[..., 1:], centers
 
 

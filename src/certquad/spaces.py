@@ -150,8 +150,8 @@ class ArraySpace(NormedSpace):
         top = float(abs(x).max())
         if self.sup or top == math.inf:  # inf without squaring what may overflow
             return top
-        if not _far(top):
-            return float(np.linalg.norm(x))
+        if not _far(top):  # ravel: C order, as norms takes each row
+            return float(np.linalg.norm(np.ravel(x)))
         return float(self.norms(x[None])[0])
 
     def norms(self, stack) -> np.ndarray:

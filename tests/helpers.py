@@ -45,7 +45,7 @@ from certquad import (
     nodes_abs,
 )
 from certquad._simpson import ROW, SAMPLE_CHUNK, samples, simpson_element
-from certquad.rules import _comparison_points, _cut_points, _pieces
+from certquad.rules import _pieces
 
 # rules whose Peano-kernel pieces are degenerate (coincident nodes), sit
 # at both ends of the interval, or are centred outside their segment
@@ -594,9 +594,8 @@ def corollary_condition_holds(rule, interval) -> bool:
     """True when every comparison point xi_i lies in [x_i, x_{i+1}], that
     is when the rule is well-placed on ``interval``.  No bound reads it,
     and bounds are valid either way."""
-    cuts = _cut_points(rule, interval.a, interval.b)
-    xi = _comparison_points(rule, interval.a, interval.b)
-    return bool(np.all((cuts[1:-2] <= xi) & (xi <= cuts[2:-1])))
+    lo, hi, centers = (x[1:-1] for x in _pieces(rule, interval.a, interval.b))
+    return bool(np.all((lo <= centers) & (centers <= hi)))
 
 
 def reference_rule_value(fn, rule, interval):

@@ -231,6 +231,24 @@ class TestJson:
     def test_unserialisable_type(self):
         with pytest.raises(TypeError):
             dumps_json(object())
+        with pytest.raises(TypeError):
+            dumps_json({1, 2})
+
+    @pytest.mark.parametrize("obj, text", [
+        ({}, "{}"),
+        ([], "[]"),
+        ((), "[]"),
+        ([[1, [2.5, []]], {"k": ()}],
+         '[\n  [\n    1,\n    [\n      2.5,\n      []\n    ]\n  ],\n  {\n    "k": []\n  }\n]'),
+        ("\u00b5\u2013\u00ff \u2713", '"\\u00b5\\u2013\\u00ff \\u2713"'),
+        (2 ** 80, "1208925819614629174706176"),
+        (-0.0, "-0.0"),
+        ({"a": [None, True, "x", 3, -0.0], "b": {}, "c": [{}, []]},
+         '{\n  "a": [null, true, "x", 3, -0.0],\n  "b": {},\n  "c": [\n    {},\n    []\n  ]\n}'),
+    ])
+    def test_pinned_bytes(self, obj, text):
+        # bytes recorded when every scalar had its own branch
+        assert dumps_json(obj) == text
 
     def test_deterministic(self):
         payload = {"a": [0.1, 0.2], "b": {"c": 3, "d": None}}

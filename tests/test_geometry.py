@@ -184,6 +184,21 @@ class TestMu:
 
     def test_float_inf_alias(self):
         assert mu(float("inf"), 0.0, 0.25, 1.0) == mu(INF, 0.0, 0.25, 1.0)
+        for c in (-2.0, 0.25, 0.5, 1.5):
+            assert mu(INF, -1.0, c, 1.0).hex() == mu(float("inf"), -1.0, c, 1.0).hex()
+        assert INF == float("inf") and repr(INF) == "inf"
+
+    @pytest.mark.parametrize("exponent, message", [
+        (float("nan"), "mu exponent must be >= 1, got nan"),
+        (-math.inf, "mu exponent must be >= 1, got -inf"),
+        (0.5, "mu exponent must be >= 1, got 0.5"),
+        ("x", "mu exponent must be a real >= 1 or INF, got 'x'"),
+        (None, "mu exponent must be a real >= 1 or INF, got None"),
+    ])
+    def test_bad_exponent_messages(self, exponent, message):
+        with pytest.raises(ValueError) as info:
+            mu(exponent, 0.0, 0.5, 1.0)
+        assert str(info.value) == message
 
     def test_integer_exponent_accepted(self):
         assert mu(2, 0.0, 0.5, 1.0) == mu(2.0, 0.0, 0.5, 1.0)

@@ -297,3 +297,37 @@ def test_pieces_keep_the_bytes_of_the_separate_calls():
             got, expected = _pieces(rule, a, b), _old_pieces(rule, a, b)
             for x, y in zip(got, expected):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), rule.name
+
+
+def _old_comparison_points(rule, a, b):
+    """The comparison points as they were formed apart from ``rules._pieces``,
+    clamped into [a, b] (frozen)."""
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+    with np.errstate(all="ignore"):
+        x = rule._s * b + rule._sbar * a
+        return np.where(x < a, a, np.where(x > b, b, x))
+
+
+def test_centers_keep_the_bytes_of_the_comparison_points():
+    rng = np.random.default_rng(31)
+    rules = [preset(name) for name in PRESET_NAMES if name != "three_point"]
+    rules += [preset("three_point", 0.2, 0.3, 0.1, 0.5, 0.9), *PIECE_RULES.values()]
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        nodes = np.sort(np.concatenate([rng.uniform(0.0, 1.0, n - 1), rng.choice([0.0, 0.5, 1.0], 1)]))
+        weights = rng.uniform(0.05, 1.0, n)
+        rules.append(make_rule(nodes, weights / weights.sum()))
+    panels = [(0.0, 1.0), (-0.5, 1.25), (1e15, 1e15 + 1.0), (1e6 + 0.1, 1e6 + 0.7),
+              (-1e308, 1e308), (0.5, 0.5), (-3.0, -3.0), (-0.0, 0.0)]
+    lo, hi = np.array(panels).T
+    for rule in rules:
+        for a, b in [(lo, hi), *panels]:
+            centers = _pieces(rule, a, b)[2]
+            xi = _old_comparison_points(rule, a, b)
+            assert centers[..., 1:-1].tobytes() == xi.tobytes(), rule
+            assert centers[..., 0].tobytes() == np.asarray(a, dtype=float).tobytes()
+            assert centers[..., -1].tobytes() == np.asarray(b, dtype=float).tobytes()
+        for a, b in panels:
+            expected = _old_comparison_points(rule, a, b).tolist()
+            assert [x.hex() for x in cumulative(rule, Interval(a, b)).xi] == [
+                x.hex() for x in expected]

@@ -341,6 +341,16 @@ class TestBatchedNorms:
             expected = [space.norm(x).hex() for x in layout]
             assert [v.hex() for v in space.norms(layout).tolist()] == expected
 
+    def test_transposed_elements_equal_the_norm(self):
+        # each element's entries out of C order in memory: norm takes them
+        # in C order, as norms does, not in the order they are stored
+        space = SPACES["m22"]
+        stack = np.swapaxes(np.random.default_rng(0).standard_normal((2000, 2, 2)), 1, 2)
+        assert not stack[0].flags.c_contiguous
+        expected = [space.norm(x).hex() for x in stack]
+        assert [v.hex() for v in space.norms(stack).tolist()] == expected
+        assert expected == [space.norm(np.ascontiguousarray(x)).hex() for x in stack]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("label", ["r2", "r3", "c2", "m22"])
     @pytest.mark.parametrize("size", [1e155, 1e300, 1e-160, 5e-324])
