@@ -50,11 +50,12 @@ def sample_grid(points, b: float, m: int, ks: range):
 
 def one_point(many):
     """The one-point form of the batched function ``many``: row 0 of
-    ``many([t])``, overflow giving inf without a warning, and a Python
-    float where the row is a scalar."""
-    def one(t):
+    ``many`` at one-point arrays of its arguments (``f_many([t])``,
+    ``df_sup_many([lo], [hi])``), overflow giving inf without a warning,
+    and a Python float where the row is a scalar."""
+    def one(*args):
         with np.errstate(over="ignore"):
-            row = many(np.array([t], dtype=float))[0]
+            row = many(*(np.array([x], dtype=float) for x in args))[0]
         return float(row) if np.ndim(row) == 0 else row
 
     return one

@@ -279,7 +279,8 @@ def dumps_json(obj: Any, indent: int = 0) -> str:
         return json.dumps(obj)  # None, bools, strings, ints, empty containers
     pad, inner = "  " * indent, "  " * (indent + 1)
     if isinstance(obj, dict):
-        parts = [f'{inner}"{key}": {dumps_json(v, indent + 1)}' for key, v in obj.items()]
+        parts = [f"{inner}{json.dumps(str(key))}: {dumps_json(v, indent + 1)}"
+                 for key, v in obj.items()]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     rendered = [dumps_json(v, indent + 1) for v in obj]
     if all(not isinstance(v, (dict, list, tuple)) for v in obj):

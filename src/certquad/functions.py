@@ -4,16 +4,15 @@ Every entry carries an analytic derivative and an analytic upper bound for
 ``norm(f'(t))`` on an interval, so certified sup-norm certificates are
 available for all of them.  ``const`` and ``affine`` can be instantiated in
 any registered space; the others are tied to their natural space.  Each
-entry also has batched forms ``f_many`` and ``df_many`` that sample a whole
-array of points at once, and each gives its one-point form's bits.  ``f``
-of ``exp``, ``trig_circle``, ``poly_r3`` and ``matrix_path`` is row 0 of
-``f_many`` at a one-point array (``_simpson.one_point``), so the rule
-pass, the oracle and ``f`` share the numpy forms.  ``df_many`` follows
-``df``: numpy forms where the arithmetic is exact or one IEEE operation
-per entry, and ``math`` for ``exp`` (inf past the float range), ``sin``
-and ``cos``, whose numpy forms round unlike libm's: mapped over one
-``tolist()`` per batch into ``np.fromiter``, rows filled by column.
-``df_sup_many`` gives ``df_sup``'s bits, in numpy or through ``df_many``.
+entry is written once, in batched forms: ``f_many`` and ``df_many`` sample
+a whole array of points at once, and ``df_sup_many`` bounds a whole array
+of segments.  :func:`make_function` derives the one-point forms ``f``,
+``df`` and ``df_sup`` as row 0 of these at one-point arrays
+(``_simpson.one_point``), so every caller reads the same bits.
+``df_many`` takes numpy forms where the arithmetic is exact or one IEEE
+operation per entry, and ``math`` for ``exp`` (inf past the float range),
+``sin`` and ``cos``, whose numpy forms round unlike libm's: mapped over
+one ``tolist()`` per batch into ``np.fromiter``, rows filled by column.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import math
 import numpy as np
 
 from ._simpson import one_point
-from .geometry import _exp as _exp_inf, _pow, _powers
+from .geometry import _exp as _exp_inf, _powers
 from .spaces import (
     ComplexEuclideanSpace,
     EuclideanSpace,
@@ -69,11 +68,8 @@ def _const(space: NormedSpace) -> dict:
     value = _pattern(space)
     zero = space.zero()
     return dict(
-        f=lambda t: value,
         f_many=lambda ts: np.broadcast_to(value, (len(ts),) + np.shape(value)),
-        df=lambda t: space.zero(),
         df_many=lambda ts: np.broadcast_to(zero, (len(ts),) + np.shape(zero)),
-        df_sup=lambda lo, hi: 0.0,
         df_sup_many=lambda lo, hi: np.zeros_like(lo),
     )
 
@@ -85,11 +81,8 @@ def _affine(space: NormedSpace) -> dict:
     base_col, slope_col = np.ravel(base)[:, None], np.ravel(slope)  # one row per entry
     rows = (-1,) + np.shape(base)
     return dict(
-        f=lambda t: space.add(base, space.scale(t, slope)),
         f_many=lambda ts: (np.multiply.outer(slope_col, ts) + base_col).T.reshape(rows),
-        df=lambda t: slope,
         df_many=lambda ts: np.broadcast_to(slope, (len(ts),) + np.shape(slope)),
-        df_sup=lambda lo, hi: slope_norm,
         df_sup_many=lambda lo, hi: np.full_like(lo, slope_norm),
     )
 
@@ -109,14 +102,7 @@ def _quadratic(space: NormedSpace) -> dict:
         with np.errstate(over="ignore"):
             return 2.0 * np.maximum(np.abs(lo), np.abs(hi))
 
-    return dict(
-        f=lambda t: t * t,
-        f_many=lambda ts: ts * ts,
-        df=lambda t: 2.0 * t,
-        df_many=lambda ts: 2.0 * ts,
-        df_sup=lambda lo, hi: 2.0 * max(abs(lo), abs(hi)),
-        df_sup_many=sup_many,
-    )
+    return dict(f_many=lambda ts: ts * ts, df_many=lambda ts: 2.0 * ts, df_sup_many=sup_many)
 
 
 def _exp(space: NormedSpace) -> dict:
@@ -126,14 +112,7 @@ def _exp(space: NormedSpace) -> dict:
         except OverflowError:  # math.exp raises past 709.78; exp is inf there
             return _math_many(_exp_inf, ts.tolist())
 
-    return dict(
-        f=one_point(np.exp),
-        f_many=np.exp,
-        df=_exp_inf,
-        df_many=df_many,
-        df_sup=lambda lo, hi: _exp_inf(hi),
-        df_sup_many=lambda lo, hi: df_many(hi),
-    )
+    return dict(f_many=np.exp, df_many=df_many, df_sup_many=lambda lo, hi: df_many(hi))
 
 
 def _trig_circle(space: NormedSpace) -> dict:
@@ -146,23 +125,12 @@ def _trig_circle(space: NormedSpace) -> dict:
         rows[:, 0], rows[:, 1] = -_math_many(math.sin, values), _math_many(math.cos, values)
         return rows
 
-    return dict(
-        f=one_point(f_many),
-        f_many=f_many,
-        df=lambda t: np.array([-math.sin(t), math.cos(t)]),
-        df_many=df_many,
-        df_sup=lambda lo, hi: 1.0,
-        df_sup_many=lambda lo, hi: np.ones_like(lo),
-    )
+    return dict(f_many=f_many, df_many=df_many, df_sup_many=lambda lo, hi: np.ones_like(lo))
 
 
 def _poly_r3(space: NormedSpace) -> dict:
     # norm(f')**2 = 1 + 4 t**2 + 9 t**4 is even and increasing in |t|,
     # so the sup over [lo, hi] sits at the endpoint of largest magnitude
-    def sup(lo: float, hi: float) -> float:
-        m = max(abs(lo), abs(hi))
-        return math.sqrt(1.0 + 4.0 * m * m + 9.0 * _pow(m, 4.0))  # inf past the float range
-
     def sup_many(lo, hi):
         m = np.maximum(np.abs(lo), np.abs(hi))
         with np.errstate(over="ignore"):
@@ -172,11 +140,8 @@ def _poly_r3(space: NormedSpace) -> dict:
         return np.array([ts, ts * ts, (ts * ts) * ts]).T
 
     return dict(
-        f=one_point(f_many),
         f_many=f_many,
-        df=lambda t: np.array([1.0, 2.0 * t, 3.0 * t * t]),
         df_many=lambda ts: np.stack([np.ones_like(ts), 2.0 * ts, (3.0 * ts) * ts], axis=-1),
-        df_sup=sup,
         df_sup_many=sup_many,
     )
 
@@ -187,10 +152,6 @@ def _matrix_path(space: NormedSpace) -> dict:
         c, s = np.cos(ts), np.sin(ts)
         return np.array([c, -s, s, c]).T.reshape(-1, 2, 2)
 
-    def df(t: float):
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[-s, -c], [c, -s]])
-
     def df_many(ts):
         values, rows = ts.tolist(), np.empty((len(ts), 4))
         rows[:, 0] = rows[:, 3] = -_math_many(math.sin, values)
@@ -199,22 +160,16 @@ def _matrix_path(space: NormedSpace) -> dict:
         return rows.reshape(-1, 2, 2)
 
     return dict(
-        f=one_point(f_many),
         f_many=f_many,
-        df=df,
         df_many=df_many,
-        df_sup=lambda lo, hi: math.sqrt(2.0),
         df_sup_many=lambda lo, hi: np.full_like(lo, math.sqrt(2.0)),
     )
 
 
 def _abs_kink(space: NormedSpace) -> dict:
     return dict(
-        f=lambda t: abs(t - _KINK),
         f_many=lambda ts: np.abs(ts - _KINK),
-        df=lambda t: 1.0 if t >= _KINK else -1.0,
         df_many=lambda ts: np.where(ts >= _KINK, 1.0, -1.0),
-        df_sup=lambda lo, hi: 1.0,
         df_sup_many=lambda lo, hi: np.ones_like(lo),
     )
 
@@ -239,7 +194,8 @@ def make_function(name: str, space_label: str | None = None) -> VectorFunction:
 
     ``const`` and ``affine`` accept any registered space label; the other
     functions have a fixed natural space, and asking for a different one is
-    an error.
+    an error.  ``f``, ``df`` and ``df_sup`` are row 0 of the builder's
+    batched forms at one-point arrays.
     """
     key = name.strip().lower()
     if key not in _FUNCTIONS:
@@ -253,4 +209,7 @@ def make_function(name: str, space_label: str | None = None) -> VectorFunction:
             f"not {space_label!r}"
         )
     space = space_by_label((space_label or natural).strip().lower())
-    return VectorFunction(space=space, name=key, **forms(space))
+    many = forms(space)
+    return VectorFunction(space=space, name=key, f=one_point(many["f_many"]),
+                          df=one_point(many["df_many"]), df_sup=one_point(many["df_sup_many"]),
+                          **many)

@@ -219,9 +219,11 @@ class VectorFunction:
     """A function ``f: R -> space`` with optional derivative information.
 
     A batched form left out gets a fallback that reads this instance's
-    one-point form, in a ``dataclasses.replace`` copy too.  A copy keeps an
-    explicit batched form, so one replacing ``f``, ``df`` or ``df_sup`` of a
-    registry function replaces its batched form too (``None`` for the fallback).
+    one-point form, in a ``dataclasses.replace`` copy too.  A copy keeps
+    every form it does not replace.  A registry function's ``f``, ``df``
+    and ``df_sup`` are row 0 of its batched forms at one-point arrays, so
+    a copy replacing a form on either side should replace its partner too
+    (``None`` for a batched form's fallback).
 
     Parameters
     ----------
@@ -246,9 +248,10 @@ class VectorFunction:
     df_many : callable, optional
         Batched form of the derivative, with ``f_many``'s shape contract:
         row ``k`` of ``df_many(ts)`` is ``df(ts[k])`` bit for bit.  The
-        L1/Lp and sampled sup seminorms and level 1 sample through it.
-        When omitted, a fallback takes one derivative sample per point
-        (``df``, else finite differences).
+        L1/Lp and sampled sup seminorms and level 1 sample through it, so
+        it is a derivative source without ``df``.  When omitted, a
+        fallback takes one derivative sample per point (``df``, else
+        finite differences).
     df_sup : callable, optional
         ``df_sup(lo, hi)`` returns an upper bound for the sup of
         ``norm(f'(t))`` over ``[lo, hi]``.  The only source that yields
@@ -313,7 +316,8 @@ class VectorFunction:
 
     @property
     def has_derivative_source(self) -> bool:
-        return self.df is not None or self.fd_step is not None
+        return (self.df is not None or self.fd_step is not None
+                or getattr(self.df_many, "__func__", None) is not self._df_many_fallback.__func__)
 
     def df_at(self, t: float) -> Element:
         """Derivative sample at ``t``: analytic if available, else central

@@ -13,7 +13,9 @@ rounding bound of :func:`exact_rule_sum`, an mpmath sum, and the adaptive
 driver against :func:`reference_adaptive`, which forms the ordered sum of
 panel bounds before every split.  The oracle's blocked sum is checked
 against :func:`simpson_fold`, which makes the same additions one at a
-time in Python.  :func:`closed_form_constant` and :func:`interval_exponent`
+time in Python.  The registry's batched forms are checked against
+:func:`reference_forms`, its one-point forms as once written by hand,
+and :func:`reference_f_many`.  :func:`closed_form_constant` and :func:`interval_exponent`
 are hand-derived level-3 factors of the named rules on [0, 1] and their
 scale law.  Squares in these references are :func:`correctly_rounded_square`,
 the exact square rounded once, as the library's ``x * x`` is.
@@ -28,6 +30,7 @@ element of a space.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from fractions import Fraction
@@ -41,10 +44,13 @@ from certquad import (
     Interval,
     QuadratureResult,
     QuadratureRule,
+    make_function,
     make_rule,
     nodes_abs,
 )
-from certquad._simpson import ROW, SAMPLE_CHUNK, samples, simpson_element
+from certquad._simpson import ROW, SAMPLE_CHUNK, one_point, samples, simpson_element
+from certquad.functions import _KINK, _pattern
+from certquad.geometry import _exp as _exp_inf, _pow
 from certquad.rules import _pieces
 
 # rules whose Peano-kernel pieces are degenerate (coincident nodes), sit
@@ -269,24 +275,123 @@ def reference_identity_residual(fn, rule, interval, oracle_resolution):
     return space.norm(space.subtract(lhs, rhs))
 
 
+def _stacked_rotation(ts):
+    c, s = np.cos(ts), np.sin(ts)
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+
+
+# the fixed-space functions' f_many as the registry built them before its
+# batches were built component by component: np.stack(..., axis=-1), with
+# poly_r3's cube taken as (ts * ts) * ts
+_STACKED_F_MANY = {
+    "trig_circle": lambda ts: np.stack([np.cos(ts), np.sin(ts)], axis=-1),
+    "poly_r3": lambda ts: np.stack([ts, ts * ts, (ts * ts) * ts], axis=-1),
+    "matrix_path": _stacked_rotation,
+}
+
+
 def reference_f_many(fn, ts):
     """``fn.f_many(ts)`` for a registry function, in the forms the registry
     used before its batches were built component by component: a
     broadcast over the element's last axis for ``affine``, and
-    ``np.stack(..., axis=-1)`` for the fixed-space functions, poly_r3's
-    cube taken as ``(ts * ts) * ts``."""
-    name = fn.name
-    if name == "affine":
+    ``_STACKED_F_MANY`` for the fixed-space functions."""
+    if fn.name == "affine":
         # f(0) is base exactly, and df is the slope
-        return fn.f(0.0) + np.multiply.outer(ts, fn.df(0.0))
-    if name == "trig_circle":
-        return np.stack([np.cos(ts), np.sin(ts)], axis=-1)
-    if name == "poly_r3":
-        return np.stack([ts, ts * ts, (ts * ts) * ts], axis=-1)
-    if name == "matrix_path":
-        c, s = np.cos(ts), np.sin(ts)
-        return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
-    raise ValueError(f"no frozen f_many for {name!r}")
+        forms = reference_forms(fn)
+        return forms["f"](0.0) + np.multiply.outer(ts, forms["df"](0.0))
+    if fn.name in _STACKED_F_MANY:
+        return _STACKED_F_MANY[fn.name](ts)
+    raise ValueError(f"no frozen f_many for {fn.name!r}")
+
+
+def _const(space):
+    value = _pattern(space)
+    return dict(f=lambda t: value, df=lambda t: space.zero(), df_sup=lambda lo, hi: 0.0)
+
+
+def _affine(space):
+    base = _pattern(space)
+    slope = _pattern(space, offset=1)
+    slope_norm = space.norm(slope)
+    return dict(
+        f=lambda t: space.add(base, space.scale(t, slope)),
+        df=lambda t: slope,
+        df_sup=lambda lo, hi: slope_norm,
+    )
+
+
+def _quadratic(space):
+    return dict(
+        f=lambda t: t * t,
+        df=lambda t: 2.0 * t,
+        df_sup=lambda lo, hi: 2.0 * max(abs(lo), abs(hi)),
+    )
+
+
+def _exp(space):
+    return dict(f=one_point(np.exp), df=_exp_inf, df_sup=lambda lo, hi: _exp_inf(hi))
+
+
+def _trig_circle(space):
+    return dict(
+        f=one_point(_STACKED_F_MANY["trig_circle"]),
+        df=lambda t: np.array([-math.sin(t), math.cos(t)]),
+        df_sup=lambda lo, hi: 1.0,
+    )
+
+
+def _poly_r3(space):
+    def sup(lo: float, hi: float) -> float:
+        m = max(abs(lo), abs(hi))
+        return math.sqrt(1.0 + 4.0 * m * m + 9.0 * _pow(m, 4.0))  # inf past the float range
+
+    return dict(
+        f=one_point(_STACKED_F_MANY["poly_r3"]),
+        df=lambda t: np.array([1.0, 2.0 * t, 3.0 * t * t]),
+        df_sup=sup,
+    )
+
+
+def _matrix_path(space):
+    def df(t: float):
+        c, s = math.cos(t), math.sin(t)
+        return np.array([[-s, -c], [c, -s]])
+
+    return dict(f=one_point(_STACKED_F_MANY["matrix_path"]), df=df,
+                df_sup=lambda lo, hi: math.sqrt(2.0))
+
+
+def _abs_kink(space):
+    return dict(
+        f=lambda t: abs(t - _KINK),
+        df=lambda t: 1.0 if t >= _KINK else -1.0,
+        df_sup=lambda lo, hi: 1.0,
+    )
+
+
+_REFERENCE_FORMS = {
+    "const": _const, "affine": _affine, "quadratic": _quadratic, "exp": _exp,
+    "trig_circle": _trig_circle, "poly_r3": _poly_r3, "matrix_path": _matrix_path,
+    "abs_kink": _abs_kink,
+}
+
+
+def reference_function(name: str, label: str | None = None):
+    """``make_function(name, label)`` with its one-point forms replaced by
+    :func:`reference_forms`: the library reads the registry's batched
+    forms, and the per-point references here read the hand-written ones."""
+    fn = make_function(name, label)
+    return dataclasses.replace(fn, **reference_forms(fn))
+
+
+def reference_forms(fn) -> dict:
+    """The one-point forms ``f``, ``df`` and ``df_sup`` of the registry
+    function ``fn``, in its space, as the registry wrote them by hand
+    before it kept only the batched forms and derived these as their row
+    0.  ``f`` of ``exp``, ``trig_circle``, ``poly_r3`` and ``matrix_path``
+    was a row of a numpy batch already: here of ``np.exp`` and of
+    ``_STACKED_F_MANY``."""
+    return _REFERENCE_FORMS[fn.name](fn.space)
 
 
 def mu_well_placed(exponent, lo: float, point: float, hi: float) -> float:

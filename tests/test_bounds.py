@@ -44,6 +44,7 @@ from helpers import (
     closed_form_constant,
     interval_exponent,
     mu_well_placed,
+    reference_function,
     reference_level1,
     reference_level2,
     reference_level3,
@@ -77,7 +78,7 @@ class TestLevel1:
 
     def test_brute_force_cross_check(self):
         # independent dense quadrature of the same weighted integrals
-        fn = make_function("exp")
+        fn = reference_function("exp")
         rule = preset("simpson")
         cert = bound_level1(fn, rule, UNIT)
         xs = (0.0, 0.5, 1.0)
@@ -399,7 +400,7 @@ class TestArrayLevelsMatchReference:
         k = 0
         for iv, names in ARRAY_CASES:
             for name in names:
-                fn = make_function(name)
+                fn = reference_function(name)
                 for rule in ARRAY_RULES:
                     panels = 1 + k % 8
                     k += 1

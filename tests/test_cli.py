@@ -222,6 +222,13 @@ class TestJson:
         out = dumps_json({"b": 1, "a": 2})
         assert out.index('"b"') < out.index('"a"')
 
+    def test_keys_are_escaped(self):
+        # a quote, a backslash, a control character and a non-ASCII letter
+        obj = {'a"b': 1, "c\\d": [2.5], "e\nf": {"\u00e9": None}}
+        text = dumps_json(obj)
+        assert json.loads(text) == obj
+        assert '"a\\"b": 1' in text and '"\\u00e9": null' in text
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="nonfinite"):
             dumps_json(float("nan"))

@@ -38,6 +38,7 @@ from helpers import (
     corollary_condition_holds,
     exact_rule_sum,
     reference_adaptive,
+    reference_function,
     reference_nodes,
     reference_rule_value,
 )
@@ -397,7 +398,7 @@ class TestAdaptiveMatchesReference:
     )
     def test_matches_reference(self, case, rule_name, monkeypatch):
         name, (a, b), regime, tols, max_panels, resolution = case
-        fn = make_function(name)
+        fn = reference_function(name)
         rule = EQUIVALENCE_RULES[rule_name]
         for tol in tols:
             counter = _SumCounter(monkeypatch)
@@ -415,7 +416,7 @@ class TestAdaptiveMatchesReference:
                              ids=["converges", "budget"])
     def test_matches_reference_in_c2(self, tol, max_panels):
         # a constant slope: the panel bounds tie at every depth
-        fn = make_function("affine", "c2")
+        fn = reference_function("affine", "c2")
         for rule in (preset("qt"), EQUIVALENCE_RULES["random_5"]):
             iv = Interval(-1.0, 2.0)
             result = integrate_adaptive(fn, rule, iv, LINF, tol, max_panels, 64)
@@ -438,7 +439,7 @@ class TestAdaptiveMatchesReference:
     def test_tolerance_on_the_ordered_sum(self, name, regime, tol0, resolution, monkeypatch):
         # tol equal to a finished run's ordered sum, and one float below it,
         # put tol inside the error bar: the ordered sum decides
-        fn = make_function(name)
+        fn = reference_function(name)
         rule = preset("qs")
         iv = Interval(0.0, 1.5)
         finished = integrate_adaptive(fn, rule, iv, regime, tol0, 4096, resolution)
@@ -723,7 +724,7 @@ class TestSpeculation:
 
     @pytest.mark.parametrize("failure", ["nan", "raise"])
     def test_failures_off_the_split_path_change_nothing(self, failure):
-        base = make_function("exp")
+        base = reference_function("exp")
         rule, iv, tol = preset("qt"), Interval(0.0, 2.0), 1e-3
         seen = set()
 
@@ -749,7 +750,7 @@ class TestSpeculation:
         assert_same_run(result, reference)
 
     def test_failure_on_the_popped_panel_raises_as_without_speculation(self):
-        base = make_function("exp")
+        base = reference_function("exp")
 
         def envelope(lo, hi):
             # below a width, a negative value that names the segment
@@ -793,7 +794,7 @@ class TestSpeculation:
         # without an envelope a call certifies the halves of up to 16 panels,
         # only those the run splits whatever their halves bound: every row is
         # used, in fewer calls than splits
-        base = make_function("exp")
+        base = reference_function("exp")
         fn = VectorFunction(space=base.space, f=base.f, f_many=base.f_many, df=base.df,
                             df_many=base.df_many, name="exp")
         rows, kernel = [], engine._certificate_rows
@@ -840,12 +841,12 @@ class TestAdaptiveProperty:
         iv = Interval(a, a + rng.uniform(0.1, 3.0))
         tol, regime = 10.0 ** rng.uniform(-6.0, -1.0), LINF
         if kind == "registry":
-            fn = make_function(rng.choice(("exp", "trig_circle", "poly_r3", "matrix_path")))
+            fn = reference_function(rng.choice(("exp", "trig_circle", "poly_r3", "matrix_path")))
             regime = rng.choice((LINF, LINF, L1))
         elif kind == "affine":
-            fn = make_function("affine", rng.choice(sorted(SPACES)))
+            fn = reference_function("affine", rng.choice(sorted(SPACES)))
         elif kind == "narrow":
-            fn, iv, tol = make_function("exp"), Interval(1.0, 1.0 + 2.0**-45), 1e-300
+            fn, iv, tol = reference_function("exp"), Interval(1.0, 1.0 + 2.0**-45), 1e-300
         else:
             envelope = {"hashed": _hashed_envelope, "inverse_cube": _inverse_cube_envelope}[kind]
             fn = _envelope_function(envelope)

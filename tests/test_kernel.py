@@ -19,6 +19,7 @@ from helpers import (
     PIECE_RULES,
     identity_residual,
     kernel_direct_sum,
+    reference_function,
     reference_identity_residual,
     riemann_scalar,
 )
@@ -127,7 +128,7 @@ class TestIdentityResidual:
     )
     def test_batched_kernel_side_keeps_the_per_point_bits(self, name, label):
         # without df_many the kernel side samples df one point at a time
-        fn = make_function(name, label)
+        fn = reference_function(name, label)
         per_point = VectorFunction(space=fn.space, f=fn.f, f_many=fn.f_many, df=fn.df)
         for rule in (preset("qt"), PIECE_RULES["outside"]):
             for interval in (UNIT, Interval(-0.7, 1.3)):

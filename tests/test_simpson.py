@@ -24,6 +24,7 @@ from certquad import (
     preset,
     seminorm,
 )
+from certquad import functions
 from certquad._simpson import ROW, SAMPLE_CHUNK, sample_points, samples, simpson_element
 from certquad.seminorms import segment_seminorms
 from helpers import (
@@ -31,6 +32,8 @@ from helpers import (
     df_norm_at,
     n_gamma,
     reference_f_many,
+    reference_forms,
+    reference_function,
     reference_level1,
     simpson_fold,
     simpson_points,
@@ -67,9 +70,33 @@ def _equal(x, y) -> bool:
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+# signed zeros, subnormals, the float range's edges, nan, infinities and
+# exp's overflow threshold, for the registry's forms
+EXTREME_POINTS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf,
+                  709.782712893384, math.nextafter(709.782712893384, math.inf), 710.0]
+
+
+def _same_form(derived, reference, *args) -> bool:
+    """``derived(*args)`` has the bytes, type, dtype and shape of
+    ``reference(*args)``, or raises the same error."""
+    try:
+        y = reference(*args)
+    except Exception as exc:  # the type and text are what is compared
+        return _failure(lambda: derived(*args)) == (type(exc), str(exc))
+    x = derived(*args)
+    return type(x) is type(y) and _equal(x, y)
+
+
+@pytest.mark.parametrize("name,label", REGISTRY)
+def test_registry_builders_write_only_batched_forms(name, label):
+    # make_function derives f, df and df_sup; no builder writes them by hand
+    forms, natural, _ = functions._FUNCTIONS[name]
+    assert set(forms(SPACES[label or natural])) == {"f_many", "df_many", "df_sup_many"}
+
+
 @pytest.mark.parametrize("name,label", REGISTRY)
 def test_batched_matches_reference_fold(name, label):
-    fn = make_function(name, label)
+    fn = reference_function(name, label)
     for a, b in INTERVALS:
         a, b = _interval(name, a, b)
         for panels in PANELS:
@@ -146,7 +173,7 @@ def test_fold_error_within_its_gamma_bound(label, panels):
 
 @pytest.mark.parametrize("name,label", [("trig_circle", None), ("affine", "c2"), ("exp", None)])
 def test_user_function_without_f_many_uses_fallback(name, label):
-    registry = make_function(name, label)
+    registry = reference_function(name, label)
     calls = []
 
     def f(t):
@@ -349,17 +376,20 @@ def test_exp_derivative_overflows_to_inf():
 
 
 def _envelope_segments() -> tuple[np.ndarray, np.ndarray]:
-    """Seeded segments ``[lo, hi]`` over every scale: degenerate ones, the
-    whole float range, [1e15, 1e15 + 1] and exp past 709.78."""
+    """Seeded segments ``[lo, hi]`` over every scale: degenerate ones, signed
+    zeros, subnormals, the whole float range, infinite ends, [1e15, 1e15 + 1]
+    and exp past 709.78."""
     rng = np.random.default_rng(18)
     special = [(0.0, 0.0), (0.7, 0.7), (800.0, 800.0), (-1e308, 1e308), (1e15, 1e15 + 1.0),
                (709.0, 709.78), (709.5, 709.8), (700.0, 1e3), (-3.0, -1.0), (1e154, 1e155),
-               (-1e155, 1e77), (-5e-324, 5e-324)]
+               (-1e155, 1e77), (-5e-324, 5e-324), (-0.0, 0.0), (-0.0, -0.0), (5e-324, 1e-300),
+               (709.782712893384, 710.0), (1e308, 1e308), (-math.inf, math.inf),
+               (-math.inf, -1.0), (1.0, math.inf)]
     lo = np.concatenate([[a for a, _ in special], rng.uniform(-10.0, 10.0, 400),
                          -np.exp(rng.uniform(-700.0, 700.0, 200)), rng.uniform(-1e3, 1e3, 50)])
     width = np.concatenate([[b - a for a, b in special], rng.exponential(1.0, 400),
                             np.exp(rng.uniform(-700.0, 700.0, 200)), np.zeros(50)])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         hi = np.minimum(lo + width, 1e308)
     hi[:len(special)] = [b for _, b in special]
     return lo, hi
@@ -367,14 +397,19 @@ def _envelope_segments() -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.mark.parametrize("name,label", REGISTRY)
 def test_registry_df_sup_many_is_df_sup_per_segment(name, label):
-    # entry k of the batched envelope is df_sup(lo[k], hi[k]), hex for hex,
-    # degenerate segments and envelopes past the float range included
+    # entry k of the batched envelope is the hand-written df_sup(lo[k],
+    # hi[k]), hex for hex, degenerate segments and envelopes past the float
+    # range included; the derived df_sup gives the hand-written one's float
     fn = make_function(name, label)
+    df_sup = reference_forms(fn)["df_sup"]
     lo, hi = _envelope_segments()
-    expected = [float(fn.df_sup(a, b)).hex() for a, b in zip(lo.tolist(), hi.tolist())]
+    expected = [float(df_sup(a, b)).hex() for a, b in zip(lo.tolist(), hi.tolist())]
     values = fn.df_sup_many(lo, hi)
     assert values.dtype == np.float64 and values.shape == lo.shape
     assert [v.hex() for v in values.tolist()] == expected
+    segments = list(zip(lo.tolist(), hi.tolist()))
+    assert all(type(fn.df_sup(a, b)) is float for a, b in segments)
+    assert [fn.df_sup(a, b).hex() for a, b in segments] == expected
 
 
 def test_df_sup_many_needs_df_sup():
@@ -413,11 +448,11 @@ def test_registry_adaptive_run_never_calls_df_sup():
 
 
 def _edge_points() -> np.ndarray:
-    """21,010 points: signed zeros, subnormals, the square and float range
-    edges, and random values over every scale."""
+    """21,016 points: ``EXTREME_POINTS``, the square and float range edges,
+    and random values over every scale."""
     rng = np.random.default_rng(11)
-    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2e-308, 1e-300,
-               0.5, -1.0, 1e155, -1e155, 1e308, -1e308]
+    special = EXTREME_POINTS + [2.2250738585072014e-308, -2.2e-308, 1e-300, 0.5, -1.0,
+                                1e155, -1e155]
     wide = np.exp(rng.uniform(-700.0, 700.0, 6997)) * rng.choice([-1.0, 1.0], 6997)
     return np.concatenate([special, rng.uniform(-10.0, 10.0, 7000),
                            rng.standard_normal(7000) * 1e3, wide])
@@ -432,24 +467,25 @@ def test_registry_f_many_keeps_the_stacked_bytes(name, label):
     # operations as the stacked ones, so the bytes agree
     fn = make_function(name, label)
     ts = _edge_points()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         assert _equal(fn.f_many(ts), reference_f_many(fn, ts))
 
 
 @pytest.mark.parametrize("name,label", REGISTRY)
 def test_registry_f_is_a_row_of_f_many(name, label):
-    # f(t) is row 0 of f_many([t]), and row k of f_many(ts) is f(ts[k]), bit
-    # for bit: the rule pass samples through f_many, one-point callers through f
+    # the hand-written f(t) is row 0 of f_many([t]), and row k of f_many(ts)
+    # is f(ts[k]), bit for bit: the rule pass samples through f_many,
+    # one-point callers through the derived f, which gives f's value and type
     fn = make_function(name, label)
+    f = reference_forms(fn)["f"]
     ts = _edge_points()
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         ones = np.array([fn.f_many(np.array([t]))[0] for t in ts.tolist()])
-        singles = np.array([fn.f(t) for t in ts.tolist()])
+        singles = np.array([f(t) for t in ts.tolist()])
         batch = fn.f_many(ts)
+        assert all(_same_form(fn.f, f, t) for t in ts.tolist())
     assert _equal(singles, ones)
     assert _equal(batch, ones)
-    if fn.space.label == "scalar":
-        assert all(type(fn.f(t)) is float for t in ts[:20].tolist())
 
 
 def test_sample_points_when_the_length_overflows():
@@ -472,7 +508,7 @@ def test_sample_points_when_the_length_overflows():
 def _user(name, how):
     """A registry function rewrapped with only ``df`` or only ``fd_step``,
     so that ``df_many`` is the per-point fallback; no sup-envelope."""
-    fn = make_function(name)
+    fn = reference_function(name)
     if how == "df":
         return VectorFunction(space=fn.space, f=fn.f, df=fn.df, name="user_df")
     return VectorFunction(space=fn.space, f=fn.f, fd_step=1e-5, name="user_fd")
@@ -498,7 +534,7 @@ REGIMES = {"l1": L1, "lp1.5": lp(1.5), "lp4": lp(4.0), "linf_sampled": LINF}
 def _function(name, label):
     if label in ("df", "fd"):
         return _user(name, label)
-    return make_function(name, label)
+    return reference_function(name, label)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
@@ -580,14 +616,22 @@ def test_error_mid_batch_is_the_per_sample_one(estimator, raising_first, batched
 
 
 def test_df_many_rows_are_df_samples():
-    ts = np.linspace(-3.0, 3.0, 2 * SAMPLE_CHUNK + 1)
+    # rows of df_many are the hand-written df's samples, bit for bit, and
+    # the derived df gives df's value and type, or raises as df does (sin
+    # and cos at infinity)
+    grid = np.linspace(-3.0, 3.0, 2 * SAMPLE_CHUNK + 1)
     for name, label in REGISTRY:
         fn = make_function(name, label)
-        rows = fn.df_many(ts)
+        df = reference_forms(fn)["df"]
+        ts = np.concatenate([EXTREME_POINTS, grid])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert all(_same_form(fn.df, df, t) for t in ts.tolist()), (name, label)
+            ts = np.array([t for t in ts.tolist() if _failure(lambda t=t: df(t)) is None])
+            rows = fn.df_many(ts)
+            assert _equal(rows, np.array([df(t) for t in ts.tolist()])), (name, label)
         assert rows.shape == (len(ts),) + np.shape(fn.space.zero()), name
-        for t, row in zip(ts.tolist(), rows):
-            assert np.array_equal(row, fn.df(t)), (name, label, t)
-        assert fn.df_norms(ts).tolist() == [df_norm_at(fn, t) for t in ts.tolist()]
+        reference = VectorFunction(space=fn.space, f=fn.f, df=df, name=name)
+        assert fn.df_norms(grid).tolist() == [df_norm_at(reference, t) for t in grid.tolist()]
 
 
 def _bits(values) -> bytes:
@@ -618,16 +662,17 @@ def test_exp_df_many_is_math_exp_point_by_point():
 
 @pytest.mark.parametrize("name", ["trig_circle", "matrix_path"])
 def test_libm_rows_equal_df_at_each_point(name):
-    # each row of df_many is df's array at that point, bit for bit, signed
-    # zeros and nan included
+    # each row of df_many is the hand-written df's array at that point, bit
+    # for bit, signed zeros and nan included
     fn = make_function(name)
+    df = reference_forms(fn)["df"]
     rng = np.random.default_rng(22)
     special = [0.0, -0.0, 5e-324, math.pi, -math.pi / 2, 1e22, -1e300, math.nan]
     for ts in (np.array(special), rng.uniform(-50.0, 50.0, 3000),
                rng.standard_normal(700) * 10.0 ** rng.uniform(-300, 300, 700), np.array([])):
         rows = fn.df_many(ts)
         assert rows.shape == (len(ts),) + np.shape(fn.space.zero())
-        assert _bits(rows) == _bits([fn.df(t) for t in ts.tolist()] or np.empty(rows.shape))
+        assert _bits(rows) == _bits([df(t) for t in ts.tolist()] or np.empty(rows.shape))
 
 
 def test_fallback_samples_df_once_per_point():

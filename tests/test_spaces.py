@@ -1,5 +1,6 @@
 """Normed spaces, norm axioms, ordered folds, derivative sampling and the function registry."""
 
+import dataclasses
 import math
 import zlib
 
@@ -9,14 +10,18 @@ import pytest
 
 from certquad import (
     FUNCTION_NAMES,
+    L1,
+    LINF,
     SPACES,
     ComplexEuclideanSpace,
     EuclideanSpace,
     MatrixSpace,
+    Interval,
     MaxNormSpace,
     ScalarSpace,
     VectorFunction,
     make_function,
+    seminorm,
     space_by_label,
 )
 
@@ -274,8 +279,20 @@ class TestVectorFunction:
     def test_no_derivative_source(self):
         fn = VectorFunction(space=SPACES["scalar"], f=math.sin, name="bare")
         assert not fn.has_derivative_source
+        # a copy's fallback, bound to the original, is no source either
+        assert not dataclasses.replace(fn).has_derivative_source
+        with pytest.raises(ValueError, match="neither a sup-envelope nor a derivative source"):
+            seminorm(fn, Interval(0.0, 1.0), LINF)
         with pytest.raises(ValueError, match="no derivative source"):
             fn.df_at(0.0)
+
+    def test_df_many_alone_is_a_derivative_source(self):
+        # the L1 and sampled linf seminorms both read df_many
+        fn = VectorFunction(space=SPACES["scalar"], f=lambda t: t * t,
+                            df_many=lambda ts: 2.0 * ts, name="square")
+        assert fn.has_derivative_source
+        assert seminorm(fn, Interval(0.0, 1.0), L1).value == 1.0
+        assert seminorm(fn, Interval(0.0, 1.0), LINF).value == 2.0
 
     def test_nonfinite_derivative_rejected(self):
         fn = VectorFunction(
