@@ -3,38 +3,47 @@
 Shared by the seminorm estimators, the level-1 bound and the reference
 oracle.  ``panels`` counts Simpson panels; each panel contributes two
 half-steps, so ``2*panels + 1`` samples are taken, at ``a + k*h`` for
-``k < 2*panels`` and at ``b`` (:func:`sample_points`), in batches of at
-most ``SAMPLE_CHUNK`` points (:func:`sample_grid`).  Every
-batched sample of f or f', here, in the rule pass and in the sampled sup,
-goes through one sampler, :func:`samples`.  Both folds read what it
-returns without writing to it, and neither uses a pairwise sum, so results
-are reproducible bit for bit.  :func:`simpson_scalar`, which feeds the
-certificates, adds its samples one at a time, as the one-sample loop does.
-:func:`simpson_element`, the oracle, sums each batch in blocks of ``ROW``
-samples in a fixed order (:func:`_batch_sum`), which shortens its chain of
-dependent additions from one per sample to about ``2 * ROW`` per batch.
+``k < 2*panels`` and at ``b`` (:func:`sample_points`), in calls of at
+most ``SAMPLE_CHUNK`` points.  Every batched sample of f or f', here, in
+the rule pass and in the sampled sup, goes through one sampler,
+:func:`samples`.  Both folds read what it returns without writing to it,
+and neither uses a pairwise sum, so results are reproducible bit for bit.
+:func:`simpson_rows`, which feeds the certificates, samples all the
+segments of a call together, in blocks of whole rows or of one row's
+columns (:func:`_blocks`), and still adds each segment's samples one at
+a time, as the one-sample loop does; :func:`simpson_scalar` is its one
+segment.  :func:`simpson_element`, the oracle, sums each batch in blocks
+of ``ROW`` samples in a fixed order (:func:`_batch_sum`), which shortens
+its chain of dependent additions from one per sample to about ``2 * ROW``
+per batch.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["check_finite", "one_point", "sample_grid", "sample_points", "samples",
-           "simpson_element", "simpson_scalar"]
+           "simpson_element", "simpson_rows", "simpson_scalar"]
 
 SAMPLE_CHUNK = 4096  # points per batched integrand call
 ROW = 64  # samples per row of a batch in the oracle's blocked sum
 
 
-def sample_points(a: float, b: float, m: int):
-    """``(h, points)``: ``(b - a)/m`` and ``k -> a + k*h``; where ``b - a``
-    overflows, ``b/m - a/m`` and ``(a/m)(m - k) + (b/m)k``, whose terms stay finite."""
+def sample_points(a, b, m: int):
+    """``(h, points)``: ``(b - a)/m`` and ``k -> a + k*h``, for floats or
+    arrays ``a`` and ``b``; where ``b - a`` overflows, ``b/m - a/m`` and
+    ``(a/m)(m - k) + (b/m)k``, whose terms stay finite."""
     h = (b - a) / m
-    if math.isfinite(h):
+    wide = ~np.isfinite(h)
+    if not wide.any():
         return h, lambda k: a + k * h
-    return b / m - a / m, lambda k: (a / m) * (m - k) + (b / m) * k
+    h = np.where(wide, b / m - a / m, h)
+
+    def points(k):
+        with np.errstate(all="ignore"):  # a + k*h may overflow on the wide rows it skips
+            return np.where(wide, (a / m) * (m - k) + (b / m) * k, a + k * h)
+
+    return h, points
 
 
 def sample_grid(points, b: float, m: int, ks: range):
@@ -62,21 +71,23 @@ def one_point(many):
 
 
 def samples(many, ts: np.ndarray, shape: tuple = (), one=None) -> np.ndarray:
-    """``many(ts)``, checked to stack ``len(ts)`` elements of ``shape``.  A
-    batch that raises is redone one point at a time in order, through
-    ``one``, the one-point form, if given, else :func:`one_point`, so the
-    error raised is the first failing point's alone.  Nonfinite values
-    that raised nothing are returned as they are."""
+    """``many`` at the points of ``ts``, in row order, checked to stack
+    ``ts.size`` elements of ``shape`` and returned in the shape ``ts.shape
+    + shape``.  A call that raises is redone one point at a time in order,
+    through ``one``, the one-point form, if given, else :func:`one_point`,
+    so the error raised is the first failing point's alone.  Nonfinite
+    values that raised nothing are returned as they are."""
+    flat = ts.ravel()
     try:
-        values = many(ts)
+        values = many(flat)
     except Exception:  # redone point by point, which raises it again
-        values = [(one or one_point(many))(t) for t in ts.tolist()]
+        values = [(one or one_point(many))(t) for t in flat.tolist()]
     values = np.asarray(values)
-    if values.shape != (len(ts),) + shape:
+    if values.shape != (len(flat),) + shape:
         raise ValueError(
-            f"batched samples have shape {values.shape}, expected {(len(ts),) + shape}"
+            f"batched samples have shape {values.shape}, expected {(len(flat),) + shape}"
         )
-    return values
+    return values.reshape(ts.shape + shape)
 
 
 def check_finite(values: np.ndarray, ts: np.ndarray, what: str) -> None:
@@ -90,32 +101,56 @@ def check_finite(values: np.ndarray, ts: np.ndarray, what: str) -> None:
 
 def simpson_scalar(g, a: float, b: float, panels: int) -> float:
     """Composite Simpson estimate of the integral of a real function over
-    [a, b].
+    [a, b]: :func:`simpson_rows` of one row, ``g`` mapping a float array of
+    points to the integrand's values there, through :func:`samples`.  So a
+    failing sample raises the first failing point's error, in sampling
+    order: a and b, the odd points, the even points."""
+    return float(simpson_rows(lambda ts, rows: samples(g, ts), [a], [b], panels)[0])
 
-    ``g`` maps a float array of sample points to the array of the
-    integrand's values there, through :func:`samples`.  The fold is the
-    one-sample loop's: ``first = g(a)``, ``last = g(b)``, the odd samples
-    added in ascending order from 0.0, then the even samples likewise, and
-    ``(h/3) * (first + last + 4*odd + 2*even)``.
-    """
+
+def _blocks(n: int, width: int):
+    """``(rows, columns)`` slices tiling an ``n x width`` array, rows first,
+    by as many whole rows as fit in ``SAMPLE_CHUNK`` entries, else by one
+    row's ``SAMPLE_CHUNK`` columns at a time."""
+    cols = max(1, min(width, SAMPLE_CHUNK))
+    step = SAMPLE_CHUNK // cols
+    for r in range(0, n, step):
+        for c in range(0, width, cols):
+            yield slice(r, r + step), slice(c, c + cols)
+
+
+def simpson_rows(g, a, b, panels: int) -> np.ndarray:
+    """Composite Simpson estimates over the segments ``[a[k], b[k]]``, each
+    the one-sample loop's bit for bit: the odd and then the even samples
+    added left to right from 0.0, carried across blocks, and ``(h/3) *
+    (g(a) + g(b) + 4*odd + 2*even)``.  The segments are sampled together by
+    :func:`_blocks`: all ends, then all odd points, then all even points.
+    ``g(ts, rows)`` maps a 2-D array of points, row j on segment
+    ``rows[j]``, to the integrand's values in ``ts``'s shape.  Segments with
+    ``a == b`` give 0.0 unsampled.  A failing call raises the first failing
+    block's error; callers that must raise the first failing segment's redo
+    the segments one at a time."""
     if panels < 1:
         raise ValueError(f"panel count must be >= 1, got {panels}")
-    if a == b:
-        return 0.0
-    m = 2 * panels
-    h, points = sample_points(a, b, m)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(len(a))
+    live = np.flatnonzero(a != b)
+    lo, hi, m = a[live, None], b[live, None], 2 * panels
+    odd, even = np.zeros(len(live)), np.zeros(len(live))
     with np.errstate(all="ignore"):
-        first, last = samples(g, np.array([a, b])).astype(float).tolist()
-        sums = []
-        for ks in (range(1, m, 2), range(2, m, 2)):
-            acc = 0.0
-            for ts in sample_grid(points, b, m, ks):
-                terms = samples(g, ts).astype(float)
-                terms[0] = acc + terms[0]
-                acc = np.add.accumulate(terms, out=terms)[-1]
-            sums.append(float(acc))
-    odd, even = sums
-    return (h / 3.0) * (first + last + 4.0 * odd + 2.0 * even)
+        ends = np.concatenate((lo, hi), axis=1)
+        for rows, _ in _blocks(len(live), 2):
+            ends[rows] = g(ends[rows], live[rows])
+        for acc, start in ((odd, 1), (even, 2)):
+            ks = np.arange(start, m, 2, dtype=float)
+            for rows, cols in _blocks(len(live), len(ks)):
+                ts = sample_points(lo[rows], hi[rows], m)[1](ks[cols])
+                terms = np.array(g(ts, live[rows]), dtype=float)
+                terms[:, 0] += acc[rows]
+                acc[rows] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        h = sample_points(lo, hi, m)[0][:, 0]
+        out[live] = (h / 3.0) * (ends[:, 0] + ends[:, 1] + 4.0 * odd + 2.0 * even)
+    return out
 
 
 def _check(acc, values: np.ndarray, ts: np.ndarray) -> None:

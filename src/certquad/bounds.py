@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simpson import simpson_scalar
+from ._simpson import samples, simpson_rows, simpson_scalar
 from .geometry import INF, Interval, NormRegime, _exp, _mu_arrays, _mu_log, _powers
 from .rules import QuadratureRule, _pieces
 from .seminorms import DEFAULT_RESOLUTION, SeminormEstimate, SeminormProfile, segment_seminorms
@@ -113,27 +113,31 @@ def _row_sums(contribs: np.ndarray) -> np.ndarray:
 def _level1_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple:
     """Level-1 certificates of ``rule`` on the panels ``[a[k], b[k]]``, as
     the arrays ``(contributions, bounds, certified)``: one Simpson integral
-    per Peano-kernel piece (two where its centre lies inside), panel by
-    panel and piece by piece; none certified, and ``regime`` unread."""
+    per Peano-kernel piece (two where its centre lies inside), the pieces
+    of all panels sampled together by one :func:`simpson_rows` call, and
+    redone one at a time in order when that call fails; none certified,
+    and ``regime`` unread."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-
-    def piece(lo: float, hi: float, center: float) -> float:
-        # integral of |t - center| * norm(f'(t)); callers split segments at
-        # the comparison point, so the weight keeps one sign per piece and
-        # abs() introduces no kink
-        if hi <= lo:
-            return 0.0
-        return simpson_scalar(
-            lambda ts: np.abs(ts - center) * fn.df_norms(ts), lo, hi, resolution
-        )
-
+    # |t - center| * norm(f'(t)) over (lo, mid) and (mid, hi), mid the centre
+    # where it lies inside, so the weight keeps one sign and abs() adds no
+    # kink; elsewhere mid = hi, and the empty (hi, hi) gives 0.0
     los, his, centers = _pieces(rule, a, b)
-    contribs = np.array([
-        piece(lo, c, c) + piece(c, hi, c) if lo < c < hi else piece(lo, hi, c)
-        for lo, hi, c in zip(*(x.ravel().tolist() for x in (los, his, centers)))
-    ]).reshape(los.shape)
+    mids = np.where((los < centers) & (centers < his), centers, his)
+    lo, hi = np.stack((los, mids), axis=-1).ravel(), np.stack((mids, his), axis=-1).ravel()
+    c = centers.repeat(2)
+    try:
+        parts = simpson_rows(
+            lambda ts, rows: np.abs(ts - c[rows, None]) * samples(fn.df_norms, ts),
+            lo, hi, resolution,
+        )
+    except Exception:
+        # the parts in order, so that the error raised is the first one met
+        for x, y, center in zip(lo.tolist(), hi.tolist(), c.tolist()):
+            simpson_scalar(lambda ts: np.abs(ts - center) * fn.df_norms(ts), x, y, resolution)
+        raise
     with np.errstate(all="ignore"):
+        contribs = (parts[0::2] + parts[1::2]).reshape(los.shape)
         bounds = _row_sums(contribs)
     return contribs, bounds, np.zeros(len(bounds), dtype=bool)
 

@@ -90,7 +90,7 @@ def _rule_values(fn: VectorFunction, rule: QuadratureRule, a, b) -> np.ndarray:
     nodes = _cut_points(rule, a, b)[:, 1:-1]
     shape = np.shape(space.zero())
     with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
-        values = samples(fn.f_many, nodes.ravel(), shape, fn.f).reshape(nodes.shape + shape)
+        values = samples(fn.f_many, nodes, shape, fn.f)
         acc = space.zero()
         for j, w in enumerate(rule.weights):
             acc = space.add(acc, space.scale(w, values[:, j]))

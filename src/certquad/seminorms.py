@@ -16,10 +16,12 @@ with resolution).
 
 Derivative samples, ``VectorFunction.df_norms`` (``df_many``, then the
 space's ``norms``), go through the one sampler, ``_simpson.samples``, in
-batches of at most ``SAMPLE_CHUNK`` points, and are folded in the
-one-sample loop's order, so every value is the one that loop gives, bit
-for bit; a batch that fails is redone one point at a time, so the error
-raised is the first one that loop meets.  p-th powers for p > 1 are
+calls of at most ``SAMPLE_CHUNK`` points.  Under L1 and Lp all segments of
+a call are sampled together (``_simpson.simpson_rows``), each folded in
+the one-sample loop's order, so every value is the one that loop gives,
+bit for bit; a call that fails is redone segment by segment, and a batch
+that fails there one point at a time, so the error raised is the first
+one that loop meets.  p-th powers for p > 1 are
 ``geometry._powers``, inf past the float range.  When their Simpson sum
 overflows to inf, the integral is taken again with every sample divided
 by the largest on the grid, and that scale is undone after the root.
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simpson import sample_grid, sample_points, samples, simpson_scalar
+from ._simpson import sample_grid, sample_points, samples, simpson_rows, simpson_scalar
 from .geometry import LINF, Interval, NormRegime, _powers
 from .rules import QuadratureRule, _cut_points
 from .spaces import VectorFunction
@@ -128,9 +130,11 @@ def segment_seminorms(
     """``(values, exact)``: the seminorm on each segment ``[los[k],
     his[k]]`` and its certified flag, a float and a bool array of their
     shape.  Envelopes come from one ``df_sup_many`` call and are all
-    certified; other segments are visited in order, so a failing segment
-    raises what it raises when met alone, and only the degenerate ones,
-    exactly 0, are certified."""
+    certified.  Under L1 and Lp one Simpson sweep samples all the other
+    segments, then each is finished in order, overflows rescued; when the
+    sweep fails the segments are redone one at a time, so a failing
+    segment raises what it raises when met alone.  Only the degenerate
+    segments, exactly 0, are certified."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
@@ -144,19 +148,43 @@ def segment_seminorms(
         if bad.any():
             raise ValueError(f"sup-envelope of {name} returned {float(values[bad][0])!r}")
         return values, np.ones(los.shape, dtype=bool)
+    lo, hi = los.ravel(), his.ravel()
+    integrals = [None] * lo.size
+    if regime.kind != "linf":
+        power = regime.integral_exponent
+        try:
+            integrals = simpson_rows(
+                lambda ts, rows: samples(lambda t: _integrand(fn, power, t), ts), lo, hi, resolution
+            ).tolist()
+        except Exception:
+            # the per-segment loop, rescues included, raises its first error
+            for x, y in zip(lo.tolist(), hi.tolist()):
+                _estimate(fn, x, y, regime, resolution)
+            raise
     values = np.array([
-        _estimate(fn, lo, hi, regime, resolution)
-        for lo, hi in zip(los.ravel().tolist(), his.ravel().tolist())
+        _estimate(fn, x, y, regime, resolution, integral)
+        for x, y, integral in zip(lo.tolist(), hi.tolist(), integrals)
     ], dtype=float).reshape(los.shape)
     return values, los == his
 
 
+def _integrand(fn: VectorFunction, power: float, ts: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """``(norm(f'(t)) / scale) ** power`` at each point of ``ts``."""
+    # x / 1.0 and x ** 1.0 are x exactly: L1 takes the norms as they are.
+    # Other powers are _powers': a square is one multiply, the rest Python's
+    # ** per sample (np.power rounds differently), inf past the float range
+    norms = fn.df_norms(ts) / scale
+    return norms if power == 1.0 else _powers(norms, power)
+
+
 def _estimate(
-    fn: VectorFunction, lo: float, hi: float, regime: NormRegime, resolution: int
+    fn: VectorFunction, lo: float, hi: float, regime: NormRegime, resolution: int,
+    integral: float | None = None,
 ) -> float:
     """The seminorm on [lo, hi] from derivative samples, for finite ``lo
     <= hi``, ``resolution >= 2`` and no sup-envelope under linf; exact only
-    where ``lo == hi``."""
+    where ``lo == hi``.  Under L1 and Lp, ``integral``, if given, is the
+    first Simpson integral of the p-th powers, already taken."""
     if lo == hi:
         return 0.0
 
@@ -174,22 +202,15 @@ def _estimate(
         return best
 
     power = regime.integral_exponent
-
-    def integrand(ts, scale=1.0):
-        # x / 1.0 and x ** 1.0 are x exactly: L1 takes the norms as they are.
-        # Other powers are _powers': a square is one multiply, the rest Python's
-        # ** per sample (np.power rounds differently), inf past the float range
-        norms = fn.df_norms(ts) / scale
-        return norms if power == 1.0 else _powers(norms, power)
-
     scale = 1.0
-    integral = simpson_scalar(integrand, lo, hi, resolution)
+    if integral is None:
+        integral = simpson_scalar(lambda ts: _integrand(fn, power, ts), lo, hi, resolution)
     if not integral < math.inf:  # nan where a step of 0 meets an inf sum
         # a power or the sum past the float range: divide each sample by the
         # largest on Simpson's grid, so that no scaled sample passes 1 and
         # no power overflows, and undo after the root
         scale = _estimate(fn, lo, hi, LINF, 2 * resolution)
-        integral = simpson_scalar(lambda ts: integrand(ts, scale), lo, hi, resolution)
+        integral = simpson_scalar(lambda ts: _integrand(fn, power, ts, scale), lo, hi, resolution)
     length = 1.0
     if integral == math.inf:
         # the length past the float range too: integrate over [lo, hi] / L,
@@ -197,7 +218,8 @@ def _estimate(
         # by L, and undo L after the root
         length = math.ldexp(1.0, math.frexp(hi / 2.0 - lo / 2.0)[1] - 1)
         integral = simpson_scalar(
-            lambda us: integrand(us * length, scale), lo / length, hi / length, resolution
+            lambda us: _integrand(fn, power, us * length, scale), lo / length, hi / length,
+            resolution,
         )
     # tiny negative values can appear for an identically-zero integrand
     integral = max(integral, 0.0)

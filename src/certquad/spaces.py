@@ -251,7 +251,11 @@ class VectorFunction:
         L1/Lp and sampled sup seminorms and level 1 sample through it, so
         it is a derivative source without ``df``.  When omitted, a
         fallback takes one derivative sample per point (``df``, else
-        finite differences).
+        finite differences).  So ``VectorFunction(space=fn.space, f=fn.f,
+        df=fn.df)`` of a registry function ``fn`` samples through the
+        fallbacks, at 3-9 us a sample, its one-point forms being calls of
+        the batched ones; pass ``f_many`` and ``df_many`` too, or copy
+        ``fn`` with ``dataclasses.replace``.
     df_sup : callable, optional
         ``df_sup(lo, hi)`` returns an upper bound for the sup of
         ``norm(f'(t))`` over ``[lo, hi]``.  The only source that yields

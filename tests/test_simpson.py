@@ -25,9 +25,12 @@ from certquad import (
     seminorm,
 )
 from certquad import functions
-from certquad._simpson import ROW, SAMPLE_CHUNK, sample_points, samples, simpson_element
+from certquad._simpson import ROW, SAMPLE_CHUNK, sample_points, samples, simpson_element, simpson_rows
+from certquad.bounds import _level1_rows
+from certquad.geometry import _powers
 from certquad.seminorms import segment_seminorms
 from helpers import (
+    _reference_pow,
     _reference_seminorm,
     df_norm_at,
     n_gamma,
@@ -35,6 +38,7 @@ from helpers import (
     reference_forms,
     reference_function,
     reference_level1,
+    reference_simpson_scalar,
     simpson_fold,
     simpson_points,
 )
@@ -699,8 +703,8 @@ def test_nonfinite_batch_that_raises_nothing_is_kept():
 
 def test_level1_overflow_samples_each_batch_once():
     # |t - c| * norm(2t) overflows on [-1e200, 1e200]: the bound is inf, and
-    # each Simpson integral calls df_many on its two ends and then on its
-    # odd and even points a chunk at a time, never once per point
+    # the Simpson integrals call df_many on their ends and then on their odd
+    # and even points a block at a time, never once per point
     base = make_function("quadratic")
     calls = []
 
@@ -711,5 +715,159 @@ def test_level1_overflow_samples_each_batch_once():
     resolution = 4 * SAMPLE_CHUNK
     cert = bound_level1(fn, preset("qt"), Interval(-1e200, 1e200), resolution)
     assert cert.bound == np.inf
-    # qt's three pieces, the middle one split at its centre: four integrals
-    assert calls == [2, *[SAMPLE_CHUNK] * 4, *[SAMPLE_CHUNK] * 3, SAMPLE_CHUNK - 1] * 4
+    # qt's three pieces, the middle one split at its centre: four integrals,
+    # each sample taken once, no call over SAMPLE_CHUNK points, no replay
+    assert sum(calls) == 4 * (2 * resolution + 1)
+    assert max(calls) <= SAMPLE_CHUNK and 1 not in calls
+
+
+# -- the rows form: all segments of a call in one blocked sweep ------------
+
+ROWS_REGIMES = {"l1": L1, "lp1.5": lp(1.5), "lp4": lp(4.0)}
+
+
+def _mixed_rows(rng, resolution):
+    """Segments of every kind in one seeded order: degenerate, tiny,
+    shifted, huge, reversed and plain ones, plus random ones; at two
+    panels enough of them to fill several blocks."""
+    fixed = [(0.3, 0.3), (1e-300, 3e-300), (1e3, 1e3 + 0.5), (-1e155, 1e155),
+             (1.0, -0.5), (-0.7, 1.3), (-40.0, 30.0)]
+    extra = SAMPLE_CHUNK + 3 if resolution == 2 else 3
+    starts = rng.uniform(-5.0, 5.0, extra)
+    rows = fixed + list(zip(starts.tolist(), (starts + rng.uniform(0.0, 2.0, extra)).tolist()))
+    return [rows[k] for k in rng.permutation(len(rows)).tolist()]
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+@pytest.mark.parametrize("estimator", sorted(ROWS_REGIMES))
+def test_rows_form_is_the_one_sample_loop_per_row(estimator, resolution):
+    # each row of one simpson_rows call equals the one-sample-at-a-time
+    # Simpson of its own integrand, |t - c_k| * norm(f'(t))**p, byte for byte
+    fn = reference_function("trig_circle")
+    power = ROWS_REGIMES[estimator].integral_exponent
+    rng = np.random.default_rng(24 + resolution)
+    a, b = np.array(_mixed_rows(rng, resolution)).T
+    c = rng.uniform(-1.0, 1.0, len(a))
+
+    def g(ts, rows):
+        norms = samples(fn.df_norms, ts.ravel()).reshape(ts.shape)
+        return np.abs(ts - c[rows, None]) * _powers(norms, power)
+    with np.errstate(over="ignore"):
+        out = simpson_rows(g, a, b, resolution)
+    for k, (lo, hi, center) in enumerate(zip(a.tolist(), b.tolist(), c.tolist())):
+        expected = reference_simpson_scalar(
+            lambda t: abs(t - center) * _reference_pow(df_norm_at(fn, t), power), lo, hi, resolution)
+        assert out[k].hex() == expected.hex(), (lo, hi)
+
+
+@pytest.mark.parametrize("n,resolution,shapes", [
+    (3000, 2, [(2048, 2), (952, 2), (2048, 2), (952, 2), (3000, 1)]),
+    (9, 512, [(9, 2), (8, 512), (1, 512), (8, 511), (1, 511)]),
+    (3, SAMPLE_CHUNK + 1, [(3, 2), *[(1, SAMPLE_CHUNK), (1, 1)] * 3, *[(1, SAMPLE_CHUNK)] * 3]),
+])
+def test_rows_form_call_sizes(n, resolution, shapes):
+    # whole rows per block while a row fits in SAMPLE_CHUNK points, else one
+    # row cut into SAMPLE_CHUNK columns at a time: the ends, odd, even points
+    calls = []
+
+    def g(ts, rows):
+        calls.append(ts.shape)
+        return np.ones(ts.shape)
+    simpson_rows(g, np.zeros(n), np.ones(n), resolution)
+    assert calls == shapes
+
+
+@pytest.mark.parametrize("regime", [L1, lp(1.5), lp(4.0)], ids=str)
+def test_many_segments_equal_their_one_segment_calls(regime):
+    fn = reference_function("exp")
+    rng = np.random.default_rng(240)
+    lo = rng.uniform(-3.0, 3.0, 13)
+    hi = lo + rng.uniform(0.0, 1.0, 13)
+    hi[4] = lo[4]
+    for resolution in (2, 512, SAMPLE_CHUNK + 1):
+        values, exact = segment_seminorms(fn, regime, lo.reshape(-1, 1), hi.reshape(-1, 1), resolution)
+        assert values.shape == exact.shape == (13, 1)
+        for k in range(13):
+            one, one_exact = segment_seminorms(fn, regime, [lo[k]], [hi[k]], resolution)
+            assert (values[k, 0].hex(), exact[k, 0]) == (one[0].hex(), one_exact[0]), (k, resolution)
+
+
+@pytest.mark.parametrize("rule", ["qt", "simpson", "ostrowski"])
+def test_level1_panels_equal_their_one_panel_calls(rule):
+    fn = reference_function("trig_circle")
+    ends = np.array([-1.0, -0.25, 0.0, 0.0, 0.7, 3.5])
+    for resolution in (2, 512):
+        rows = _level1_rows(fn, preset(rule), None, ends[:-1], ends[1:], resolution)
+        for k in range(len(ends) - 1):
+            one = _level1_rows(fn, preset(rule), None, ends[k:k + 1], ends[k + 1:k + 2], resolution)
+            assert all(_bits(x[k]) == _bits(y[0]) for x, y in zip(rows, one)), (k, resolution)
+
+
+def _late_failures(kind):
+    """A scalar function whose derivative is 1e200 on [-1, 0], where its
+    4th powers overflow (the seminorms' rescue; level 1's pieces, weighted,
+    stay finite), and that fails at 0.0625, an even grid point below, and
+    near 0.6, where odd grid points lie: a nan (``kind`` "nan") or a
+    raising batched ``df_many`` (``kind`` "raise")."""
+    def hit(t):
+        return (0.0624 < t) & (t < 0.0626) | (0.6 < t) & (t < 0.61)
+
+    def df(t):
+        if hit(t):
+            if kind == "raise":
+                raise ZeroDivisionError(f"df fails at {t!r}")
+            return math.nan
+        return 1e200 if t <= 0.0 else 2.0 * t
+
+    def df_many(ts):
+        if kind == "raise" and hit(ts).any():
+            raise ZeroDivisionError(f"df fails at {float(ts[hit(ts)][0])!r}")
+        return np.array([df(t) for t in ts.tolist()])
+    return VectorFunction(space=SPACES["scalar"], f=lambda t: t, df=df, df_many=df_many,
+                          name="late_failure")
+
+
+@pytest.mark.parametrize("kind", ["nan", "raise"])
+@pytest.mark.parametrize("estimator", ["l1", "lp4", "level1"])
+def test_a_later_segment_fails_as_in_the_per_segment_loop(estimator, kind):
+    # the first segment is large, and under lp4 needs the overflow rescue;
+    # the second fails at an even point, the third at odd ones, which a
+    # sweep samples first: the error is the per-segment loop's, the second's
+    fn = _late_failures(kind)
+    lo, hi = [-1.0, 0.0, 0.5], [0.0, 0.5, 1.0]
+    resolution = 64
+    if estimator == "level1":
+        ours = _failure(lambda: _level1_rows(fn, preset("qt"), None, lo, hi, resolution))
+        theirs = _failure(lambda: [reference_level1(fn, preset("qt"), Interval(x, y), resolution)
+                                   for x, y in zip(lo, hi)])
+    else:
+        regime = ROWS_REGIMES[estimator]
+        ours = _failure(lambda: segment_seminorms(fn, regime, lo, hi, resolution))
+        theirs = _failure(lambda: [_reference_seminorm(fn, x, y, regime, resolution)
+                                   for x, y in zip(lo, hi)])
+    assert ours == theirs
+    assert ours[0] is (ZeroDivisionError if kind == "raise" else ValueError)
+    assert "at t=0.0625" in ours[1] if kind == "nan" else "at 0.0625" in ours[1]
+    if estimator == "lp4":
+        values = segment_seminorms(fn, lp(4.0), lo[:1], hi[:1], resolution)[0]
+        assert values[0] == 1e200  # rescued: a constant's seminorm on a unit segment
+
+
+# the values on [-1e308, 1e308] at 8 panels before the sweep, between two
+# unit segments whose values are the derivative's norm
+OVERFLOWING_LENGTH = {
+    ("trig_circle", "l1"): "inf",
+    ("trig_circle", "lp1.5"): "0x1.b4515a9a24b0cp+682",
+    ("trig_circle", "lp4"): "0x1.06eabcc968ca5p+256",
+    ("affine", "l1"): "inf",
+    ("affine", "lp1.5"): "0x1.10b2d8a056ee7p+684",
+    ("affine", "lp4"): "0x1.48a56bfbc2fcep+257",
+}
+
+
+@pytest.mark.parametrize("name,estimator", sorted(OVERFLOWING_LENGTH))
+def test_overflowing_length_in_a_sweep_keeps_its_value(name, estimator):
+    fn = make_function(name)
+    values, _ = segment_seminorms(fn, ROWS_REGIMES[estimator], [0.0, -1e308, 1.0], [1.0, 1e308, 2.0], 8)
+    unit = {"trig_circle": "0x1.0000000000000p+0", "affine": "0x1.4000000000000p+1"}[name]
+    assert [x.hex() for x in values.tolist()] == [unit, OVERFLOWING_LENGTH[name, estimator], unit]
