@@ -81,7 +81,8 @@ def samples(many, ts: np.ndarray, shape: tuple = (), one=None) -> np.ndarray:
     try:
         values = many(flat)
     except Exception:  # redone point by point, which raises it again
-        values = [(one or one_point(many))(t) for t in flat.tolist()]
+        one = one or one_point(many)
+        values = [one(t) for t in flat.tolist()]
     values = np.asarray(values)
     if values.shape != (len(flat),) + shape:
         raise ValueError(

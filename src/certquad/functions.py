@@ -10,9 +10,11 @@ of segments.  :func:`make_function` derives the one-point forms ``f``,
 ``df`` and ``df_sup`` as row 0 of these at one-point arrays
 (``_simpson.one_point``), so every caller reads the same bits.
 ``df_many`` takes numpy forms where the arithmetic is exact or one IEEE
-operation per entry, and ``math`` for ``exp`` (inf past the float range),
-``sin`` and ``cos``, whose numpy forms round unlike libm's: mapped over
-one ``tolist()`` per batch into ``np.fromiter``, rows filled by column.
+operation per entry, and ``np.sin`` and ``np.cos``, whose float64 loops
+call the C library's ``sin`` and ``cos``, as ``math`` does, writing the
+columns of one array of rows.  Only ``exp`` (inf past the float range),
+whose numpy form rounds unlike libm's, maps ``math`` over one
+``tolist()`` per batch into ``np.fromiter``.
 """
 
 from __future__ import annotations
@@ -89,8 +91,18 @@ def _affine(space: NormedSpace) -> dict:
 
 def _math_many(func, values: list) -> np.ndarray:
     """``func`` from ``math`` at each float of ``values``: libm's rounding,
-    which numpy's own ``exp``, ``sin`` and ``cos`` do not promise."""
+    which numpy's own ``exp`` does not give, and ``math``'s errors."""
     return np.fromiter(map(func, values), float, len(values))
+
+
+def _sin_cos(ts: np.ndarray) -> tuple:
+    """``math.sin`` and ``math.cos`` at each point of ``ts``, bit for bit:
+    numpy's float64 loops call libm's.  A batch holding an infinity maps
+    ``math``, which raises ``ValueError`` there, where numpy gives nan."""
+    if np.isinf(ts).any():
+        values = ts.tolist()
+        return _math_many(math.sin, values), _math_many(math.cos, values)
+    return np.sin(ts), np.cos(ts)
 
 
 _KINK = 0.5  # kink location of abs_kink; the derivative takes the
@@ -121,8 +133,8 @@ def _trig_circle(space: NormedSpace) -> dict:
         return np.array([np.cos(ts), np.sin(ts)]).T
 
     def df_many(ts):
-        values, rows = ts.tolist(), np.empty((len(ts), 2))
-        rows[:, 0], rows[:, 1] = -_math_many(math.sin, values), _math_many(math.cos, values)
+        (sin, cos), rows = _sin_cos(ts), np.empty((len(ts), 2))
+        rows[:, 0], rows[:, 1] = -sin, cos
         return rows
 
     return dict(f_many=f_many, df_many=df_many, df_sup_many=lambda lo, hi: np.ones_like(lo))
@@ -153,10 +165,10 @@ def _matrix_path(space: NormedSpace) -> dict:
         return np.array([c, -s, s, c]).T.reshape(-1, 2, 2)
 
     def df_many(ts):
-        values, rows = ts.tolist(), np.empty((len(ts), 4))
-        rows[:, 0] = rows[:, 3] = -_math_many(math.sin, values)
-        rows[:, 2] = _math_many(math.cos, values)
-        rows[:, 1] = -rows[:, 2]
+        (sin, cos), rows = _sin_cos(ts), np.empty((len(ts), 4))
+        rows[:, 0] = rows[:, 3] = -sin
+        rows[:, 2] = cos
+        rows[:, 1] = -cos
         return rows.reshape(-1, 2, 2)
 
     return dict(

@@ -679,6 +679,38 @@ def test_libm_rows_equal_df_at_each_point(name):
         assert _bits(rows) == _bits([df(t) for t in ts.tolist()] or np.empty(rows.shape))
 
 
+def test_numpy_sin_cos_are_libm_bit_for_bit():
+    # np.sin and np.cos stand in for math.sin and math.cos in the registry's
+    # df_many; a numpy whose float64 loops are not libm's must fail here,
+    # not move those bits silently
+    rng = np.random.default_rng(25)
+    n = 100_000
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300, -1e-300,
+               1e22, -1e22, 1e300, -1e300, math.pi, math.nan]
+    ts = np.concatenate([special, rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n),
+                         rng.uniform(-50.0, 50.0, n // 10)])
+    for ours, libm in ((np.sin, math.sin), (np.cos, math.cos)):
+        got, want = ours(ts), np.array([libm(t) for t in ts.tolist()])
+        moved = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert not moved.size, (
+            f"np.{ours.__name__} differs from math.{libm.__name__} at {moved.size} of {ts.size}"
+            f" points, first at t={float(ts[moved[0]])!r}; trig_circle's and matrix_path's"
+            " df_many (functions._sin_cos) rely on them agreeing bit for bit"
+        )
+
+
+@pytest.mark.parametrize("name", ["trig_circle", "matrix_path"])
+@pytest.mark.parametrize("batch", [[0.5, math.inf], [-math.inf, 0.5]])
+def test_infinite_point_raises_math_domain_error(name, batch):
+    # np.sin gives nan at an infinity, where math.sin raises: such a batch is
+    # redone point by point and raises math's error, also under the sweeps'
+    # errstate, and never comes back as nan rows
+    fn = make_function(name)
+    for state in ({}, {"all": "ignore"}):
+        with np.errstate(**state), pytest.raises(ValueError, match="^math domain error$"):
+            samples(fn.df_many, np.array(batch), np.shape(fn.space.zero()))
+
+
 def test_fallback_samples_df_once_per_point():
     calls = []
 
