@@ -35,6 +35,9 @@ _EPS = 2.0**-52  # twice the unit roundoff u
 # panels per adaptive kernel call and per chunk of the final rule pass: enough to
 # spread a call's fixed cost, few enough to keep the arrays small in peak memory
 _BATCH = 256
+# the most splits one adaptive kernel call speculates, 4,096 envelope rows: wider
+# calls save little time and raise peak memory by their arrays
+_SPECULATION_CAP = 8 * _BATCH
 # states of a node in the adaptive driver's table: a panel of the current
 # division, a certified half of an unsplit panel, a panel split in two
 _FRONTIER, _SPECULATED, _SPLIT = 0, 1, 2
@@ -223,25 +226,35 @@ def _grow(fn, rule, regime, resolution, store: list, table: list, n: int, roots,
     """Write into ``table`` after its ``n`` nodes (doubling full columns) those to
     ``depth`` levels below ``roots`` by level, halves side by side, none below a panel
     too narrow to split, certified by one kernel call; returns the node count."""
-    end, ids, a, b, levels = n, roots, table[0][roots], table[1][roots], []
+    size = len(roots) * ((2 << depth) - 2)  # the nodes of full subtrees below roots
+    a, b, parents = np.empty(size), np.empty(size), np.empty(size, int)
+    ids, lo, hi, k = roots, table[0][roots], table[1][roots], 0
     with np.errstate(over="ignore"):  # a midpoint past the range is inf
         for _ in range(depth):
-            mid = 0.5 * (a + b)
-            wide = (a < mid) & (mid < b)
-            a, mid, b, ids = a[wide], mid[wide], b[wide], ids[wide]
-            a, b = np.stack((a, mid), 1).ravel(), np.stack((mid, b), 1).ravel()
-            levels.append((a, b, ids.repeat(2)))
-            ids = np.arange(end, end + len(a))
-            end += len(a)
-    a, b, parents = (np.concatenate(column) for column in zip(*levels))
+            mid = 0.5 * (lo + hi)
+            wide = (lo < mid) & (mid < hi)
+            lo, mid, hi, ids = lo[wide], mid[wide], hi[wide], ids[wide]
+            j = k + 2 * len(lo)
+            a[k:j:2], a[k + 1:j:2], b[k:j:2], b[k + 1:j:2] = lo, mid, mid, hi
+            parents[k:j:2] = parents[k + 1:j:2] = ids
+            ids, lo, hi, k = np.arange(n + k, n + j), a[k:j], b[k:j], j
+    a, b, parents, end = a[:k], b[:k], parents[:k], n + k
     contribs, bounds, certified = _certificate_rows(fn, rule, regime, 2, a, b, resolution)
     store.append((contribs, certified))
     if end > len(table[0]):
         table[:] = [np.concatenate((c, np.empty(max(len(c), end), c.dtype))) for c in table]
-    for column, new in zip(table, (a, b, bounds, parents, -1, _SPECULATED, -bounds + 1j * a)):
+    for column, new in zip(table, (a, b, bounds, parents, -1, _SPECULATED)):
         column[n:end] = new
+    table[6].real[n:end], table[6].imag[n:end] = -bounds, a
     table[4][parents[::2]] = np.arange(n, end, 2)
     return end
+
+
+def _width(cheap: bool, count: int) -> int:
+    """The splits one kernel call of a round begun at ``count`` panels may take:
+    envelope rows are cheap, so as many as the run has panels, from ``_BATCH`` to
+    ``_SPECULATION_CAP``; sampled rows cost, so 16."""
+    return min(max(_BATCH, count), _SPECULATION_CAP) if cheap else 16
 
 
 def integrate_adaptive(
@@ -272,11 +285,13 @@ def integrate_adaptive(
     budget, the stop test saying go on).  A node without halves ends it with one
     kernel call.  Under linf with a sup-envelope the call certifies the nodes
     to depth d below the worst k nodes without halves, k (2**d - 1) at most
-    ``_BATCH`` and the splits left, d at most the halvings from the running
-    total to ``tol`` (linf halves bound at most half their parent); otherwise
-    the halves of up to 16 of them that the run splits whatever their halves
-    bound, which are all it would certify.  Rows are what each panel alone
-    gives; a call that raises is redone on the first node's halves alone.
+    the splits left and the run's panels when the round began, from
+    ``_BATCH`` to ``_SPECULATION_CAP`` (``_width``), d at most the halvings
+    from the running total to ``tol`` (linf halves bound at most half their
+    parent); otherwise the halves of up to 16 of them that the run splits
+    whatever their halves bound, which are all it would certify.  Rows are
+    what each panel alone gives, so no width changes a result; a call that
+    raises is redone on the first node's halves alone.
 
     The stop test decides exactly as the ordered sum would.  A running total of
     the n panel bounds gains both halves' bounds and loses the parent's at each
@@ -311,18 +326,20 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
     lo, hi = np.array([interval.a]), np.array([interval.b])
     contribs, bound, certified = _certificate_rows(fn, rule, regime, 2, lo, hi, resolution)
     store, order = [(contribs, certified)], np.zeros(1, int)
-    width = _BATCH if (cheap := regime.kind == "linf" and fn.df_sup is not None) else 16
+    cheap = regime.kind == "linf" and fn.df_sup is not None
     # node columns lo, hi, bound, parent, first half, state and a key that sorts
     # as (-bound, lo) does, nan bounds last; sized for a run that spends its budget
-    table = [np.empty(min(2 * max_panels, 1 << 16) + 2 * width, dtype)
-             for dtype in (float, float, float, int, int, np.int8, complex)]
-    for column, root in zip(table, (lo, hi, bound, -1, -1, _FRONTIER, -bound + 1j * lo)):
+    size = min(2 * max_panels, 1 << 16) + 2 * _width(cheap, 1)
+    table = [np.empty(size, dtype) for dtype in (float, float, float, int, int, np.int8, complex)]
+    for column, root in zip(table, (lo, hi, bound, -1, -1, _FRONTIER)):
         column[:1] = root
+    table[6].real[:1], table[6].imag[:1] = -bound, lo
     n, count, running, slack, tested = 1, 1, bound[0].item(), 0.0, False
     floor = max(tol, sys.float_info.min)  # lower bounds above it round relatively
 
     while count < max_panels:
         lo, hi, bound, parent, left, state = (column[:n] for column in table[:6])
+        width = _width(cheap, count)
         # a round ends within the H + 1 first, H the unsplit nodes with halves
         head, at = order[:(n - 1) // 2 - count + 2 + width], 0
         ready = state[head] == _FRONTIER
@@ -342,9 +359,12 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
             # running total and slack after each split of the round, in order
             pops = head[:m]
             l, r = bound[left[pops]], bound[left[pops] + 1]
-            partial = np.add.accumulate(np.append(running, np.array((l, r, -bound[pops])).T))
-            slacks = np.add.accumulate(np.append(slack, np.spacing(np.abs(partial[1:]))))
-            runs, slacks = partial[::3], slacks[::3]
+            steps = np.empty(3 * m + 1)
+            steps[0], steps[1::3], steps[2::3], steps[3::3] = running, l, r, -bound[pops]
+            partial = np.add.accumulate(steps)
+            steps[0] = slack
+            np.spacing(np.abs(partial[1:]), out=steps[1:])
+            runs, slacks = partial[::3], np.add.accumulate(steps)[::3]
             if (negative := (l < 0.0) | (r < 0.0)).any():
                 runs[1 + negative.argmax():] = math.nan
             # stop tests before each split and after the last; a spent budget stops

@@ -13,6 +13,7 @@ import pytest
 
 from certquad import (
     FUNCTION_NAMES,
+    PRESET_NAMES,
     SPACES,
     Interval,
     L1,
@@ -717,6 +718,21 @@ def _with_envelope(fn, envelope, name=None):
                           name=name or fn.name)
 
 
+class _KernelCounter:
+    """Counts the adaptive driver's kernel calls (``engine._certificate_rows``)
+    and the rows of each."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.rows = 0, []
+        self._kernel = engine._certificate_rows
+        monkeypatch.setattr(engine, "_certificate_rows", self)
+
+    def __call__(self, fn, rule, regime, level, a, b, resolution):
+        self.calls += 1
+        self.rows.append(len(a))
+        return self._kernel(fn, rule, regime, level, a, b, resolution)
+
+
 class TestSpeculation:
     """Envelope certificates of the next-worst panels' children are computed
     ahead; a failure there must not surface, and one on the popped panel
@@ -768,7 +784,11 @@ class TestSpeculation:
         # the call after the root's certifies the subtree below it to the
         # depth d with 2**d - 1 splits at most those left: d = 3, 2, 1 and
         # 8 for max_panels 8, 5, 2 and 4096; with a budget of 8 or 5 the
-        # last split is of a panel below that depth, alone
+        # last split is of a panel below that depth, alone.  With 4096 each
+        # later call speculates as many splits as the run had panels when its
+        # round began, at least _BATCH, and at most those left: rounds begun at
+        # 1, 217, 434, 768, 1,202 and 1,970 panels speculate 256, 256, 434,
+        # 768, 1,202 and 924 splits
         base = make_function("exp")
         batches = []
 
@@ -779,14 +799,15 @@ class TestSpeculation:
         fn = VectorFunction(space=base.space, f=base.f, df=base.df, df_sup=base.df_sup,
                             df_sup_many=envelopes, name="exp")
         for max_panels, expected in ((8, [1, 14, 2]), (5, [1, 6, 2]), (2, [1, 2]),
-                                     (4096, [1, 510])):
+                                     (4096, [1, 510, 512, 512, 868, 1536, 2404, 1848])):
             batches.clear()
             result = integrate_adaptive(fn, preset("qt"), Interval(0.0, 2.0), LINF, 1e-9,
                                         max_panels, 64)
             assert len(result.panels) == max_panels
-            assert batches[:len(expected)] == expected
-            assert max_panels < 4096 or max(batches[1:]) == 2 * engine._BATCH
-
+            assert batches == expected
+        assert engine._SPECULATION_CAP == 8 * engine._BATCH
+        assert [engine._width(True, count) for count in (1, 256, 1202, 2048, 3172)] == [
+            256, 256, 1202, 2048, 2048]
 
     @pytest.mark.parametrize("regime, tol", [(L1, 1e-3), (lp(2.0), 1e-3), (LINF, 1e-3)],
                              ids=["l1", "lp2", "linf-no-envelope"])
@@ -797,20 +818,76 @@ class TestSpeculation:
         base = reference_function("exp")
         fn = VectorFunction(space=base.space, f=base.f, f_many=base.f_many, df=base.df,
                             df_many=base.df_many, name="exp")
-        rows, kernel = [], engine._certificate_rows
-
-        def counted(fn, rule, regime, level, a, b, resolution):
-            rows.append(len(a))
-            return kernel(fn, rule, regime, level, a, b, resolution)
-
-        monkeypatch.setattr(engine, "_certificate_rows", counted)
+        counter = _KernelCounter(monkeypatch)
         args = (fn, preset("qt"), Interval(0.0, 2.0), regime, tol, 4096, 16)
         result = integrate_adaptive(*args)
         monkeypatch.undo()
         assert result.converged and len(result.panels) > 32
-        assert sum(rows) == 2 * len(result.panels) - 1
-        assert max(rows) > 2 and len(rows) < len(result.panels) // 2
+        assert sum(counter.rows) == 2 * len(result.panels) - 1
+        assert max(counter.rows) > 2 and counter.calls < len(result.panels) // 2
         assert_same_run(result, reference_adaptive(*args))
+
+
+class TestSpeculationWidth:
+    """Under linf with an envelope a kernel call speculates up to
+    ``engine._width`` splits, as many as the run has panels from ``_BATCH``
+    to ``_SPECULATION_CAP``; otherwise 16.  Each row is what its panel alone
+    gives, so no width changes a result."""
+
+    @pytest.mark.parametrize("seed", range(18))
+    def test_no_width_changes_a_result(self, seed, monkeypatch):
+        # every budget from 1 to 9 meets both regimes; fixed widths 1, 16 and
+        # 256 and the default rule all give the reference's run
+        rng = random.Random(seed)
+        fn = reference_function(rng.choice(FUNCTION_NAMES))
+        if seed % 2:  # no envelope: linf takes sampled maxima of df
+            fn = VectorFunction(space=fn.space, f=fn.f, f_many=fn.f_many, df=fn.df,
+                                df_many=fn.df_many, name=fn.name)
+        if seed % 3:  # three_point alone has no default parameters
+            name = rng.choice(PRESET_NAMES)
+            rule = EQUIVALENCE_RULES["three_point"] if name == "three_point" else preset(name)
+        else:
+            rule = _random_rule(3000 + seed, rng.randint(1, 5))
+        a = rng.uniform(-1.0, 1.0)
+        iv = Interval(a, a + rng.uniform(0.5, 2.0))
+        tol = 10.0 ** rng.uniform(-4.5, -3.0) if seed % 2 == 0 else 10.0 ** rng.uniform(-3.5, -2.0)
+        for max_panels in (1 + seed % 9, 4096):
+            args = (fn, rule, iv, LINF, tol, max_panels, 16)
+            reference = reference_adaptive(*args)
+            assert_same_run(integrate_adaptive(*args), reference)
+            for width in (1, 16, 256):
+                monkeypatch.setattr(engine, "_width", lambda cheap, count: width)
+                assert_same_run(integrate_adaptive(*args), reference)
+                monkeypatch.undo()
+
+    def test_wide_speculation_on_a_long_run(self, monkeypatch):
+        # 2,173 panels: the default rule speculates past 256 splits a call, in
+        # fewer calls than a fixed 256, and the run is the reference's
+        fn, rule, iv = reference_function("exp"), preset("qt"), Interval(0.0, 1.0)
+        args = (fn, rule, iv, LINF, 1e-4, 4096, 16)
+        reference = reference_adaptive(*args)
+        calls = {}
+        for width in (None, 256):
+            counter = _KernelCounter(monkeypatch)
+            if width:
+                monkeypatch.setattr(engine, "_width", lambda cheap, count: width)
+            result = integrate_adaptive(*args)
+            monkeypatch.undo()
+            calls[width] = (counter.calls, max(counter.rows))
+            assert_same_run(result, reference)
+        assert len(reference.panels) == 2173
+        assert calls == {None: (7, 2 * 1280), 256: (10, 2 * 256)}
+
+    def test_kernel_calls_of_a_large_run(self, monkeypatch):
+        # exp/qt/linf on [0, 1] at tol 1e-5 takes 22,225 panels in 17 kernel
+        # calls; 256 splits at most per call took 88
+        counter = _KernelCounter(monkeypatch)
+        result = integrate_adaptive(make_function("exp"), preset("qt"), UNIT, LINF, 1e-5,
+                                    100_000)
+        assert counter.calls == 17
+        assert max(counter.rows) == 2 * engine._SPECULATION_CAP
+        assert result.converged and len(result.panels) == 22225
+        assert result.certificate.bound.hex() == "0x1.4f8add08f6605p-17"
 
 
 def _hashed_envelope(lo, hi):
