@@ -42,12 +42,6 @@ def _far(top):
     return ((top > _FAR) & (top < math.inf)) | ((top > 0.0) & (top < 1.0 / _FAR))
 
 
-# row width from which np.max along each row beats np.maximum column by column:
-# on 1,024 and 4,096 rows of 64 columns it takes 119 and 431 us against 176 and
-# 1,012 us, and at 48 columns and fewer it is no faster (numpy 2.4.6, x86-64)
-_WIDE = 64
-
-
 class NormedSpace:
     """Base class for the two concrete spaces below.
 
@@ -166,13 +160,8 @@ class ArraySpace(NormedSpace):
             rows = rows.astype(float)
         if rows.strides[1] != rows.itemsize:  # as in a component-major stack: the
             rows = np.ascontiguousarray(rows)  # matmul would add in another order
-        # each row's largest modulus; a maximum is exact, so both forms give the
-        # same bits, and column by column costs a tenth of np.max on short rows
-        moduli = np.abs(rows)
-        if rows.shape[1] < _WIDE:
-            tops = functools.reduce(np.maximum, moduli.T)
-        else:
-            tops = moduli.max(axis=1)
+        # each row's largest modulus: np.max's bits at a tenth of its cost on short rows
+        tops = functools.reduce(np.maximum, np.abs(rows).T)
         if self.sup:
             return tops
         # np.linalg.norm flattens and takes sqrt(dot(x, x)), or for complex

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-# make tests/helpers.py importable regardless of invocation directory
+# make tests/helpers.py and tools/kernel_calls.py importable regardless of
+# invocation directory
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 from certquad import FUNCTION_NAMES, make_function
 

@@ -43,6 +43,7 @@ from helpers import (
     reference_nodes,
     reference_rule_value,
 )
+from kernel_calls import KernelCounter
 
 UNIT = Interval(0.0, 1.0)
 
@@ -718,21 +719,6 @@ def _with_envelope(fn, envelope, name=None):
                           name=name or fn.name)
 
 
-class _KernelCounter:
-    """Counts the adaptive driver's kernel calls (``engine._certificate_rows``)
-    and the rows of each."""
-
-    def __init__(self, monkeypatch):
-        self.calls, self.rows = 0, []
-        self._kernel = engine._certificate_rows
-        monkeypatch.setattr(engine, "_certificate_rows", self)
-
-    def __call__(self, fn, rule, regime, level, a, b, resolution):
-        self.calls += 1
-        self.rows.append(len(a))
-        return self._kernel(fn, rule, regime, level, a, b, resolution)
-
-
 class TestSpeculation:
     """Envelope certificates of the next-worst panels' children are computed
     ahead; a failure there must not surface, and one on the popped panel
@@ -818,7 +804,7 @@ class TestSpeculation:
         base = reference_function("exp")
         fn = VectorFunction(space=base.space, f=base.f, f_many=base.f_many, df=base.df,
                             df_many=base.df_many, name="exp")
-        counter = _KernelCounter(monkeypatch)
+        counter = KernelCounter(monkeypatch.setattr)
         args = (fn, preset("qt"), Interval(0.0, 2.0), regime, tol, 4096, 16)
         result = integrate_adaptive(*args)
         monkeypatch.undo()
@@ -860,34 +846,21 @@ class TestSpeculationWidth:
                 assert_same_run(integrate_adaptive(*args), reference)
                 monkeypatch.undo()
 
-    def test_wide_speculation_on_a_long_run(self, monkeypatch):
-        # 2,173 panels: the default rule speculates past 256 splits a call, in
-        # fewer calls than a fixed 256, and the run is the reference's
-        fn, rule, iv = reference_function("exp"), preset("qt"), Interval(0.0, 1.0)
-        args = (fn, rule, iv, LINF, 1e-4, 4096, 16)
-        reference = reference_adaptive(*args)
-        calls = {}
-        for width in (None, 256):
-            counter = _KernelCounter(monkeypatch)
-            if width:
-                monkeypatch.setattr(engine, "_width", lambda cheap, count: width)
-            result = integrate_adaptive(*args)
-            monkeypatch.undo()
-            calls[width] = (counter.calls, max(counter.rows))
-            assert_same_run(result, reference)
-        assert len(reference.panels) == 2173
-        assert calls == {None: (7, 2 * 1280), 256: (10, 2 * 256)}
-
-    def test_kernel_calls_of_a_large_run(self, monkeypatch):
-        # exp/qt/linf on [0, 1] at tol 1e-5 takes 22,225 panels in 17 kernel
-        # calls; 256 splits at most per call took 88
-        counter = _KernelCounter(monkeypatch)
-        result = integrate_adaptive(make_function("exp"), preset("qt"), UNIT, LINF, 1e-5,
+    @pytest.mark.parametrize("tol, panels, calls, rows, bound", [
+        (1e-4, 2173, 7, 2 * 1280, "0x1.a350ed1982b93p-14"),
+        (1e-5, 22225, 17, 2 * engine._SPECULATION_CAP, "0x1.4f8add08f6605p-17"),
+    ], ids=["2173-panels", "22225-panels"])
+    def test_kernel_calls_of_a_large_run(self, tol, panels, calls, rows, bound,
+                                         monkeypatch):
+        # exp/qt/linf on [0, 1]: 2,173 panels in 7 kernel calls, the widest of
+        # 1,280 splits, and 22,225 in 17, the widest at the cap; 256 splits at
+        # most per call took 10 and 88
+        counter = KernelCounter(monkeypatch.setattr)
+        result = integrate_adaptive(make_function("exp"), preset("qt"), UNIT, LINF, tol,
                                     100_000)
-        assert counter.calls == 17
-        assert max(counter.rows) == 2 * engine._SPECULATION_CAP
-        assert result.converged and len(result.panels) == 22225
-        assert result.certificate.bound.hex() == "0x1.4f8add08f6605p-17"
+        assert (counter.calls, max(counter.rows)) == (calls, rows)
+        assert result.converged and len(result.panels) == panels
+        assert result.certificate.bound.hex() == bound
 
 
 def _hashed_envelope(lo, hi):

@@ -1,7 +1,6 @@
 """Normed spaces, norm axioms, ordered folds, derivative sampling and the function registry."""
 
 import dataclasses
-import functools
 import math
 import zlib
 
@@ -26,7 +25,7 @@ from certquad import (
     space_by_label,
 )
 
-from certquad.spaces import _WIDE, ArraySpace
+from certquad.spaces import ArraySpace
 
 from helpers import is_element, linear_combination, reference_norm
 
@@ -411,12 +410,12 @@ class TestBatchedNorms:
         for k in (-1000, -600, -520, 520, 600, 1000):
             assert space.norm(np.ldexp(x, k)) == math.ldexp(base, k)
 
-    @pytest.mark.parametrize("d", [1, 2, 4, _WIDE - 1, _WIDE, _WIDE + 1, 200])
+    @pytest.mark.parametrize("d", [1, 2, 4, 64, 200])
     @pytest.mark.parametrize("kind", ["f", "c"])
-    def test_row_maxima_by_width(self, d, kind):
-        # norms takes each row's largest modulus column by column below _WIDE
-        # columns and by max(axis=1) from there: the two forms agree bit for
-        # bit on narrow and wide rows, rows holding nan or inf included
+    def test_row_maxima_match_np_max(self, d, kind):
+        # norms takes each row's largest modulus column by column; a maximum
+        # is exact, so it has np.max's bits on narrow and wide rows alike,
+        # rows holding nan or inf included
         rng = np.random.default_rng(d)
         rows = rng.standard_normal((300, d)) * 10.0 ** rng.uniform(-300, 300, (300, 1))
         if kind == "c":
@@ -424,10 +423,8 @@ class TestBatchedNorms:
         rows[1, 0] = rows[4, 0] = math.inf
         rows[0, -1] = rows[4, -1] = math.nan  # row 4 holds both unless d is 1
         rows[2], rows[3], rows[5] = -math.inf, -0.0, -5e-324
-        moduli = np.abs(rows)
-        expected = moduli.max(axis=1)
+        expected = np.abs(rows).max(axis=1)
         assert np.isnan(expected[[0, 4]]).all() and (expected[[1, 2]] == math.inf).all()
-        assert functools.reduce(np.maximum, moduli.T).tobytes() == expected.tobytes()
         sup = ArraySpace(label="sup", shape=(d,), kind=kind, sup=True)
         assert sup.norms(rows).tobytes() == expected.tobytes()
         if kind == "f":  # tops also decide which rows norms scales
