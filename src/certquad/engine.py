@@ -225,10 +225,13 @@ def _split(state: np.ndarray, left: np.ndarray, parents: np.ndarray) -> np.ndarr
 def _grow(fn, rule, regime, resolution, store: list, table: list, n: int, roots, depth: int) -> int:
     """Write into ``table`` after its ``n`` nodes (doubling full columns) those to
     ``depth`` levels below ``roots`` by level, halves side by side, none below a panel
-    too narrow to split, certified by one kernel call; returns the node count."""
-    size = len(roots) * ((2 << depth) - 2)  # the nodes of full subtrees below roots
+    too narrow to split, certified by one kernel call, first the root, node 0, in an
+    empty table (``n`` 0); returns the node count.  A call that raises is redone on
+    the first root's halves alone (the root alone), as without speculation."""
+    size = (top := int(n == 0)) + len(roots) * ((2 << depth) - 2)  # the root, full subtrees below roots
     a, b, parents = np.empty(size), np.empty(size), np.empty(size, int)
-    ids, lo, hi, k = roots, table[0][roots], table[1][roots], 0
+    ids, lo, hi, k = roots, table[0][roots], table[1][roots], top
+    a[:top], b[:top], parents[:top] = lo[:top], hi[:top], -1
     with np.errstate(over="ignore"):  # a midpoint past the range is inf
         for _ in range(depth):
             mid = 0.5 * (lo + hi)
@@ -239,14 +242,20 @@ def _grow(fn, rule, regime, resolution, store: list, table: list, n: int, roots,
             parents[k:j:2] = parents[k + 1:j:2] = ids
             ids, lo, hi, k = np.arange(n + k, n + j), a[k:j], b[k:j], j
     a, b, parents, end = a[:k], b[:k], parents[:k], n + k
-    contribs, bounds, certified = _certificate_rows(fn, rule, regime, 2, a, b, resolution)
+    try:
+        contribs, bounds, certified = _certificate_rows(fn, rule, regime, 2, a, b, resolution)
+    except Exception:
+        if depth == 1 - top and len(roots) == 1:
+            raise
+        return _grow(fn, rule, regime, resolution, store, table, n, roots[:1], 1 - top)
     store.append((contribs, certified))
     if end > len(table[0]):
         table[:] = [np.concatenate((c, np.empty(max(len(c), end), c.dtype))) for c in table]
     for column, new in zip(table, (a, b, bounds, parents, -1, _SPECULATED)):
         column[n:end] = new
+    table[5][:top] = _FRONTIER
     table[6].real[n:end], table[6].imag[n:end] = -bounds, a
-    table[4][parents[::2]] = np.arange(n, end, 2)
+    table[4][parents[top::2]] = np.arange(n + top, end, 2)
     return end
 
 
@@ -279,19 +288,19 @@ def integrate_adaptive(
 
     Each certified panel is a node of a table (ends, bound, parent, first half,
     state, key) numbered by its kernel row; the unsplit nodes stay sorted by
-    (-bound, left end), a heap's key, and a round splits them in that order
-    while each is the next pop (in the division or a half of a panel split
-    earlier in the round, with certified halves, wide enough, within the
-    budget, the stop test saying go on).  A node without halves ends it with one
-    kernel call.  Under linf with a sup-envelope the call certifies the nodes
-    to depth d below the worst k nodes without halves, k (2**d - 1) at most
-    the splits left and the run's panels when the round began, from
-    ``_BATCH`` to ``_SPECULATION_CAP`` (``_width``), d at most the halvings
-    from the running total to ``tol`` (linf halves bound at most half their
-    parent); otherwise the halves of up to 16 of them that the run splits
-    whatever their halves bound, which are all it would certify.  Rows are
-    what each panel alone gives, so no width changes a result; a call that
-    raises is redone on the first node's halves alone.
+    (-bound, left end), a heap's key, and a round splits them in that order while
+    each is the next pop (in the division or a half of a panel split earlier in the
+    round, with certified halves, wide enough, within the budget, the stop test
+    saying go on).  A node without halves ends it with one kernel call.  Under linf
+    with a sup-envelope the call certifies the nodes to depth d below the worst k
+    nodes without halves, k (2**d - 1) at most the splits left and the run's panels
+    when the round began, from ``_BATCH`` to ``_SPECULATION_CAP`` (``_width``), d at
+    most the halvings from the running total to ``tol`` (linf halves bound at most
+    half their parent); the run's first call certifies the root with its nodes so
+    for k = 1 whatever ``tol``.  Otherwise the root alone, then the halves of up to
+    16 nodes that the run splits whatever their halves bound.  Rows are what each
+    panel alone gives, so no width changes a result; a call that raises is redone on
+    the first node's halves (the root) alone.
 
     The stop test decides exactly as the ordered sum would.  A running total of
     the n panel bounds gains both halves' bounds and loses the parent's at each
@@ -323,18 +332,18 @@ def integrate_adaptive(
 
 def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
     """The node table and kernel rows of :func:`integrate_adaptive`'s rounds."""
-    lo, hi = np.array([interval.a]), np.array([interval.b])
-    contribs, bound, certified = _certificate_rows(fn, rule, regime, 2, lo, hi, resolution)
-    store, order = [(contribs, certified)], np.zeros(1, int)
     cheap = regime.kind == "linf" and fn.df_sup is not None
     # node columns lo, hi, bound, parent, first half, state and a key that sorts
     # as (-bound, lo) does, nan bounds last; sized for a run that spends its budget
     size = min(2 * max_panels, 1 << 16) + 2 * _width(cheap, 1)
     table = [np.empty(size, dtype) for dtype in (float, float, float, int, int, np.int8, complex)]
-    for column, root in zip(table, (lo, hi, bound, -1, -1, _FRONTIER)):
-        column[:1] = root
-    table[6].real[:1], table[6].imag[:1] = -bound, lo
-    n, count, running, slack, tested = 1, 1, bound[0].item(), 0.0, False
+    table[0][0], table[1][0], store = interval.a, interval.b, []
+    # envelope rows are cheap: the first call certifies the root with its subtree
+    # to the depth of a round's splits for one root
+    depth = (min(_width(cheap, 1), max_panels - 1) + 1).bit_length() - 1 if cheap else 0
+    n = _grow(fn, rule, regime, resolution, store, table, 0, np.zeros(1, int), depth)
+    order = np.argsort(table[6][:n], kind="stable")
+    count, running, slack, tested = 1, table[2][0].item(), 0.0, False
     floor = max(tol, sys.float_info.min)  # lower bounds above it round relatively
 
     while count < max_panels:
@@ -397,13 +406,7 @@ def _refine(fn, rule, interval, regime, tol, max_panels, resolution) -> tuple:
         roots = head[m:][at]
         depth = min((splits // len(roots) + 1).bit_length() - 1,
                     max(1, math.frexp(min(2.0**8, running / tol))[1]))
-        try:
-            new = _grow(fn, rule, regime, resolution, store, table, n, roots, depth)
-        except Exception:
-            # a speculative node failed: the failing node's halves alone, as without it
-            if depth == 1 and len(roots) == 1:
-                raise
-            new = _grow(fn, rule, regime, resolution, store, table, n, roots[:1], 1)
+        new = _grow(fn, rule, regime, resolution, store, table, n, roots, depth)
         # one stable sort (a timsort: a pass over the sorted run) merges the new nodes in
         order, n = np.concatenate((order, np.arange(n, new))), new
         order = order[np.argsort(table[6][order], kind="stable")]

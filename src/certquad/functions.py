@@ -11,10 +11,10 @@ of segments.  :func:`make_function` derives the one-point forms ``f``,
 (``_simpson.one_point``), so every caller reads the same bits.
 ``df_many`` takes numpy forms where the arithmetic is exact or one IEEE
 operation per entry, and ``np.sin`` and ``np.cos``, whose float64 loops
-call the C library's ``sin`` and ``cos``, as ``math`` does, writing the
-columns of one array of rows.  Only ``exp`` (inf past the float range),
-whose numpy form rounds unlike libm's, maps ``math`` over one
-``tolist()`` per batch into ``np.fromiter``.
+call the C library's ``sin`` and ``cos``, as ``math`` does.  Only exp's
+(inf past the float range), whose numpy form rounds unlike libm's, maps
+``math`` over one ``tolist()`` per batch.  Every ``df_sup_many`` is numpy,
+exp's and poly_r3's rounded up past their rounding errors (``_rounded_up``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from ._simpson import one_point
-from .geometry import _exp as _exp_inf, _powers
+from .geometry import _exp as _exp_inf
 from .spaces import (
     ComplexEuclideanSpace,
     EuclideanSpace,
@@ -89,6 +89,14 @@ def _affine(space: NormedSpace) -> dict:
     )
 
 
+def _rounded_up(envelope, *args) -> np.ndarray:
+    # np.exp errs by up to 0.68 ulp (numpy 2.4.6 on x86-64, against mpmath) and
+    # poly_r3's formula by about 3.5u (u = 2**-53): the factor 1 + 8u adds at least 7u;
+    # 2**-1072 lifts exp's underflow (0, or a subnormal) by four steps; inf stays inf
+    with np.errstate(over="ignore"):
+        return envelope(*args) * (1.0 + 2.0**-50) + 2.0**-1072
+
+
 def _math_many(func, values: list) -> np.ndarray:
     """``func`` from ``math`` at each float of ``values``: libm's rounding,
     which numpy's own ``exp`` does not give, and ``math``'s errors."""
@@ -124,7 +132,7 @@ def _exp(space: NormedSpace) -> dict:
         except OverflowError:  # math.exp raises past 709.78; exp is inf there
             return _math_many(_exp_inf, ts.tolist())
 
-    return dict(f_many=np.exp, df_many=df_many, df_sup_many=lambda lo, hi: df_many(hi))
+    return dict(f_many=np.exp, df_many=df_many, df_sup_many=lambda lo, hi: _rounded_up(np.exp, hi))
 
 
 def _trig_circle(space: NormedSpace) -> dict:
@@ -143,10 +151,9 @@ def _trig_circle(space: NormedSpace) -> dict:
 def _poly_r3(space: NormedSpace) -> dict:
     # norm(f')**2 = 1 + 4 t**2 + 9 t**4 is even and increasing in |t|,
     # so the sup over [lo, hi] sits at the endpoint of largest magnitude
-    def sup_many(lo, hi):
+    def sup(lo, hi):  # inf once m**4 overflows
         m = np.maximum(np.abs(lo), np.abs(hi))
-        with np.errstate(over="ignore"):
-            return np.sqrt(1.0 + 4.0 * m * m + 9.0 * _powers(m, 4.0))
+        return np.sqrt((1.0 + 4.0 * (m * m)) + 9.0 * ((m * m) * (m * m)))
 
     def f_many(ts):
         return np.array([ts, ts * ts, (ts * ts) * ts]).T
@@ -154,7 +161,7 @@ def _poly_r3(space: NormedSpace) -> dict:
     return dict(
         f_many=f_many,
         df_many=lambda ts: np.stack([np.ones_like(ts), 2.0 * ts, (3.0 * ts) * ts], axis=-1),
-        df_sup_many=sup_many,
+        df_sup_many=lambda lo, hi: _rounded_up(sup, lo, hi),
     )
 
 

@@ -148,7 +148,7 @@ class ArraySpace(NormedSpace):
         # one element: np.linalg.norm costs a fifth of norms() per call
         x = np.asarray(x)
         top = float(abs(x).max())
-        if self.sup or top == math.inf:  # inf without squaring what may overflow
+        if self.sup or not top < math.inf:  # inf or nan without squaring what may overflow
             return top
         if not _far(top):  # ravel: C order, as norms takes each row
             return float(np.linalg.norm(np.ravel(x)))

@@ -50,7 +50,7 @@ from certquad import (
 )
 from certquad._simpson import ROW, SAMPLE_CHUNK, one_point, samples, simpson_element
 from certquad.functions import _KINK, _pattern
-from certquad.geometry import _exp as _exp_inf, _pow
+from certquad.geometry import _exp as _exp_inf
 from certquad.rules import _pieces
 
 # rules whose Peano-kernel pieces are degenerate (coincident nodes), sit
@@ -328,8 +328,14 @@ def _quadratic(space):
     )
 
 
+def _rounded_up(value: float) -> float:
+    """A registry envelope lifted by its margin: the factor 1 + 2**-50, then 2**-1072."""
+    return value * (1.0 + 2.0**-50) + 2.0**-1072
+
+
 def _exp(space):
-    return dict(f=one_point(np.exp), df=_exp_inf, df_sup=lambda lo, hi: _exp_inf(hi))
+    exp = one_point(np.exp)
+    return dict(f=exp, df=_exp_inf, df_sup=lambda lo, hi: _rounded_up(exp(hi)))
 
 
 def _trig_circle(space):
@@ -343,7 +349,8 @@ def _trig_circle(space):
 def _poly_r3(space):
     def sup(lo: float, hi: float) -> float:
         m = max(abs(lo), abs(hi))
-        return math.sqrt(1.0 + 4.0 * m * m + 9.0 * _pow(m, 4.0))  # inf past the float range
+        square = m * m  # a float product overflows to inf, where ** raises
+        return _rounded_up(math.sqrt((1.0 + 4.0 * square) + 9.0 * (square * square)))
 
     return dict(
         f=one_point(_STACKED_F_MANY["poly_r3"]),
@@ -390,7 +397,8 @@ def reference_forms(fn) -> dict:
     before it kept only the batched forms and derived these as their row
     0.  ``f`` of ``exp``, ``trig_circle``, ``poly_r3`` and ``matrix_path``
     was a row of a numpy batch already: here of ``np.exp`` and of
-    ``_STACKED_F_MANY``."""
+    ``_STACKED_F_MANY``.  ``df_sup`` of ``exp`` and ``poly_r3`` is the
+    closed form in floats, rounded up by the registry's margin."""
     return _REFERENCE_FORMS[fn.name](fn.space)
 
 

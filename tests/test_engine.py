@@ -767,7 +767,7 @@ class TestSpeculation:
         assert str(got.value) == str(ref.value)
 
     def test_budget_bounds_the_batch(self):
-        # the call after the root's certifies the subtree below it to the
+        # the first call certifies the root and the subtree below it to the
         # depth d with 2**d - 1 splits at most those left: d = 3, 2, 1 and
         # 8 for max_panels 8, 5, 2 and 4096; with a budget of 8 or 5 the
         # last split is of a panel below that depth, alone.  With 4096 each
@@ -784,8 +784,8 @@ class TestSpeculation:
 
         fn = VectorFunction(space=base.space, f=base.f, df=base.df, df_sup=base.df_sup,
                             df_sup_many=envelopes, name="exp")
-        for max_panels, expected in ((8, [1, 14, 2]), (5, [1, 6, 2]), (2, [1, 2]),
-                                     (4096, [1, 510, 512, 512, 868, 1536, 2404, 1848])):
+        for max_panels, expected in ((8, [15, 2]), (5, [7, 2]), (2, [3]),
+                                     (4096, [511, 512, 512, 868, 1536, 2404, 1848])):
             batches.clear()
             result = integrate_adaptive(fn, preset("qt"), Interval(0.0, 2.0), LINF, 1e-9,
                                         max_panels, 64)
@@ -794,6 +794,53 @@ class TestSpeculation:
         assert engine._SPECULATION_CAP == 8 * engine._BATCH
         assert [engine._width(True, count) for count in (1, 256, 1202, 2048, 3172)] == [
             256, 256, 1202, 2048, 2048]
+
+    @pytest.mark.parametrize("envelope", [True, False], ids=["envelope", "sampled"])
+    def test_first_call_certifies_the_root_and_its_subtree(self, envelope, monkeypatch):
+        # under linf with an envelope the first call takes the root and its
+        # subtree to the depth d with 2**d - 1 splits at most min(256, budget
+        # - 1), as a round begun at one panel would; otherwise the root alone
+        base = reference_function("exp")
+        if not envelope:
+            base = VectorFunction(space=base.space, f=base.f, f_many=base.f_many, df=base.df,
+                                  df_many=base.df_many, name="exp")
+        first = {1: 1, 2: 3, 3: 3, 4: 7, 5: 7, 6: 7, 7: 7, 8: 15, 9: 15, 4096: 511}
+        for max_panels, rows in first.items():
+            args = (base, preset("qt"), Interval(0.0, 2.0), LINF, 1e-2, max_panels, 16)
+            counter = KernelCounter(monkeypatch.setattr)
+            result = integrate_adaptive(*args)
+            monkeypatch.undo()
+            assert counter.rows[0] == (rows if envelope else 1)
+            assert sum(counter.rows) >= 2 * len(result.panels) - 1
+            assert_same_run(result, reference_adaptive(*args))
+
+    def test_first_call_failing_is_redone_on_the_root(self, monkeypatch):
+        # a first call that raises is redone on the root alone: failing off
+        # the reference's path, the run goes on as without the subtree; failing
+        # on the root itself, it raises as the reference does
+        base = reference_function("exp")
+        args = (preset("qt"), Interval(0.0, 2.0), LINF, 1e-2, 4096, 16)
+        seen = set()
+        reference = reference_adaptive(
+            _with_envelope(base, lambda lo, hi: seen.add((lo, hi)) or base.df_sup(lo, hi)), *args)
+
+        def envelope(lo, hi):
+            if (lo, hi) not in seen:
+                raise ZeroDivisionError(f"off the path at {lo!r}")
+            return base.df_sup(lo, hi)
+
+        fn = _with_envelope(base, envelope)
+        counter = KernelCounter(monkeypatch.setattr)
+        result = integrate_adaptive(fn, *args)
+        assert counter.rows[:2] == [511, 1]
+        assert_same_run(result, reference)
+        seen.clear()
+        counter.rows.clear()
+        with pytest.raises(ZeroDivisionError, match=r"^off the path at 0\.0$"):
+            integrate_adaptive(fn, *args)
+        assert counter.rows == [511, 1]
+        with pytest.raises(ZeroDivisionError, match=r"^off the path at 0\.0$"):
+            reference_adaptive(fn, *args)
 
     @pytest.mark.parametrize("regime, tol", [(L1, 1e-3), (lp(2.0), 1e-3), (LINF, 1e-3)],
                              ids=["l1", "lp2", "linf-no-envelope"])
@@ -847,14 +894,14 @@ class TestSpeculationWidth:
                 monkeypatch.undo()
 
     @pytest.mark.parametrize("tol, panels, calls, rows, bound", [
-        (1e-4, 2173, 7, 2 * 1280, "0x1.a350ed1982b93p-14"),
-        (1e-5, 22225, 17, 2 * engine._SPECULATION_CAP, "0x1.4f8add08f6605p-17"),
+        (1e-4, 2173, 6, 2 * 1280, "0x1.a350ed1982b99p-14"),
+        (1e-5, 22225, 16, 2 * engine._SPECULATION_CAP, "0x1.4f8add08f660ap-17"),
     ], ids=["2173-panels", "22225-panels"])
     def test_kernel_calls_of_a_large_run(self, tol, panels, calls, rows, bound,
                                          monkeypatch):
-        # exp/qt/linf on [0, 1]: 2,173 panels in 7 kernel calls, the widest of
-        # 1,280 splits, and 22,225 in 17, the widest at the cap; 256 splits at
-        # most per call took 10 and 88
+        # exp/qt/linf on [0, 1]: 2,173 panels in 6 kernel calls, the first
+        # with the root's subtree and the widest of 1,280 splits, and 22,225 in
+        # 16, the widest at the cap; 256 splits at most per call took 10 and 88
         counter = KernelCounter(monkeypatch.setattr)
         result = integrate_adaptive(make_function("exp"), preset("qt"), UNIT, LINF, tol,
                                     100_000)

@@ -366,12 +366,17 @@ def test_oracle_redoes_a_raising_batch_point_by_point(label):
 
 def test_exp_derivative_overflows_to_inf():
     # past the float range exp's df, df_many and df_sup are inf, as its f
-    # is; batches that do not overflow keep math.exp's bits
+    # is; batches that do not overflow keep math.exp's bits.  Below it the
+    # envelope lies at or above e^hi, within its margin: np.exp, within
+    # 0.68 ulp, times 1 + 2**-50, rounded to nearest
     fn = make_function("exp")
     ts = np.array([-1.0, 0.5, 709.0, 710.0, 1e308])
     assert fn.df(710.0) == math.inf and fn.df_sup(0.0, 800.0) == math.inf
-    assert [fn.df_sup(0.0, hi) for hi in (708.9, 709.0, 709.5)] == [
-        math.exp(hi) for hi in (708.9, 709.0, 709.5)]
+    with mpmath.workprec(200):
+        for hi in (708.9, 709.0, 709.5, 709.782712893384):
+            exact = mpmath.exp(hi)
+            assert exact <= fn.df_sup(0.0, hi) <= exact * (1 + mpmath.mpf(2)**-50) * (
+                1 + mpmath.mpf(2)**-51)
     assert fn.df_many(ts).tolist() == [math.exp(-1.0), math.exp(0.5), math.exp(709.0),
                                        math.inf, math.inf]
     assert fn.df_many(ts[:3]).tolist() == [math.exp(t) for t in ts[:3].tolist()]
@@ -414,6 +419,67 @@ def test_registry_df_sup_many_is_df_sup_per_segment(name, label):
     segments = list(zip(lo.tolist(), hi.tolist()))
     assert all(type(fn.df_sup(a, b)) is float for a, b in segments)
     assert [fn.df_sup(a, b).hex() for a, b in segments] == expected
+
+
+def _exact_norm(space, x) -> mpmath.mpf:
+    """The norm of the element ``x`` of a registry space, in mpmath: the
+    largest modulus of its entries in a sup space, else the root of their
+    squared moduli."""
+    moduli = [mpmath.sqrt(mpmath.mpf(z.real)**2 + mpmath.mpf(z.imag)**2)
+              for z in np.ravel(x).tolist()]
+    return max(moduli) if getattr(space, "sup", False) else mpmath.sqrt(mpmath.fsum(
+        v**2 for v in moduli))
+
+
+# mpmath's sup of norm(f') on [lo, hi], m = max(|lo|, |hi|): exp, quadratic
+# and poly_r3 grow with t or with |t|; the others' norm(f') is constant
+_EXACT_SUP = {
+    "const": lambda fn, lo, hi, m: mpmath.mpf(0),
+    "affine": lambda fn, lo, hi, m: _exact_norm(fn.space, fn.df(0.0)),
+    "quadratic": lambda fn, lo, hi, m: 2 * m,
+    "exp": lambda fn, lo, hi, m: mpmath.exp(hi),
+    "trig_circle": lambda fn, lo, hi, m: mpmath.mpf(1),
+    "poly_r3": lambda fn, lo, hi, m: mpmath.sqrt(1 + 4 * m**2 + 9 * m**4),
+    "matrix_path": lambda fn, lo, hi, m: mpmath.sqrt(2),
+    "abs_kink": lambda fn, lo, hi, m: mpmath.mpf(1),
+}
+
+
+def _sup_cells(name) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded cells ``[lo, hi]``: 400 of every scale from 1e-3 to 1e3, some
+    degenerate; for exp, 300 more with e^hi past the float range, below its
+    least subnormal and in the subnormal range; for poly_r3, 200 more with
+    m around 1.16e77, where m**4 overflows."""
+    rng = np.random.default_rng(27)
+    lo = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(-3.0, 3.0, 400)
+    hi = lo + np.where(np.arange(400) % 10 == 0, 0.0, rng.exponential(1.0, 400))
+    if name == "exp":
+        extra = np.concatenate([rng.uniform(709.79, 720.0, 100), rng.uniform(-800.0, -745.14, 100),
+                                rng.uniform(-745.13, -708.4, 100), [709.782712893384, -744.5]])
+        lo, hi = np.concatenate([lo, extra - 1.0]), np.concatenate([hi, extra])
+    elif name == "poly_r3":
+        m = 10.0 ** rng.uniform(76.0, 78.0, 200)
+        sign = np.where(np.arange(200) % 2 == 0, 1.0, -1.0)
+        lo, hi = np.concatenate([lo, np.minimum(sign * m, 0.0)]), np.concatenate(
+            [hi, np.maximum(sign * m, 1.0)])
+    return lo, hi
+
+
+@pytest.mark.parametrize("name,label", REGISTRY)
+def test_registry_envelopes_lie_at_or_above_the_exact_sup(name, label):
+    # every envelope, rounded as it is, bounds mpmath's sup of norm(f') on
+    # each cell: exp's at the underflow, in the subnormal range and past
+    # the float range (inf), poly_r3's where m**4 overflows
+    fn = make_function(name, label)
+    lo, hi = _sup_cells(name)
+    values = fn.df_sup_many(lo, hi).tolist()
+    violations = []
+    with mpmath.workprec(200):
+        for a, b, value in zip(lo.tolist(), hi.tolist(), values):
+            m = max(abs(mpmath.mpf(a)), abs(mpmath.mpf(b)))
+            if not value >= _EXACT_SUP[name](fn, mpmath.mpf(a), mpmath.mpf(b), m):
+                violations.append((a, b, value))
+    assert violations == []
 
 
 def test_df_sup_many_needs_df_sup():
@@ -660,7 +726,9 @@ def test_exp_df_many_is_math_exp_point_by_point():
         out = fn.df_many(ts)
         assert out.shape == ts.shape
         assert _bits(out) == _bits([expected(t) for t in ts.tolist()])
-        assert _bits(fn.df_sup_many(ts - 1.0, ts)) == _bits(out)
+        # the envelope of [t - 1, t] lies at or above libm's e^t, within its margin
+        sup = fn.df_sup_many(ts - 1.0, ts)
+        assert ((out <= sup) & (sup <= out * (1.0 + 2.0**-49) + 2.0**-1071)).all()
     assert fn.df_many(np.array([709.9, 1.0])).tolist() == [math.inf, math.e]
 
 

@@ -410,6 +410,17 @@ class TestBatchedNorms:
         for k in (-1000, -600, -520, 520, 600, 1000):
             assert space.norm(np.ldexp(x, k)) == math.ldexp(base, k)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 16, 64])
+    @pytest.mark.parametrize("kind", ["f", "c"])
+    def test_nan_beside_a_huge_entry_is_nan_without_a_warning(self, d, kind):
+        # a nan largest modulus gives nan at once, as norms does, without
+        # squaring the huge entry beside it, whose square overflows
+        space = EuclideanSpace(d) if kind == "f" else ComplexEuclideanSpace(d)
+        x = space.zero() + 1e300
+        x[1] = math.nan
+        assert math.isnan(space.norm(x)) and math.isnan(space.norm(x[::-1]))
+        assert np.isnan(space.norms(np.array([x, x[::-1]]))).all()
+
     @pytest.mark.parametrize("d", [1, 2, 4, 64, 200])
     @pytest.mark.parametrize("kind", ["f", "c"])
     def test_row_maxima_match_np_max(self, d, kind):
@@ -429,6 +440,5 @@ class TestBatchedNorms:
         assert sup.norms(rows).tobytes() == expected.tobytes()
         if kind == "f":  # tops also decide which rows norms scales
             space = EuclideanSpace(d)
-            with np.errstate(over="ignore"):  # norm squares a row holding nan
-                want = [space.norm(x).hex() for x in rows]
+            want = [space.norm(x).hex() for x in rows]
             assert [v.hex() for v in space.norms(rows).tolist()] == want

@@ -4,9 +4,11 @@
 
 Runs exp with the qt rule on [0, 1] under linf at tol 1e-6, the
 220,036-panel case ROADMAP.md tracks, and prints its panel count, the
-adaptive driver's kernel calls (``engine._certificate_rows``) and the CPU
-seconds the run took.  Nothing is gated on them.  The tier-1 tests count
-kernel calls with the same ``KernelCounter``.
+adaptive driver's kernel calls (``engine._certificate_rows``), the kernel
+rows they certified against the 2 * panels - 1 the run used (the rest is
+speculation, the first call's subtree included) and the CPU seconds the
+run took.  Nothing is gated on them.  The tier-1 tests count kernel calls
+with the same ``KernelCounter``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ def main():
     result = cq.integrate_adaptive(cq.make_function("exp"), cq.preset("qt"),
                                    cq.Interval(0.0, 1.0), cq.LINF, 1e-6, 500_000)
     cpu = time.process_time() - start
-    print(f"panels {len(result.panels)}, kernel calls {counter.calls}, cpu {cpu:.2f} s")
+    panels = len(result.panels)
+    print(f"panels {panels}, kernel calls {counter.calls}, rows {sum(counter.rows)} "
+          f"certified, {2 * panels - 1} used, cpu {cpu:.2f} s")
 
 
 if __name__ == "__main__":
