@@ -21,7 +21,8 @@ per-segment factors), so the inequality doubles as a cross-check in tests.
 Each level has one array form over N panels, ``_level1_rows``,
 ``_level2_rows`` and ``_level3_rows``, returning the arrays
 ``(contributions, bounds, certified)``; ``_certificate_rows`` picks one by
-level, and every one-interval function here is a one-row call.
+level, and every one-interval function here is a one-row call.  They
+work segment-major, on contiguous rows that each hold one piece of every panel.
 """
 
 from __future__ import annotations
@@ -101,13 +102,13 @@ def bound_level1(
     return _certificates(rule, regime, 1, [interval], rows)[0]
 
 
-def _row_sums(contribs: np.ndarray) -> np.ndarray:
-    """Each row of ``contribs`` summed left to right from 0.0, as a running
-    ``+=`` over the row would; callers silence numpy's warnings."""
-    bounds = np.zeros(len(contribs))
-    for j in range(contribs.shape[1]):
-        bounds = bounds + contribs[:, j]
-    return bounds
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Each column of the segment-major ``rows`` summed from 0.0, a row at a
+    time, as a running ``+=`` over one panel's pieces; callers silence numpy's warnings."""
+    sums = np.zeros(rows.shape[1])
+    for row in rows:
+        sums += row
+    return sums
 
 
 def _level1_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple:
@@ -115,31 +116,31 @@ def _level1_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple
     the arrays ``(contributions, bounds, certified)``: one Simpson integral
     per Peano-kernel piece (two where its centre lies inside), the pieces
     of all panels sampled together by one :func:`simpson_rows` call, and
-    redone one at a time in order when that call fails; none certified,
+    redone one at a time in panel order when that call fails; none certified,
     and ``regime`` unread."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     # |t - center| * norm(f'(t)) over (lo, mid) and (mid, hi), mid the centre
     # where it lies inside, so the weight keeps one sign and abs() adds no
-    # kink; elsewhere mid = hi, and the empty (hi, hi) gives 0.0
-    los, his, centers = _pieces(rule, a, b)
+    # kink; elsewhere mid = hi, and (hi, hi) gives 0.0; parts by (half, piece, panel)
+    los, his, centers = (x.T for x in _pieces(rule, a, b))
     mids = np.where((los < centers) & (centers < his), centers, his)
-    lo, hi = np.stack((los, mids), axis=-1).ravel(), np.stack((mids, his), axis=-1).ravel()
-    c = centers.repeat(2)
+    lo, hi, c = np.stack((los, mids)), np.stack((mids, his)), np.stack((centers, centers))
     try:
         parts = simpson_rows(
-            lambda ts, rows: np.abs(ts - c[rows, None]) * samples(fn.df_norms, ts),
-            lo, hi, resolution,
+            lambda ts, rows: np.abs(ts - c.ravel()[rows, None]) * samples(fn.df_norms, ts),
+            lo.ravel(), hi.ravel(), resolution,
         )
     except Exception:
-        # the parts in order, so that the error raised is the first one met
-        for x, y, center in zip(lo.tolist(), hi.tolist(), c.tolist()):
+        # the parts in panel order, so that the error raised is the first one met
+        for x, y, center in zip(*(x.transpose(2, 1, 0).ravel().tolist() for x in (lo, hi, c))):
             simpson_scalar(lambda ts: np.abs(ts - center) * fn.df_norms(ts), x, y, resolution)
         raise
     with np.errstate(all="ignore"):
-        contribs = (parts[0::2] + parts[1::2]).reshape(los.shape)
+        parts = parts.reshape(lo.shape)
+        contribs = parts[0] + parts[1]
         bounds = _row_sums(contribs)
-    return contribs, bounds, np.zeros(len(bounds), dtype=bool)
+    return contribs.T, bounds, np.zeros(len(bounds), dtype=bool)
 
 
 def _level2(
@@ -147,49 +148,42 @@ def _level2(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The level-2 arithmetic for N panels at once.
 
-    ``pieces`` is ``(lo, hi, center)`` from ``rules._pieces``: row k holds
-    panel k's n+1 Peano-kernel pieces.  Row k of ``values`` holds their
-    seminorms and row k of ``exact`` their certified flags.
-    Returns ``(contributions, bounds, certified)``: one geometry factor per
-    segment times its seminorm, and their sum left to right.  Every
-    operation is the scalar formula's, element by element, so each row is
-    what the formula gives for that panel alone.
+    ``pieces`` is ``(lo, hi, center)`` from ``rules._pieces``, ``values``
+    their seminorms and ``exact`` their certified flags, each (N, n+1) and
+    read through its transpose: row j, piece j of every panel, contiguous.
+    The factors are written into n+1 such rows (the end pieces' rows 0 and
+    n), times the seminorms, and summed row by row.  Returns ``(contributions,
+    bounds, certified)``, contributions the (N, n+1) view of those rows.  Each
+    operation is the scalar formula's, so each panel gets what it gives alone.
     """
-    los, his, centers = pieces
-    lo, hi, c = los[:, 1:-1], his[:, 1:-1], centers[:, 1:-1]
+    (los, his, centers), values, n = (x.T for x in pieces), values.T, values.shape[1] - 1
+    lo, hi, c, factors = los[1:-1], his[1:-1], centers[1:-1], np.empty(values.shape)
     with np.errstate(all="ignore"):
-        ends = (his - los)[:, [0, -1]]  # the two end pieces' lengths
+        ends = his[::n] - los[::n]  # rows 0 and n: the two end pieces' lengths
         if regime.kind == "l1":
-            outer = ends
-            inner = _mu_arrays(INF, lo, c, hi)
+            factors[::n], factors[1:-1] = ends, _mu_arrays(INF, lo, c, hi)
         elif regime.kind == "linf":
-            outer = 0.5 * _powers(ends, 2.0)
-            inner = _mu_arrays(1.0, lo, c, hi)
+            factors[::n], factors[1:-1] = 0.5 * _powers(ends, 2.0), _mu_arrays(1.0, lo, c, hi)
         elif regime.q <= _LOG_SPACE_Q:
             q = regime.q
-            outer = np.where(
+            factors[::n] = np.where(
                 ends > 0.0, _powers(ends, 1.0 + 1.0 / q) / (q + 1.0) ** (1.0 / q), 0.0
             )
-            inner = np.where(hi > lo, _powers(_mu_arrays(q, lo, c, hi), 1.0 / q), 0.0)
+            factors[1:-1] = np.where(hi > lo, _powers(_mu_arrays(q, lo, c, hi), 1.0 / q), 0.0)
         else:
             q = regime.q
             k1, k2 = 1.0 + 1.0 / q, math.log(q + 1.0) / q
-            outer = np.array(
-                [_exp(k1 * math.log(d) - k2) if d > 0.0 else 0.0 for d in ends.ravel().tolist()]
-            ).reshape(ends.shape)
-            inner = np.array(
-                [_exp(_mu_log(q, l, m, h) / q) if h > l else 0.0
-                 for l, m, h in zip(lo.ravel().tolist(), c.ravel().tolist(), hi.ravel().tolist())],
-                dtype=float,
-            ).reshape(lo.shape)
-        factors = np.concatenate((outer[:, :1], inner, outer[:, 1:]), axis=1)
+            factors[::n].flat = [_exp(k1 * math.log(d) - k2) if d > 0.0 else 0.0
+                                 for d in ends.ravel().tolist()]
+            factors[1:-1].flat = [_exp(_mu_log(q, l, m, h) / q) if h > l else 0.0
+                                  for l, m, h in zip(*(x.ravel().tolist() for x in (lo, c, hi)))]
         # a segment with seminorm 0 contributes 0 even where its factor
         # overflowed (inf * 0 is nan); a finite factor >= 0 times +-0 gives
         # that same zero
         contribs = np.where(values == 0.0, values, factors * values)
         bounds = _row_sums(contribs)
-    certified = (bounds == bounds) & exact.all(axis=1)  # a nan bound certifies nothing
-    return contribs, bounds, certified
+    certified = (bounds == bounds) & exact.T.all(axis=0)  # a nan bound certifies nothing
+    return contribs.T, bounds, certified
 
 
 def _level2_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple:
@@ -197,7 +191,8 @@ def _level2_rows(fn, rule, regime, a, b, resolution=DEFAULT_RESOLUTION) -> tuple
     the arrays ``(contributions, bounds, certified)`` of :func:`_level2`.
 
     Row k equals the fields of ``level2_certificate(fn, rule,
-    Interval(a[k], b[k]), regime, resolution)`` bit for bit.
+    Interval(a[k], b[k]), regime, resolution)`` bit for bit; a failure
+    raises what panel order meets first.
     """
     pieces = _pieces(rule, a, b)
     values, exact = segment_seminorms(fn, regime, pieces[0], pieces[1], resolution)
@@ -281,25 +276,25 @@ def _level3_factors(rule: QuadratureRule, regime: NormRegime, a, b) -> np.ndarra
     root.  Past q = 30 each row collapses the pieces' ``_mu_log`` by
     log-sum-exp.
     """
-    lo, hi, c = _pieces(rule, a, b)
+    pieces = _pieces(rule, a, b)
+    lo, hi, c = (x.T for x in pieces)  # segment-major rows, as in _level2
     with np.errstate(all="ignore"):
         if regime.kind == "l1":
-            inner = _mu_arrays(INF, lo[:, 1:-1], c[:, 1:-1], hi[:, 1:-1])
-            reach = np.concatenate((hi[:, :1] - lo[:, :1], inner, hi[:, -1:] - lo[:, -1:]), axis=1)
-            return reach.max(axis=1)
+            reach = hi - lo  # the end pieces' lengths in rows 0 and n
+            reach[1:-1] = _mu_arrays(INF, lo[1:-1], c[1:-1], hi[1:-1])
+            return reach.max(axis=0)
         q = 1.0 if regime.kind == "linf" else regime.q
-        if q > _LOG_SPACE_Q:
-            rows = zip(lo.tolist(), c.tolist(), hi.tolist())
-            return np.array([_log_collapse(q, *row) for row in rows])
+        if q > _LOG_SPACE_Q:  # panel by panel
+            return np.array([_log_collapse(q, *row) for row in zip(*(x.tolist() for x in pieces))])
         total = _row_sums(_mu_arrays(q, lo, c, hi))
         if regime.kind == "linf":
             return total
         return np.where(total > 0.0, _powers(total, 1.0 / q), 0.0)
 
 
-def _log_collapse(q: float, lo: list, c: list, hi: list) -> float:
+def _log_collapse(q: float, lo: list, hi: list, c: list) -> float:
     """The q-th root of the sum of ``mu(q)`` over one panel's pieces."""
-    logs = [_mu_log(q, l, m, h) for l, m, h in zip(lo, c, hi) if h > l]
+    logs = [_mu_log(q, l, m, h) for l, h, m in zip(lo, hi, c) if h > l]
     if not logs:
         return 0.0
     top = max(logs)

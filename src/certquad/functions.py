@@ -14,7 +14,8 @@ operation per entry, and ``np.sin`` and ``np.cos``, whose float64 loops
 call the C library's ``sin`` and ``cos``, as ``math`` does.  Only exp's
 (inf past the float range), whose numpy form rounds unlike libm's, maps
 ``math`` over one ``tolist()`` per batch.  Every ``df_sup_many`` is numpy,
-exp's and poly_r3's rounded up past their rounding errors (``_rounded_up``).
+exp's and poly_r3's rounded up past their rounding errors (``_rounded_up``);
+poly_r3's stays finite where 9 m**4 overflows and 3 m**2 does not.
 """
 
 from __future__ import annotations
@@ -151,9 +152,18 @@ def _trig_circle(space: NormedSpace) -> dict:
 def _poly_r3(space: NormedSpace) -> dict:
     # norm(f')**2 = 1 + 4 t**2 + 9 t**4 is even and increasing in |t|,
     # so the sup over [lo, hi] sits at the endpoint of largest magnitude
-    def sup(lo, hi):  # inf once m**4 overflows
+    def sup(lo, hi):
         m = np.maximum(np.abs(lo), np.abs(hi))
-        return np.sqrt((1.0 + 4.0 * (m * m)) + 9.0 * ((m * m) * (m * m)))
+        square = m * m
+        out = np.sqrt((1.0 + 4.0 * square) + 9.0 * (square * square))
+        if out.max(initial=0.0) == math.inf:
+            # 9 m**4 overflowed: m**2 sqrt(9 + (4 + m**-2) m**-2), inf only where
+            # 3 m**2 is, within about 1u of the exact sqrt (the m**-2 terms are
+            # below an ulp of 9)
+            far = out == math.inf
+            inv = 1.0 / square[far]
+            out[far] = square[far] * np.sqrt(9.0 + (4.0 + inv) * inv)
+        return out
 
     def f_many(ts):
         return np.array([ts, ts * ts, (ts * ts) * ts]).T

@@ -281,10 +281,11 @@ def _powers(x: np.ndarray, y: float) -> np.ndarray:
 
 def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """:func:`mu` element by element, for ``p`` INF or a float >= 1 and
-    finite ``lo <= hi`` and ``c``, unchecked; callers silence numpy's
-    overflow warnings.  Outside the segment the two powers' difference is
-    inf once they overflow, never nan (``lo - c`` is ``-(c - lo)``
-    exactly, so each branch's powers are those of the distances)."""
+    finite ``lo <= hi`` and ``c`` of one shape (the kernels pass segment-major
+    rows, one per piece), unchecked; callers silence numpy's overflow
+    warnings.  Outside the segment the two powers' difference is inf once
+    they overflow, never nan (``lo - c`` is ``-(c - lo)`` exactly, so each
+    branch's powers are those of the distances)."""
     below, above = c < lo, c > hi
     left, right = c - lo, hi - c
     if p == INF:

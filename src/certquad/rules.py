@@ -113,28 +113,24 @@ def make_rule(nodes_rel, weights, name: str = "") -> QuadratureRule:
     return QuadratureRule(tuple(nodes_rel), tuple(weights), name)
 
 
-def _columns(a, b) -> tuple[np.ndarray, np.ndarray]:
-    # the endpoints as float arrays with a new last axis
-    return np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
-
-
 def _cuts(rule: QuadratureRule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # _cut_points on columns from _columns, under np.errstate(all="ignore"):
-    # b - a may overflow to inf
-    x = a + rule._inner * (b - a)
+    # the rows a, x_1, ..., x_n, b over 1-D float arrays a and b, under
+    # np.errstate(all="ignore"): b - a may overflow to inf
+    (at_a, at_b), cuts = rule._at_ends, np.empty((rule.n + 2, len(a)))
+    cuts[:1 + at_a], cuts[rule.n + 1 - at_b:] = a, b
+    x = a + rule._inner[:, None] * (b - a)
     # x >= a, since u * (b - a) >= 0, but rounding can push it past b
-    x = np.where(x > b, b, x)
-    at_a, at_b = rule._at_ends
-    return np.concatenate((a,) * (1 + at_a) + (x,) + (b,) * (1 + at_b), axis=-1)
+    cuts[1 + at_a:rule.n + 1 - at_b] = np.where(x > b, b, x)
+    return cuts
 
 
 def _cut_points(rule: QuadratureRule, a, b) -> np.ndarray:
     """``[a, x_1, ..., x_n, b]`` along a new last axis: the ends of the
     rule's n+1 segments, for endpoints ``a <= b`` of any (equal) shape.
     Nodes at u = 0 and u = 1 are ``a`` and ``b`` exactly."""
-    a, b = _columns(a, b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     with np.errstate(all="ignore"):
-        return _cuts(rule, a, b)
+        return _cuts(rule, a.ravel(), b.ravel()).T.reshape(a.shape + (rule.n + 2,))
 
 
 def nodes_abs(rule: QuadratureRule, interval: Interval) -> tuple[float, ...]:
@@ -152,15 +148,18 @@ def _pieces(rule: QuadratureRule, a, b) -> tuple[np.ndarray, np.ndarray, np.ndar
     """The n+1 pieces of the rule's Peano kernel on the panels ``[a[k],
     b[k]]``, as the arrays ``(lo, hi, center)`` of shape (N, n+1): on each
     piece the kernel is ``t - center``, [a, x_1] about a, [x_i, x_{i+1}]
-    about xi_i, [x_n, b] about b.  The endpoints are converted once, and
-    the xi_i are clamped into [a, b]: this is the one place they are formed."""
-    a, b = _columns(a, b)
+    about xi_i, [x_n, b] about b.  Each is the transposed view of segment-major
+    rows, ``x.T`` holding piece j of every panel in its contiguous row j.  The
+    endpoints are converted once, and the xi_i are clamped into [a, b]: this
+    is the one place they are formed."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    shape, a, b = a.shape, a.ravel(), b.ravel()
     with np.errstate(all="ignore"):
-        cuts = _cuts(rule, a, b)
-        xi = rule._s * b + rule._sbar * a
-        xi = np.where(xi < a, a, np.where(xi > b, b, xi))
-        centers = np.concatenate((a, xi, b), axis=-1)
-    return cuts[..., :-1], cuts[..., 1:], centers
+        cuts, centers = _cuts(rule, a, b), np.empty((rule.n + 1, len(a)))
+        centers[0], centers[-1] = a, b
+        xi = rule._s[:, None] * b + rule._sbar[:, None] * a
+        centers[1:-1] = np.where(xi < a, a, np.where(xi > b, b, xi))
+    return tuple(x.T.reshape(shape + (rule.n + 1,)) for x in (cuts[:-1], cuts[1:], centers))
 
 
 # name -> (nodes, weights) from the preset's parameters; defaults give the named best member

@@ -129,25 +129,30 @@ def segment_seminorms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(values, exact)``: the seminorm on each segment ``[los[k],
     his[k]]`` and its certified flag, a float and a bool array of their
-    shape.  Envelopes come from one ``df_sup_many`` call and are all
-    certified.  Under L1 and Lp one Simpson sweep samples all the other
-    segments, then each is finished in order, overflows rescued; when the
-    sweep fails the segments are redone one at a time, so a failing
-    segment raises what it raises when met alone.  Only the degenerate
-    segments, exactly 0, are certified."""
+    shape.  Envelopes, all certified, come from one ``df_sup_many`` call in
+    Fortran order (the level-2 kernel's rows), made again in C order (panel
+    order) if it raises; the first bad value in C order raises.  Under L1
+    and Lp one Simpson sweep samples the other segments, each then finished
+    in C order, overflows rescued; when it fails they are redone one at a
+    time, so a failing segment raises what it raises when met alone.  Only
+    the degenerate segments, exactly 0, are certified."""
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
     name = fn.name or "<anonymous>"
     if regime.kind == "linf" and fn.df_sup_many is not None:
-        values = np.asarray(fn.df_sup_many(los.ravel(), his.ravel()), dtype=float)
+        try:
+            values = np.asarray(fn.df_sup_many(los.ravel("F"), his.ravel("F")), dtype=float)
+        except Exception:  # C order raises what that order meets first
+            np.asarray(fn.df_sup_many(los.ravel(), his.ravel()), dtype=float)
+            raise
         if values.shape != (los.size,):
             raise ValueError(f"df_sup_many of {name} gave shape {values.shape}, not {(los.size,)}")
-        values = np.where(los == his, 0.0, values.reshape(los.shape))
-        bad = ~((values >= 0.0) & (values < math.inf))
-        if bad.any():
-            raise ValueError(f"sup-envelope of {name} returned {float(values[bad][0])!r}")
-        return values, np.ones(los.shape, dtype=bool)
+        values = np.where(los == his, 0.0, values.reshape(los.shape, order="F"))
+        ok = (values >= 0.0) & (values < math.inf)
+        if not ok.all():  # values[~ok] reads in C order
+            raise ValueError(f"sup-envelope of {name} returned {float(values[~ok][0])!r}")
+        return values, np.ones_like(ok)
     lo, hi = los.ravel(), his.ravel()
     integrals = [None] * lo.size
     if regime.kind != "linf":

@@ -7,7 +7,10 @@ against dense sampling.  The array certificates are checked against
 frozen one-panel, one-piece copies of the scalar code: :func:`reference_mu`,
 :func:`reference_level1`, :func:`reference_level2` (the profile-then-bound
 arithmetic) and :func:`reference_level3_factor`, all on geometry formed
-here from the rule's nodes and weights.  The batched rule pass is checked
+here from the rule's nodes and weights.  The segment-major kernel is
+checked byte for byte, errors included, against
+:func:`reference_certificate_rows`, the panel-major kernel it replaced,
+frozen.  The batched rule pass is checked
 against :func:`reference_rule_value`, a per-panel fold, and within a
 rounding bound of :func:`exact_rule_sum`, an mpmath sum, and the adaptive
 driver against :func:`reference_adaptive`, which forms the ordered sum of
@@ -48,7 +51,17 @@ from certquad import (
     make_rule,
     nodes_abs,
 )
-from certquad._simpson import ROW, SAMPLE_CHUNK, one_point, samples, simpson_element
+from certquad import geometry as _geometry
+from certquad import seminorms as _seminorms
+from certquad._simpson import (
+    ROW,
+    SAMPLE_CHUNK,
+    one_point,
+    samples,
+    simpson_element,
+    simpson_rows,
+    simpson_scalar,
+)
 from certquad.functions import _KINK, _pattern
 from certquad.geometry import _exp as _exp_inf
 from certquad.rules import _pieces
@@ -350,7 +363,11 @@ def _poly_r3(space):
     def sup(lo: float, hi: float) -> float:
         m = max(abs(lo), abs(hi))
         square = m * m  # a float product overflows to inf, where ** raises
-        return _rounded_up(math.sqrt((1.0 + 4.0 * square) + 9.0 * (square * square)))
+        value = math.sqrt((1.0 + 4.0 * square) + 9.0 * (square * square))
+        if value == math.inf:  # 9 m**4 overflowed: m**2 sqrt(9 + (4 + m**-2) m**-2)
+            inv = 1.0 / square
+            value = square * math.sqrt(9.0 + (4.0 + inv) * inv)
+        return _rounded_up(value)
 
     return dict(
         f=one_point(_STACKED_F_MANY["poly_r3"]),
@@ -855,3 +872,180 @@ def reference_adaptive(fn, rule, interval, regime, tol, max_panels, resolution):
     return QuadratureResult(
         approx, certificate, tuple(panels), tuple(values), rule.n * len(panels), total <= tol
     )
+
+
+# The certificate kernel as it was before its arrays became segment-major:
+# every array panel-major, shape (N, n+1), pieces concatenated, end pieces
+# picked by fancy indexing, rows summed column by column (frozen).  The
+# helpers it calls (Simpson, powers, logarithms, the per-segment estimator)
+# do not depend on the layout and are the library's.
+
+
+def _panel_major_pieces(rule, a, b):
+    """``rules._pieces`` panel-major: ``(lo, hi, center)`` of shape (N, n+1)."""
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
+    with np.errstate(all="ignore"):
+        x = a + rule._inner * (b - a)
+        x = np.where(x > b, b, x)
+        at_a, at_b = rule._at_ends
+        cuts = np.concatenate((a,) * (1 + at_a) + (x,) + (b,) * (1 + at_b), axis=-1)
+        xi = rule._s * b + rule._sbar * a
+        xi = np.where(xi < a, a, np.where(xi > b, b, xi))
+        centers = np.concatenate((a, xi, b), axis=-1)
+    return cuts[..., :-1], cuts[..., 1:], centers
+
+
+def _panel_major_mu(p, lo, c, hi):
+    """``geometry._mu_arrays`` with every exponent's powers taken apart."""
+    below, above = c < lo, c > hi
+    left, right = c - lo, hi - c
+    if p == INF:
+        inside = 0.5 * (hi - lo) + np.abs(c - 0.5 * (lo + hi))
+        out = np.where(below, right, np.where(above, left, inside))
+    else:
+        r = p + 1.0
+        left, right = _geometry._powers(np.abs(left), r), _geometry._powers(np.abs(right), r)
+        out = np.where(below, right - left, np.where(above, left - right, left + right)) / r
+        out = np.where(np.isnan(out), math.inf, out)
+    return np.where(lo == hi, 0.0, out)
+
+
+def _panel_major_sums(contribs):
+    bounds = np.zeros(len(contribs))
+    for j in range(contribs.shape[1]):
+        bounds = bounds + contribs[:, j]
+    return bounds
+
+
+def _panel_major_seminorms(fn, regime, los, his, resolution):
+    """``seminorms.segment_seminorms`` with the envelope read in C order."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    name = fn.name or "<anonymous>"
+    if regime.kind == "linf" and fn.df_sup_many is not None:
+        values = np.asarray(fn.df_sup_many(los.ravel(), his.ravel()), dtype=float)
+        if values.shape != (los.size,):
+            raise ValueError(f"df_sup_many of {name} gave shape {values.shape}, not {(los.size,)}")
+        values = np.where(los == his, 0.0, values.reshape(los.shape))
+        bad = ~((values >= 0.0) & (values < math.inf))
+        if bad.any():
+            raise ValueError(f"sup-envelope of {name} returned {float(values[bad][0])!r}")
+        return values, np.ones(los.shape, dtype=bool)
+    lo, hi = los.ravel(), his.ravel()
+    integrals = [None] * lo.size
+    if regime.kind != "linf":
+        power = regime.integral_exponent
+        try:
+            integrals = simpson_rows(
+                lambda ts, rows: samples(lambda t: _seminorms._integrand(fn, power, t), ts),
+                lo, hi, resolution,
+            ).tolist()
+        except Exception:
+            for x, y in zip(lo.tolist(), hi.tolist()):
+                _seminorms._estimate(fn, x, y, regime, resolution)
+            raise
+    values = np.array([
+        _seminorms._estimate(fn, x, y, regime, resolution, integral)
+        for x, y, integral in zip(lo.tolist(), hi.tolist(), integrals)
+    ], dtype=float).reshape(los.shape)
+    return values, los == his
+
+
+def _panel_major_log_collapse(q, lo, c, hi):
+    """``bounds._log_collapse`` on one panel's pieces, taken as (lo, c, hi)."""
+    logs = [_geometry._mu_log(q, l, m, h) for l, m, h in zip(lo, c, hi) if h > l]
+    if not logs:
+        return 0.0
+    top = max(logs)
+    acc = 0.0
+    for value in logs:
+        acc += math.exp(value - top)
+    return _exp_inf((top + math.log(acc)) / q)
+
+
+def reference_level1_rows(fn, rule, regime, a, b, resolution):
+    """``bounds._level1_rows`` panel-major: the parts (panel, piece, half) in order."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    los, his, centers = _panel_major_pieces(rule, a, b)
+    mids = np.where((los < centers) & (centers < his), centers, his)
+    lo, hi = np.stack((los, mids), axis=-1).ravel(), np.stack((mids, his), axis=-1).ravel()
+    c = centers.repeat(2)
+    try:
+        parts = simpson_rows(
+            lambda ts, rows: np.abs(ts - c[rows, None]) * samples(fn.df_norms, ts),
+            lo, hi, resolution,
+        )
+    except Exception:
+        for x, y, center in zip(lo.tolist(), hi.tolist(), c.tolist()):
+            simpson_scalar(lambda ts: np.abs(ts - center) * fn.df_norms(ts), x, y, resolution)
+        raise
+    with np.errstate(all="ignore"):
+        contribs = (parts[0::2] + parts[1::2]).reshape(los.shape)
+        bounds = _panel_major_sums(contribs)
+    return contribs, bounds, np.zeros(len(bounds), dtype=bool)
+
+
+def reference_level2_rows(fn, rule, regime, a, b, resolution):
+    """``bounds._level2_rows`` panel-major: factors concatenated per panel."""
+    los, his, centers = _panel_major_pieces(rule, a, b)
+    values, exact = _panel_major_seminorms(fn, regime, los, his, resolution)
+    lo, hi, c = los[:, 1:-1], his[:, 1:-1], centers[:, 1:-1]
+    with np.errstate(all="ignore"):
+        ends = (his - los)[:, [0, -1]]
+        if regime.kind == "l1":
+            outer, inner = ends, _panel_major_mu(INF, lo, c, hi)
+        elif regime.kind == "linf":
+            outer, inner = 0.5 * _geometry._powers(ends, 2.0), _panel_major_mu(1.0, lo, c, hi)
+        elif regime.q <= 30.0:
+            q = regime.q
+            outer = np.where(
+                ends > 0.0, _geometry._powers(ends, 1.0 + 1.0 / q) / (q + 1.0) ** (1.0 / q), 0.0
+            )
+            inner = np.where(
+                hi > lo, _geometry._powers(_panel_major_mu(q, lo, c, hi), 1.0 / q), 0.0
+            )
+        else:
+            q = regime.q
+            k1, k2 = 1.0 + 1.0 / q, math.log(q + 1.0) / q
+            outer = np.array([_exp_inf(k1 * math.log(d) - k2) if d > 0.0 else 0.0
+                              for d in ends.ravel().tolist()]).reshape(ends.shape)
+            inner = np.array(
+                [_exp_inf(_geometry._mu_log(q, l, m, h) / q) if h > l else 0.0
+                 for l, m, h in zip(lo.ravel().tolist(), c.ravel().tolist(), hi.ravel().tolist())],
+                dtype=float,
+            ).reshape(lo.shape)
+        factors = np.concatenate((outer[:, :1], inner, outer[:, 1:]), axis=1)
+        contribs = np.where(values == 0.0, values, factors * values)
+        bounds = _panel_major_sums(contribs)
+    return contribs, bounds, (bounds == bounds) & exact.all(axis=1)
+
+
+def reference_level3_rows(fn, rule, regime, a, b, resolution):
+    """``bounds._level3_rows`` panel-major: reaches concatenated per panel."""
+    values, exact = _panel_major_seminorms(fn, regime, a, b, resolution)
+    lo, hi, c = _panel_major_pieces(rule, a, b)
+    with np.errstate(all="ignore"):
+        if regime.kind == "l1":
+            inner = _panel_major_mu(INF, lo[:, 1:-1], c[:, 1:-1], hi[:, 1:-1])
+            reach = np.concatenate((hi[:, :1] - lo[:, :1], inner, hi[:, -1:] - lo[:, -1:]), axis=1)
+            factors = reach.max(axis=1)
+        else:
+            q = 1.0 if regime.kind == "linf" else regime.q
+            if q > 30.0:
+                rows = zip(lo.tolist(), c.tolist(), hi.tolist())
+                factors = np.array([_panel_major_log_collapse(q, *row) for row in rows])
+            else:
+                factors = _panel_major_sums(_panel_major_mu(q, lo, c, hi))
+                if regime.kind != "linf":
+                    factors = np.where(factors > 0.0, _geometry._powers(factors, 1.0 / q), 0.0)
+        bounds = np.where(values == 0.0, values, factors * values)
+    return np.zeros((len(bounds), 0)), bounds, (bounds == bounds) & exact
+
+
+def reference_certificate_rows(fn, rule, regime, level, a, b, resolution):
+    """``bounds._certificate_rows`` panel-major, the frozen levels above."""
+    rows = (reference_level1_rows, reference_level2_rows, reference_level3_rows)[level - 1]
+    return rows(fn, rule, regime, a, b, resolution)

@@ -5,6 +5,7 @@ L1/Lp and sampled sup seminorms and level 1."""
 import dataclasses
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -19,10 +20,12 @@ from certquad import (
     apply_rule,
     bound_level1,
     integrate_adaptive,
+    integrate_composite,
     lp,
     make_function,
     preset,
     seminorm,
+    uniform_partition,
 )
 from certquad import functions
 from certquad._simpson import ROW, SAMPLE_CHUNK, sample_points, samples, simpson_element, simpson_rows
@@ -449,7 +452,8 @@ def _sup_cells(name) -> tuple[np.ndarray, np.ndarray]:
     """Seeded cells ``[lo, hi]``: 400 of every scale from 1e-3 to 1e3, some
     degenerate; for exp, 300 more with e^hi past the float range, below its
     least subnormal and in the subnormal range; for poly_r3, 200 more with
-    m around 1.16e77, where m**4 overflows."""
+    m around 1.16e77, where m**4 overflows, and 200 more with m up to
+    1.3e154, past 7.7e153, where 3 m**2 passes the float range."""
     rng = np.random.default_rng(27)
     lo = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(-3.0, 3.0, 400)
     hi = lo + np.where(np.arange(400) % 10 == 0, 0.0, rng.exponential(1.0, 400))
@@ -458,8 +462,9 @@ def _sup_cells(name) -> tuple[np.ndarray, np.ndarray]:
                                 rng.uniform(-745.13, -708.4, 100), [709.782712893384, -744.5]])
         lo, hi = np.concatenate([lo, extra - 1.0]), np.concatenate([hi, extra])
     elif name == "poly_r3":
-        m = 10.0 ** rng.uniform(76.0, 78.0, 200)
-        sign = np.where(np.arange(200) % 2 == 0, 1.0, -1.0)
+        m = np.concatenate([10.0 ** rng.uniform(76.0, 78.0, 200),
+                            10.0 ** rng.uniform(78.0, 154.0, 100), rng.uniform(7e153, 1.3e154, 100)])
+        sign = np.where(np.arange(400) % 2 == 0, 1.0, -1.0)
         lo, hi = np.concatenate([lo, np.minimum(sign * m, 0.0)]), np.concatenate(
             [hi, np.maximum(sign * m, 1.0)])
     return lo, hi
@@ -469,7 +474,9 @@ def _sup_cells(name) -> tuple[np.ndarray, np.ndarray]:
 def test_registry_envelopes_lie_at_or_above_the_exact_sup(name, label):
     # every envelope, rounded as it is, bounds mpmath's sup of norm(f') on
     # each cell: exp's at the underflow, in the subnormal range and past
-    # the float range (inf), poly_r3's where m**4 overflows
+    # the float range (inf), poly_r3's where m**4 overflows; and it is
+    # finite wherever that sup, lifted by 2**-49, lies below the float
+    # maximum, as poly_r3's is where m**4 overflows and 3 m**2 does not
     fn = make_function(name, label)
     lo, hi = _sup_cells(name)
     values = fn.df_sup_many(lo, hi).tolist()
@@ -477,9 +484,19 @@ def test_registry_envelopes_lie_at_or_above_the_exact_sup(name, label):
     with mpmath.workprec(200):
         for a, b, value in zip(lo.tolist(), hi.tolist(), values):
             m = max(abs(mpmath.mpf(a)), abs(mpmath.mpf(b)))
-            if not value >= _EXACT_SUP[name](fn, mpmath.mpf(a), mpmath.mpf(b), m):
+            exact = _EXACT_SUP[name](fn, mpmath.mpf(a), mpmath.mpf(b), m)
+            representable = exact * (1 + mpmath.mpf(2) ** -49) < sys.float_info.max
+            if not value >= exact or representable and not value < math.inf:
                 violations.append((a, b, value))
     assert violations == []
+
+
+def test_poly_r3_certifies_where_m4_overflows():
+    # 9 m**4 overflows past m = 6.7e76; the envelope, about 3 m**2, does not
+    result = integrate_composite(make_function("poly_r3"), preset("qt"),
+                                 uniform_partition(Interval(0.0, 1e77), 4), LINF)
+    assert result.certificate.certified
+    assert 3e306 < result.certificate.bound < math.inf
 
 
 def test_df_sup_many_needs_df_sup():

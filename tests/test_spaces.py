@@ -360,6 +360,19 @@ class TestBatchedNorms:
             expected = [space.norm(x).hex() for x in layout]
             assert [v.hex() for v in space.norms(layout).tolist()] == expected
 
+    @pytest.mark.parametrize("d", [4, 16, 200])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_complex_rows_equal_the_norm(self, d, order):
+        # ordinary complex rows, the stack in C or Fortran order: each of
+        # norms' entries has the bits of norm of its row
+        space = ComplexEuclideanSpace(d)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            rows = rng.standard_normal((300, d)) + 1j * rng.standard_normal((300, d))
+            stack = np.array(rows, order=order)
+            expected = [space.norm(x).hex() for x in stack]
+            assert [v.hex() for v in space.norms(stack).tolist()] == expected, seed
+
     def test_transposed_elements_equal_the_norm(self):
         # each element's entries out of C order in memory: norm takes them
         # in C order, as norms does, not in the order they are stored
