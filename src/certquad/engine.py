@@ -18,7 +18,7 @@ import numpy as np
 from ._simpson import samples, simpson_element
 from .bounds import ErrorCertificate, _certificate_rows, _certificates
 from .geometry import Interval, NormRegime, Partition
-from .rules import QuadratureRule, _cut_points
+from .rules import QuadratureRule, _cuts
 from .seminorms import DEFAULT_RESOLUTION
 from .spaces import Element, VectorFunction
 
@@ -90,9 +90,9 @@ def _rule_values(fn: VectorFunction, rule: QuadratureRule, a, b) -> np.ndarray:
     space = fn.space
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    nodes = _cut_points(rule, a, b)[:, 1:-1]
     shape = np.shape(space.zero())
     with np.errstate(all="ignore"):  # overflow gives inf, as float sums do
+        nodes = _cuts(rule, a, b)[1:-1].T  # x_1, ..., x_n of each panel
         values = samples(fn.f_many, nodes, shape, fn.f)
         acc = space.zero()
         for j, w in enumerate(rule.weights):

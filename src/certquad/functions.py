@@ -13,7 +13,7 @@ of segments.  :func:`make_function` derives the one-point forms ``f``,
 operation per entry, and ``np.sin`` and ``np.cos``, whose float64 loops
 call the C library's ``sin`` and ``cos``, as ``math`` does.  Only exp's
 (inf past the float range), whose numpy form rounds unlike libm's, maps
-``math`` over one ``tolist()`` per batch.  Every ``df_sup_many`` is numpy,
+``math.exp`` (``geometry._libm_map``).  Every ``df_sup_many`` is numpy,
 exp's and poly_r3's rounded up past their rounding errors (``_rounded_up``);
 poly_r3's stays finite where 9 m**4 overflows and 3 m**2 does not.
 """
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ._simpson import one_point
-from .geometry import _exp as _exp_inf
+from .geometry import _libm_map
 from .spaces import (
     ComplexEuclideanSpace,
     EuclideanSpace,
@@ -98,19 +98,12 @@ def _rounded_up(envelope, *args) -> np.ndarray:
         return envelope(*args) * (1.0 + 2.0**-50) + 2.0**-1072
 
 
-def _math_many(func, values: list) -> np.ndarray:
-    """``func`` from ``math`` at each float of ``values``: libm's rounding,
-    which numpy's own ``exp`` does not give, and ``math``'s errors."""
-    return np.fromiter(map(func, values), float, len(values))
-
-
 def _sin_cos(ts: np.ndarray) -> tuple:
     """``math.sin`` and ``math.cos`` at each point of ``ts``, bit for bit:
     numpy's float64 loops call libm's.  A batch holding an infinity maps
     ``math``, which raises ``ValueError`` there, where numpy gives nan."""
     if np.isinf(ts).any():
-        values = ts.tolist()
-        return _math_many(math.sin, values), _math_many(math.cos, values)
+        return _libm_map(math.sin, ts), _libm_map(math.cos, ts)
     return np.sin(ts), np.cos(ts)
 
 
@@ -127,13 +120,9 @@ def _quadratic(space: NormedSpace) -> dict:
 
 
 def _exp(space: NormedSpace) -> dict:
-    def df_many(ts):
-        try:
-            return _math_many(math.exp, ts.tolist())
-        except OverflowError:  # math.exp raises past 709.78; exp is inf there
-            return _math_many(_exp_inf, ts.tolist())
-
-    return dict(f_many=np.exp, df_many=df_many, df_sup_many=lambda lo, hi: _rounded_up(np.exp, hi))
+    # math.exp raises past 709.78, where _libm_map gives inf
+    return dict(f_many=np.exp, df_many=lambda ts: _libm_map(math.exp, ts),
+                df_sup_many=lambda lo, hi: _rounded_up(np.exp, hi))
 
 
 def _trig_circle(space: NormedSpace) -> dict:

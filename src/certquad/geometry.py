@@ -216,15 +216,6 @@ def mu(exponent, a: float, c: float, b: float) -> float:
         return _mu_arrays(p, np.array(a), np.array(c), np.array(b)).item()
 
 
-def _pow(x: float, y: float) -> float:
-    """``x ** y`` for ``x >= 0``, overflowing to inf as a product does
-    instead of raising ``OverflowError``."""
-    try:
-        return x ** y
-    except OverflowError:
-        return math.inf
-
-
 def _exp(x: float) -> float:
     """``math.exp(x)``, overflowing to inf instead of raising."""
     try:
@@ -264,19 +255,30 @@ def _mu_log(q: float, a: float, c: float, b: float) -> float:
     return _logaddexp(u, v) - log_r
 
 
-def _powers(x: np.ndarray, y: float) -> np.ndarray:
-    """``x ** y`` element by element for ``x >= 0`` or nan, by ``math.pow``:
-    Python's ``**`` bit for bit, overflowing to inf; numpy's ``power`` does
-    not round like libm's ``pow``.  Squares are ``x * x``, correctly rounded
-    as ``pow`` is not always; callers silence numpy's overflow warning."""
-    if y == 2.0:
-        return x * x
+def _libm_map(func, x: np.ndarray, *args: float) -> np.ndarray:
+    """``func(v, *args)`` from ``math`` at each entry ``v`` of ``x``, in
+    ``x``'s shape: libm's bits, which numpy's ``exp`` and ``power`` do not
+    give, and inf where ``math`` raises ``OverflowError``; its other errors
+    (``ValueError`` for ``sin`` at an infinity) pass through."""
     values = x.ravel().tolist()
     try:
-        out = np.fromiter(map(math.pow, values, itertools.repeat(y)), float, len(values))
+        out = np.fromiter(map(func, values, *map(itertools.repeat, args)), float, len(values))
     except OverflowError:  # rare, so only then a call per element
-        out = np.array([_pow(v, y) for v in values], dtype=float)
+        out = np.empty(len(values))
+        for k, v in enumerate(values):
+            try:
+                out[k] = func(v, *args)
+            except OverflowError:
+                out[k] = math.inf
     return out.reshape(x.shape)
+
+
+def _powers(x: np.ndarray, y: float) -> np.ndarray:
+    """``x ** y`` element by element for ``x >= 0`` or nan, by ``math.pow``
+    (``_libm_map``): Python's ``**`` bit for bit, overflowing to inf.
+    Squares are ``x * x``, correctly rounded as ``pow`` is not always;
+    callers silence numpy's overflow warning."""
+    return x * x if y == 2.0 else _libm_map(math.pow, x, y)
 
 
 def _mu_arrays(p, lo: np.ndarray, c: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -124,18 +124,9 @@ def _cuts(rule: QuadratureRule, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cuts
 
 
-def _cut_points(rule: QuadratureRule, a, b) -> np.ndarray:
-    """``[a, x_1, ..., x_n, b]`` along a new last axis: the ends of the
-    rule's n+1 segments, for endpoints ``a <= b`` of any (equal) shape.
-    Nodes at u = 0 and u = 1 are ``a`` and ``b`` exactly."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    with np.errstate(all="ignore"):
-        return _cuts(rule, a.ravel(), b.ravel()).T.reshape(a.shape + (rule.n + 2,))
-
-
 def nodes_abs(rule: QuadratureRule, interval: Interval) -> tuple[float, ...]:
     """Absolute node positions ``x_i = a + u_i*(b - a)``, clamped into [a, b]."""
-    return tuple(_cut_points(rule, interval.a, interval.b)[1:-1].tolist())
+    return tuple(_pieces(rule, interval.a, interval.b)[0][1:].tolist())
 
 
 def cumulative(rule: QuadratureRule, interval: Interval) -> CumulativeWeights:

@@ -43,7 +43,7 @@ import numpy as np
 
 from ._simpson import sample_grid, sample_points, samples, simpson_rows, simpson_scalar
 from .geometry import LINF, Interval, NormRegime, _powers
-from .rules import QuadratureRule, _cut_points
+from .rules import QuadratureRule, _pieces
 from .spaces import VectorFunction
 
 __all__ = [
@@ -117,10 +117,10 @@ def seminorm_profile(
     resolution: int = DEFAULT_RESOLUTION,
 ) -> SeminormProfile:
     """Per-segment estimates for ``rule`` on ``interval``."""
-    cuts = _cut_points(rule, interval.a, interval.b).tolist()
+    los, his, _ = _pieces(rule, interval.a, interval.b)
     return SeminormProfile(tuple(
         seminorm(fn, Interval(lo, hi), regime, resolution)
-        for lo, hi in zip(cuts, cuts[1:])
+        for lo, hi in zip(los.tolist(), his.tolist())
     ))
 
 

@@ -33,12 +33,11 @@ _FAR = 2.0 ** 500
 
 
 def _far(top):
-    """Whether an element whose largest entry modulus is ``top`` (a float,
-    or an array of them) has squares that could overflow or underflow:
-    ``top`` finite and outside [2**-500, 2**500].  Such an element is
-    scaled by an even power of two, exactly, before its 2-norm is taken,
-    and the root scaled back; every other element keeps np.linalg.norm's
-    bits."""
+    """Whether an element whose largest entry modulus is ``top`` (an array
+    of floats) has squares that could overflow or underflow: ``top`` finite
+    and outside [2**-500, 2**500].  Such an element is scaled by an even
+    power of two, exactly, before its 2-norm is taken, and the root scaled
+    back; every other element is taken as it stands."""
     return ((top > _FAR) & (top < math.inf)) | ((top > 0.0) & (top < 1.0 / _FAR))
 
 
@@ -46,10 +45,10 @@ class NormedSpace:
     """Base class for the two concrete spaces below.
 
     Subclasses define ``label`` (the name used in reports and on the
-    command line), ``zero``, ``norm`` and ``norms``, and flat real
-    coordinates (used for building sample elements and for report output).
-    ``add``/``scale`` default to the numeric operators, which cover floats
-    and numpy arrays alike.
+    command line), ``zero``, ``norms`` and flat real coordinates (used for
+    building sample elements and for report output).  ``norm`` is one row
+    of ``norms``, so the two cannot disagree.  ``add``/``scale`` default to
+    the numeric operators, which cover floats and numpy arrays alike.
     """
 
     label: str
@@ -63,12 +62,12 @@ class NormedSpace:
         raise NotImplementedError
 
     def norm(self, x: Element) -> float:
-        raise NotImplementedError
+        """The norm of ``x``: ``norms`` of the one-element stack."""
+        return float(self.norms(np.asarray(x)[None])[0])
 
     def norms(self, stack) -> np.ndarray:
-        """``norm`` of each element of ``stack``, an array of elements
-        stacked along axis 0; entry ``k`` equals ``norm(stack[k])`` bit for
-        bit."""
+        """The norm of each element of ``stack``, an array of elements
+        stacked along axis 0."""
         raise NotImplementedError
 
     def add(self, x: Element, y: Element) -> Element:
@@ -104,9 +103,6 @@ class ScalarSpace(NormedSpace):
     def zero(self) -> float:
         return 0.0
 
-    def norm(self, x) -> float:
-        return abs(float(x))
-
     def norms(self, stack) -> np.ndarray:
         return np.abs(np.asarray(stack, dtype=float))
 
@@ -134,6 +130,8 @@ class ArraySpace(NormedSpace):
     sup: bool = False
 
     def __post_init__(self) -> None:
+        if not self.shape:
+            raise ValueError(f"a shape needs at least one dimension, got {self.shape}")
         if min(self.shape) < 1:
             raise ValueError(f"dimensions must be >= 1, got {self.shape}")
 
@@ -143,16 +141,6 @@ class ArraySpace(NormedSpace):
 
     def zero(self):
         return np.zeros(self.shape, dtype=complex if self.kind == "c" else float)
-
-    def norm(self, x) -> float:
-        # one element: np.linalg.norm costs a fifth of norms() per call
-        x = np.asarray(x)
-        top = float(abs(x).max())
-        if self.sup or not top < math.inf:  # inf or nan without squaring what may overflow
-            return top
-        if not _far(top):  # ravel: C order, as norms takes each row
-            return float(np.linalg.norm(np.ravel(x)))
-        return float(self.norms(x[None])[0])
 
     def norms(self, stack) -> np.ndarray:
         rows = np.asarray(stack).reshape(len(stack), -1)

@@ -99,12 +99,32 @@ def kernel_direct_sum(rule: QuadratureRule, interval: Interval, t: float) -> flo
 
 def reference_norm(space, x) -> float:
     """The space's norm by the formulas the spaces used before batching:
-    ``abs``, the largest modulus, or ``np.linalg.norm``."""
+    ``abs``, the largest modulus, or ``np.linalg.norm`` of the entries in
+    C order (``np.linalg.norm`` alone takes them in memory order)."""
     if space.label == "scalar":
         return abs(float(x))
     if space.sup:
         return float(np.max(np.abs(x)))
-    return float(np.linalg.norm(x))
+    return float(np.linalg.norm(np.ravel(x)))
+
+
+def reference_norms(space, stack) -> list[float]:
+    """:func:`reference_norm` of each element of ``stack``.  An element
+    whose largest modulus is finite and outside [2**-500, 2**500], where
+    squares could overflow or underflow, is scaled by the even power of two
+    ``2**k`` that brings that modulus into [1/4, 1), exactly (``np.ldexp``),
+    and its norm scaled back by ``2**-k``."""
+    out = []
+    with np.errstate(all="ignore"):  # inf and nan entries give inf or nan
+        for x in stack:
+            top = float(np.max(np.abs(x)))
+            k, x = 0, np.array(x)  # a copy, scaled in place
+            if math.isfinite(top) and top > 0.0 and not 2.0**-500 <= top <= 2.0**500:
+                k = -2 * ((math.frexp(top)[1] + 1) // 2)
+            for part in (x.real, x.imag) if x.dtype.kind == "c" else (x,):
+                part[...] = np.ldexp(part, k)
+            out.append(float(np.ldexp(reference_norm(space, x), -k)))
+    return out
 
 
 def df_norm_at(fn, t: float) -> float:

@@ -32,7 +32,7 @@ from certquad import (
 )
 from certquad import engine
 from certquad.bounds import _certificates
-from certquad.rules import _cut_points
+from certquad.rules import _pieces
 
 from helpers import (
     EXACT_COMPONENTS,
@@ -984,8 +984,8 @@ class TestAdaptiveProperty:
             mid = 0.5 * (lo + hi)
             panels.append((lo, hi))
             (panels if (lo, hi) in finals else stack).extend([(lo, mid), (mid, hi)])
-        cuts = _cut_points(rule, *np.array(panels).T)
-        allowed = set(zip(cuts[:, :-1].ravel().tolist(), cuts[:, 1:].ravel().tolist()))
+        los, his, _ = _pieces(rule, *np.array(panels).T)
+        allowed = set(zip(los.ravel().tolist(), his.ravel().tolist()))
         failed = []
 
         def envelope(lo, hi):

@@ -18,16 +18,20 @@ from certquad import (
     MatrixSpace,
     Interval,
     MaxNormSpace,
+    NormedSpace,
     ScalarSpace,
     VectorFunction,
+    integrate_composite,
     make_function,
+    preset,
     seminorm,
     space_by_label,
+    uniform_partition,
 )
 
 from certquad.spaces import ArraySpace
 
-from helpers import is_element, linear_combination, reference_norm
+from helpers import is_element, linear_combination, reference_norm, reference_norms
 
 
 def random_element(space, rng):
@@ -323,7 +327,8 @@ class TestVectorFunction:
 class TestBatchedNorms:
     @pytest.mark.parametrize("label", sorted(SPACES))
     def test_rows_equal_the_per_element_norm(self, label):
-        # in-range rows keep the bits of the formulas used before batching
+        # in-range rows keep the bits of the formulas used before batching,
+        # in a stack and one element at a time
         space = SPACES[label]
         rng = np.random.default_rng(7)
         stack = np.array([
@@ -340,7 +345,8 @@ class TestBatchedNorms:
     def test_rows_of_any_layout_equal_the_norm(self, label):
         # broadcast stacks (stride 0, as const and affine return them),
         # row-strided and component-major stacks, and rows holding nan, -0.0,
-        # inf and entries far outside the square range give norm's bits row by row
+        # inf and entries far outside the square range give the reference's
+        # bits row by row, far rows against their exactly rescaled reference
         space = SPACES[label]
         rng = np.random.default_rng(23)
         d = space.flat_dim
@@ -357,31 +363,31 @@ class TestBatchedNorms:
         layouts = [stack, wide, columns] + [
             np.broadcast_to(x, (5,) + np.shape(x)) for x in elements[:len(odd) + 3]]
         for layout in layouts:
-            expected = [space.norm(x).hex() for x in layout]
+            expected = [v.hex() for v in reference_norms(space, layout)]
             assert [v.hex() for v in space.norms(layout).tolist()] == expected
 
     @pytest.mark.parametrize("d", [4, 16, 200])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_complex_rows_equal_the_norm(self, d, order):
         # ordinary complex rows, the stack in C or Fortran order: each of
-        # norms' entries has the bits of norm of its row
+        # norms' entries has np.linalg.norm's bits of its row
         space = ComplexEuclideanSpace(d)
         for seed in range(5):
             rng = np.random.default_rng(seed)
             rows = rng.standard_normal((300, d)) + 1j * rng.standard_normal((300, d))
             stack = np.array(rows, order=order)
-            expected = [space.norm(x).hex() for x in stack]
+            expected = [reference_norm(space, x).hex() for x in stack]
             assert [v.hex() for v in space.norms(stack).tolist()] == expected, seed
 
     def test_transposed_elements_equal_the_norm(self):
-        # each element's entries out of C order in memory: norm takes them
-        # in C order, as norms does, not in the order they are stored
+        # each element's entries out of C order in memory: norms and norm
+        # take them in C order, not in the order they are stored
         space = SPACES["m22"]
         stack = np.swapaxes(np.random.default_rng(0).standard_normal((2000, 2, 2)), 1, 2)
         assert not stack[0].flags.c_contiguous
-        expected = [space.norm(x).hex() for x in stack]
+        expected = [reference_norm(space, np.ascontiguousarray(x)).hex() for x in stack]
         assert [v.hex() for v in space.norms(stack).tolist()] == expected
-        assert expected == [space.norm(np.ascontiguousarray(x)).hex() for x in stack]
+        assert [space.norm(x).hex() for x in stack] == expected
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("label", ["r2", "r3", "c2", "m22"])
@@ -397,7 +403,7 @@ class TestBatchedNorms:
         # huge, tiny, zero, nonfinite and ordinary rows side by side
         stack = np.array([x, space.zero(), 2.0 * x, space.from_flat([1.0] * space.flat_dim),
                           space.from_flat([np.inf] + [1.0] * (space.flat_dim - 1))])
-        assert space.norms(stack).tolist() == [space.norm(row) for row in stack]
+        assert space.norms(stack).tolist() == reference_norms(space, stack)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("label,entries", [
@@ -453,5 +459,61 @@ class TestBatchedNorms:
         assert sup.norms(rows).tobytes() == expected.tobytes()
         if kind == "f":  # tops also decide which rows norms scales
             space = EuclideanSpace(d)
-            want = [space.norm(x).hex() for x in rows]
+            want = [v.hex() for v in reference_norms(space, rows)]
             assert [v.hex() for v in space.norms(rows).tolist()] == want
+
+
+class _Taxicab(NormedSpace):
+    """R^2 with the 1-norm, as a user would write it: ``norms``, no ``norm``."""
+
+    label = "taxicab"
+    flat_dim = 2
+
+    def zero(self):
+        return np.zeros(2)
+
+    def norms(self, stack):
+        rows = np.abs(np.asarray(stack, dtype=float))
+        return rows[:, 0] + rows[:, 1]
+
+    def from_flat(self, coords):
+        return np.array(coords, dtype=float)
+
+    def to_components(self, x):
+        return x.tolist()
+
+
+class TestSubclassContract:
+    def test_norm_is_one_row_of_norms(self):
+        space = _Taxicab()
+        rng = np.random.default_rng(3)
+        for x in rng.standard_normal((200, 2)):
+            value = space.norm(x)
+            assert type(value) is float and value == space.norms(x[None])[0]
+        assert space.norm([3.0, -4.0]) == 7.0
+
+    def test_composite_run_in_a_user_space(self):
+        space = _Taxicab()
+        fn = VectorFunction(space=space, f=lambda t: np.array([t, t * t]),
+                            df=lambda t: np.array([1.0, 2.0 * t]), name="path")
+        interval = Interval(0.0, 1.0)
+        result = integrate_composite(fn, preset("trapezoid"), uniform_partition(interval, 8), L1)
+        error = space.norm(result.approximation - np.array([0.5, 1.0 / 3.0]))
+        assert 0.0 < error <= result.certificate.bound  # L1 estimates: not certified
+        # the panel values' norms in one call, as the CLI takes them
+        assert space.norms(np.array(result.panel_values)).tolist() == [
+            space.norm(value) for value in result.panel_values]
+
+    def test_an_own_norm_is_kept(self):
+        class Doubled(_Taxicab):
+            def norm(self, x):
+                return 2.0 * super().norm(x)
+
+        assert Doubled().norm(np.array([3.0, -4.0])) == 14.0
+        assert Doubled().norms(np.array([[3.0, -4.0]])).tolist() == [7.0]
+
+    def test_empty_shape_is_refused(self):
+        with pytest.raises(ValueError, match=r"^a shape needs at least one dimension, got \(\)$"):
+            ArraySpace("x", ())
+        with pytest.raises(ValueError, match=r"dimensions must be >= 1, got \(2, 0\)"):
+            ArraySpace("x", (2, 0))
